@@ -17,6 +17,10 @@ which fixes every detail of the sweep:
 Any shortcut here (e.g. assigning the terminal data to p^{N_T} directly)
 breaks the finite-difference gradient identity at the 1e-2 level, which is
 why the transposed structure is kept exact.
+
+Every operator is circulant with a real stencil, so its transpose has the
+conjugate rfft symbol: the sweep runs the recurrence mode by mode with the
+conjugated `euler_symbols` / `bdf2_symbols` of the forward march.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .forward import CCOperator, JumpKernel, adjoint_jump_operator
+from .forward import CCOperator, JumpKernel, bdf2_symbols, euler_symbols
+from .forward import adjoint_jump_operator  # noqa: F401  (public here too)
 from .samples import SampleSet
 from .torus import SplineBasis, TimeGrid
 
@@ -87,28 +92,23 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
     tau = dt / boot_substeps
     n = cc.grid.n
 
-    p = np.zeros((n_steps + 1, n))
-    bdf2_t = cc.system_solver(3.0, 2.0 * dt, transpose=True)
-    euler_t = cc.system_solver(1.0, tau, transpose=True)
-
-    p[n_steps] = bdf2_t.solve(np.asarray(terminal_data, dtype=float))
+    # spectra of r^1 .. r^K, then of p^0 .. p^{N_T} and the absent p^{N_T+1}
+    spectra = np.zeros((boot_substeps + n_steps + 2, n // 2 + 1), dtype=complex)
+    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    explicit, implicit = np.conj(bdf2_symbols(cc, kernel, dt))
+    hat[n_steps] = np.fft.rfft(np.asarray(terminal_data, dtype=float)) / implicit
     for m in range(n_steps - 1, 1, -1):
-        rhs = 4.0 * p[m + 1] + 2.0 * dt * adjoint_jump_operator(p[m + 1], kernel)
-        if m + 2 <= n_steps:
-            rhs = rhs - p[m + 2]
-        p[m] = bdf2_t.solve(rhs)
-
-    boot = np.empty((boot_substeps, n))
-    rhs = 4.0 * p[2] + 2.0 * dt * adjoint_jump_operator(p[2], kernel)
-    if n_steps >= 3:
-        rhs = rhs - p[3]
-    boot[-1] = euler_t.solve(rhs)
+        hat[m] = (explicit * hat[m + 1] - hat[m + 2]) / implicit
+    rhs = explicit * hat[2] - hat[3]
+    explicit, implicit = np.conj(euler_symbols(cc, kernel, tau))
+    boot_hat[-1] = rhs / implicit
     for s in range(boot_substeps - 2, -1, -1):
-        nxt = boot[s + 1]
-        boot[s] = euler_t.solve(nxt + tau * adjoint_jump_operator(nxt, kernel))
+        boot_hat[s] = explicit * boot_hat[s + 1] / implicit
 
+    states = np.fft.irfft(spectra[:-1], n=n, axis=1)
+    if not np.all(np.isfinite(states)):
+        raise SolverError("non-finite adjoint values")
+    boot, p = states[:boot_substeps], states[boot_substeps:]
     p[1] = boot[-1]
     p[0] = boot[0]
-    if not np.all(np.isfinite(p)):
-        raise SolverError("non-finite adjoint values")
     return AdjointHistory(values=p, bootstrap=boot, time_grid=time_grid)

@@ -13,11 +13,10 @@ import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, IngestError, LevyfitError
-from .experiment import build_grid, run_experiment
+from .experiment import (build_grid, run_experiment, simulate_samples,
+                         simulation_spec)
 from .preprocess import PreprocessSpec, preprocess_financial
 from .samples import ingest_samples, write_samples_csv
-from .simulate import SimulationSpec, sample_bigamma, sample_compound_poisson
-from .torus import band_centers, make_basis, tiling_centers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,30 +63,17 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config, args.overrides)
     if not config.sim_kind:
         raise ConfigError("simulate needs sim_kind in the config")
-    grid = build_grid(config)
-    if config.sim_kind == "compound_poisson":
-        spec = SimulationSpec(kind="compound_poisson", rates=config.sim_rates,
-                              drift=config.drift, sigma2=config.sigma2,
-                              t_final=config.t_final,
-                              n_samples=config.sample_count, seed=config.seed)
-        centers = (band_centers(len(config.sim_rates), config.centers_lo,
-                                config.centers_hi)
-                   if config.centers_mode == "band"
-                   else tiling_centers(len(config.sim_rates), grid))
-        sample_set = sample_compound_poisson(spec, make_basis(centers, grid),
-                                             grid)
+    spec = simulation_spec(config)
+    sample_set = simulate_samples(spec, config, build_grid(config))
+    if spec.kind == "compound_poisson":
         meta = {"kind": spec.kind, "rates": ",".join(map(str, spec.rates))}
     else:
-        spec = SimulationSpec(kind="bigamma", gamma_shape=config.sim_gamma_shape,
-                              gamma_rate=config.sim_gamma_rate,
-                              drift=config.drift, sigma2=config.sigma2,
-                              t_final=config.t_final,
-                              n_samples=config.sample_count, seed=config.seed)
-        sample_set = sample_bigamma(spec, grid)
         meta = {"kind": spec.kind, "gamma_shape": spec.gamma_shape,
                 "gamma_rate": spec.gamma_rate}
     meta.update({"seed": spec.seed, "t_final": spec.t_final,
-                 "drift": spec.drift, "sigma2": spec.sigma2})
+                 "drift": spec.drift, "sigma2": spec.sigma2,
+                 "init_center": spec.init_center,
+                 "init_concentration": spec.init_concentration})
     write_samples_csv(args.out, sample_set.values, metadata=meta)
     print(f"wrote {len(sample_set)} samples to {args.out}")
     return 0

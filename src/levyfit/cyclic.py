@@ -1,16 +1,18 @@
-"""O(n) solver for constant-coefficient cyclic tridiagonal systems.
+"""Fourier-space solver for constant-coefficient cyclic tridiagonal systems.
 
 The periodic flux operators all produce matrices with a constant
 sub-diagonal, diagonal and super-diagonal plus the two wrap-around corner
 entries (row 0 couples to column n-1 with the sub-diagonal value, row n-1
-to column 0 with the super-diagonal value).  The corners are removed by a
-rank-1 Sherman-Morrison correction of a plain tridiagonal solve.
+to column 0 with the super-diagonal value).  Such a matrix is circulant:
+the discrete Fourier basis diagonalizes it, and mode k of the product is
+mode k of the operand times the symbol
+    diag + sub*e^{-i theta_k} + sup*e^{i theta_k},   theta_k = 2*pi*k/n,
+so a solve is one rfft, one division by the symbol and one irfft.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import SolverError
 
@@ -18,45 +20,21 @@ from .errors import SolverError
 class CyclicSolver:
     """Solves (cyclic tridiagonal) @ x = rhs for fixed scalar bands.
 
-    The correction vector T^-1 u is factored once at construction, so each
-    solve costs one banded solve plus O(n) arithmetic.
+    `symbol` holds the matrix's eigenvalues on the rfft modes; it is
+    computed once at construction and checked for singularity there.
     """
 
     def __init__(self, sub: float, diag: float, sup: float, n: int):
         if n < 3:
             raise ValueError("cyclic tridiagonal systems need n >= 3")
-        self.sub = float(sub)
-        self.diag = float(diag)
-        self.sup = float(sup)
         self.n = n
-
-        # M = T + u v^T with u = (gamma, 0, .., 0, sup), v = (1, 0, .., 0, sub/gamma)
-        gamma = -self.diag
-        self._gamma = gamma
-        ab = np.zeros((3, n))
-        ab[0, 1:] = self.sup          # super-diagonal
-        ab[1, :] = self.diag          # diagonal
-        ab[1, 0] -= gamma
-        ab[1, -1] -= self.sup * self.sub / gamma
-        ab[2, :-1] = self.sub         # sub-diagonal
-        self._ab = ab
-
-        u = np.zeros(n)
-        u[0] = gamma
-        u[-1] = self.sup
-        z = solve_banded((1, 1), ab, u)
-        self._z = z
-        self._denom = 1.0 + z[0] + (self.sub / gamma) * z[-1]
-        if not np.isfinite(self._denom) or abs(self._denom) < 1e-300:
+        theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        self.symbol = (float(diag) + float(sub) * np.exp(-1j * theta)
+                       + float(sup) * np.exp(1j * theta))
+        size = np.abs(self.symbol)
+        if not np.all(np.isfinite(size)) or \
+                size.min() <= np.finfo(float).eps * size.max():
             raise SolverError("singular cyclic tridiagonal system")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = solve_banded((1, 1), self._ab, rhs)
-        vy = y[0] + (self.sub / self._gamma) * y[-1]
-        return y - self._z * (vy / self._denom)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the cyclic tridiagonal matrix (test/diagnostic helper)."""
-        return (self.diag * x
-                + self.sub * np.roll(x, 1)
-                + self.sup * np.roll(x, -1))
+        return np.fft.irfft(np.fft.rfft(rhs) / self.symbol, n=self.n)

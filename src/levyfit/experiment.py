@@ -39,32 +39,36 @@ def build_basis(n_theta: int, config: RunConfig, grid: TorusGrid):
     return make_basis(centers, grid)
 
 
+def simulation_spec(config: RunConfig) -> SimulationSpec:
+    """The simulator settings of a config; paths start from the config's
+    von Mises initial density, the one the solver assumes."""
+    common = dict(drift=config.drift, sigma2=config.sigma2,
+                  t_final=config.t_final, n_samples=config.sample_count,
+                  seed=config.seed, init_center=config.init_center,
+                  init_concentration=config.init_concentration)
+    if config.sim_kind == "compound_poisson":
+        return SimulationSpec(kind="compound_poisson", rates=config.sim_rates,
+                              **common)
+    return SimulationSpec(kind="bigamma", gamma_shape=config.sim_gamma_shape,
+                          gamma_rate=config.sim_gamma_rate, **common)
+
+
+def simulate_samples(spec: SimulationSpec, config: RunConfig,
+                     grid: TorusGrid) -> SampleSet:
+    """Draw the samples of `spec`; compound Poisson jumps follow the hat
+    basis the config's centers give for len(spec.rates) hats."""
+    if spec.kind == "compound_poisson":
+        basis = build_basis(len(spec.rates), config, grid)
+        return sample_compound_poisson(spec, basis, grid)
+    return sample_bigamma(spec, grid)
+
+
 def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:
     """Simulate per the config, or ingest and wrap a CSV of torus values."""
     if config.sim_kind and config.samples_csv:
         raise ConfigError("give either sim_kind or samples_csv, not both")
-    if config.sim_kind == "compound_poisson":
-        spec = SimulationSpec(kind="compound_poisson", rates=config.sim_rates,
-                              drift=config.drift, sigma2=config.sigma2,
-                              t_final=config.t_final,
-                              n_samples=config.sample_count, seed=config.seed,
-                              init_center=config.init_center,
-                              init_concentration=config.init_concentration)
-        basis = make_basis(
-            band_centers(len(config.sim_rates), config.centers_lo,
-                         config.centers_hi)
-            if config.centers_mode == "band"
-            else tiling_centers(len(config.sim_rates), grid), grid)
-        return sample_compound_poisson(spec, basis, grid)
-    if config.sim_kind == "bigamma":
-        spec = SimulationSpec(kind="bigamma", gamma_shape=config.sim_gamma_shape,
-                              gamma_rate=config.sim_gamma_rate,
-                              drift=config.drift, sigma2=config.sigma2,
-                              t_final=config.t_final,
-                              n_samples=config.sample_count, seed=config.seed,
-                              init_center=config.init_center,
-                              init_concentration=config.init_concentration)
-        return sample_bigamma(spec, grid)
+    if config.sim_kind:
+        return simulate_samples(simulation_spec(config), config, grid)
     if config.samples_csv:
         raw = ingest_samples(config.samples_csv)
         return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw)

@@ -10,6 +10,12 @@ The jump integral is a midpoint quadrature over the torus: translating a
 periodic grid function by the k-th translation node moves it by exactly k
 cells, so the integral reduces to a circular convolution with a fixed
 nonnegative kernel.
+
+Both operators are circulant, so every Fourier mode evolves on its own:
+with a and q their rfft symbols, `solve_forward` marches each mode through
+g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
+F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2), from one rfft of
+f0 to one batched irfft of all levels.
 """
 
 from __future__ import annotations
@@ -97,14 +103,12 @@ class CCOperator:
             raise ValueError("coth form is singular at B = 0")
         return self.coeffs.adv / math.tanh(self.w / 2.0) / self.grid.h
 
-    def system_solver(self, shift: float, scale: float,
-                      transpose: bool = False) -> CyclicSolver:
-        """Solver for (shift*I - scale*A); transpose swaps the two off bands."""
+    def system_solver(self, shift: float, scale: float) -> CyclicSolver:
+        """Solver for (shift*I - scale*A), whose symbol is shift - scale*a;
+        the transposed matrix has the conjugate symbol."""
         h = self.grid.h
         sub = -scale * self.beta / h
         sup = -scale * self.beta_omega / h
-        if transpose:
-            sub, sup = sup, sub
         return CyclicSolver(sub, shift + scale * self.damping, sup, self.grid.n)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -126,7 +130,7 @@ class JumpKernel:
 
     weights: np.ndarray
     total_rate: float
-    _fft: np.ndarray | None = field(default=None, repr=False)
+    _symbol: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_rates(cls, rates, basis: SplineBasis) -> "JumpKernel":
@@ -142,10 +146,11 @@ class JumpKernel:
         return cls(weights=np.zeros(n), total_rate=0.0)
 
     @property
-    def fft(self) -> np.ndarray:
-        if self._fft is None:
-            self._fft = np.fft.rfft(self.weights)
-        return self._fft
+    def symbol(self) -> np.ndarray:
+        """rfft symbol of the forward jump operator: rfft(weights) - total_rate."""
+        if self._symbol is None:
+            self._symbol = np.fft.rfft(self.weights) - self.total_rate
+        return self._symbol
 
 
 def apply_jump_operator(f: np.ndarray, kernel: JumpKernel) -> np.ndarray:
@@ -153,22 +158,15 @@ def apply_jump_operator(f: np.ndarray, kernel: JumpKernel) -> np.ndarray:
 
     Mass that sits k cells to the left arrives at cell i with rate q_k, so
     the gain term is the circular convolution of the kernel with f; the
-    column sums vanish identically and the operator conserves mass.
+    column sums vanish identically (symbol 0 at k = 0) and the operator
+    conserves mass.
     """
-    if kernel.total_rate == 0.0:
-        return np.zeros_like(f)
-    n = len(f)
-    gain = np.fft.irfft(kernel.fft * np.fft.rfft(f), n=n)
-    return gain - kernel.total_rate * f
+    return np.fft.irfft(kernel.symbol * np.fft.rfft(f), n=len(f))
 
 
 def adjoint_jump_operator(p: np.ndarray, kernel: JumpKernel) -> np.ndarray:
     """Transposed jump operator: (sum_k q_k p_{i+k}) - a*p_i."""
-    if kernel.total_rate == 0.0:
-        return np.zeros_like(p)
-    n = len(p)
-    gain = np.fft.irfft(np.conj(kernel.fft) * np.fft.rfft(p), n=n)
-    return gain - kernel.total_rate * p
+    return np.fft.irfft(np.conj(kernel.symbol) * np.fft.rfft(p), n=len(p))
 
 
 @dataclass(frozen=True)
@@ -200,9 +198,21 @@ def stability_bounds(cc: CCOperator, kernel: JumpKernel,
     return StabilityBounds(dt_pos, dt_decay, dt_bdf2, xi)
 
 
+def euler_symbols(cc: CCOperator, kernel: JumpKernel,
+                  tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier factors (1 + tau*q, 1 - tau*a) of one implicit Euler step."""
+    return 1.0 + tau * kernel.symbol, cc.system_solver(1.0, tau).symbol
+
+
+def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
+                 dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier factors (4 + 2dt*q, 3 - 2dt*a) of one BDF2/IMEX step."""
+    return (4.0 + 2.0 * dt * kernel.symbol,
+            cc.system_solver(3.0, 2.0 * dt).symbol)
+
+
 def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
-               kernel: JumpKernel, force: bool = False,
-               _solver: CyclicSolver | None = None) -> np.ndarray:
+               kernel: JumpKernel, force: bool = False) -> np.ndarray:
     """One implicit Euler step: solve (I - dt*A) f = f_prev + dt*Q(f_prev).
 
     Refuses dt_sub above 1/total_rate, the positivity bound, unless forced.
@@ -211,22 +221,21 @@ def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
     if a > 0.0 and dt_sub > 1.0 / a and not force:
         raise StabilityError(
             f"Euler step {dt_sub:.3e} exceeds positivity bound {1.0 / a:.3e}")
-    solver = _solver or cc.system_solver(1.0, dt_sub)
-    rhs = f_prev + dt_sub * apply_jump_operator(f_prev, kernel)
-    return solver.solve(rhs)
+    explicit, implicit = euler_symbols(cc, kernel, dt_sub)
+    return np.fft.irfft(explicit * np.fft.rfft(f_prev) / implicit,
+                        n=len(f_prev))
 
 
 def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
-              kernel: JumpKernel, dt: float,
-              _solver: CyclicSolver | None = None) -> np.ndarray:
+              kernel: JumpKernel, dt: float) -> np.ndarray:
     """One BDF2/IMEX step: solve (3I - 2dt*A) f = 4f_m - f_{m-1} + 2dt*Q(f_m).
 
     The matrix is an M-matrix for every dt, so the solve cannot fail; the
     kernel term is explicit, which is what the step-size bounds control.
     """
-    solver = _solver or cc.system_solver(3.0, 2.0 * dt)
-    rhs = 4.0 * f_m - f_m_minus_1 + 2.0 * dt * apply_jump_operator(f_m, kernel)
-    out = solver.solve(rhs)
+    explicit, implicit = bdf2_symbols(cc, kernel, dt)
+    out = np.fft.irfft((explicit * np.fft.rfft(f_m) - np.fft.rfft(f_m_minus_1))
+                       / implicit, n=len(f_m))
     if not np.all(np.isfinite(out)):
         raise SolverError("non-finite values in BDF2 solve")
     return out
@@ -298,20 +307,26 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
             "pass force=True to integrate anyway")
 
-    values = np.empty((time_grid.n_steps + 1, n))
-    values[0] = f0
-    boot = np.empty((boot_substeps, n))
-    euler_solver = cc.system_solver(1.0, tau)
-    g = f0
+    # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}
+    n_steps = time_grid.n_steps
+    spectra = np.empty((boot_substeps + n_steps + 1, n // 2 + 1), dtype=complex)
+    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    explicit, implicit = euler_symbols(cc, kernel, tau)
+    g = np.fft.rfft(f0)
     for s in range(boot_substeps):
-        boot[s] = g
-        g = euler_step(g, tau, cc, kernel, force=True, _solver=euler_solver)
-    values[1] = g
+        boot_hat[s] = g
+        g = explicit * g / implicit
+    hat[0] = boot_hat[0]
+    hat[1] = g
+    explicit, implicit = bdf2_symbols(cc, kernel, dt)
+    for m in range(1, n_steps):
+        hat[m + 1] = (explicit * hat[m] - hat[m - 1]) / implicit
 
-    bdf2_solver = cc.system_solver(3.0, 2.0 * dt)
-    for m in range(1, time_grid.n_steps):
-        values[m + 1] = bdf2_step(values[m], values[m - 1], cc, kernel, dt,
-                                  _solver=bdf2_solver)
+    states = np.fft.irfft(spectra, n=n, axis=1)
+    if not np.all(np.isfinite(states)):
+        raise SolverError("non-finite values in the forward march")
+    boot, values = states[:boot_substeps], states[boot_substeps:]
+    boot[0] = values[0] = f0
 
     masses = cc.grid.h * values.sum(axis=1)
     mass_drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,7 @@ def ingest_samples(path) -> np.ndarray:
     """Read raw sample values from a CSV file: one decimal per line, '#' comments.
 
     Returns the unwrapped values; projection onto a grid happens later.
+    nan and inf are refused: projection would put them in cell 0.
     """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -66,10 +68,14 @@ def ingest_samples(path) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise IngestError(
                     f"{path}: malformed value {text!r} at line {lineno}") from None
+            if not math.isfinite(value):
+                raise IngestError(
+                    f"{path}: non-finite value {text!r} at line {lineno}")
+            values.append(value)
     if not values:
         raise IngestError(f"{path}: no sample values found")
     return np.asarray(values, dtype=float)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyfit.forward import CCOperator, JumpKernel
-from levyfit.torus import SplineBasis, TorusGrid, project_to_torus
+from levyfit.torus import SplineBasis, TimeGrid, TorusGrid, project_to_torus
 
 
 def dense_cc_matrix(cc: CCOperator) -> np.ndarray:
@@ -48,6 +48,48 @@ def dense_jump_matrix(rates, basis: SplineBasis, grid: TorusGrid) -> np.ndarray:
     eye = np.eye(grid.n)
     return np.column_stack([brute_jump_apply(eye[:, j], rates, basis, grid)
                             for j in range(grid.n)])
+
+
+def dense_forward_march(f0, rates, basis: SplineBasis, cc: CCOperator,
+                        time_grid: TimeGrid, boot_substeps: int):
+    """(values, bootstrap) of the forward scheme by dense real-space solves."""
+    n, dt = cc.grid.n, time_grid.dt
+    tau = dt / boot_substeps
+    a = dense_cc_matrix(cc)
+    q = dense_jump_matrix(rates, basis, cc.grid)
+    eye = np.eye(n)
+    boot = [np.asarray(f0, dtype=float)]
+    for _ in range(boot_substeps):
+        boot.append(np.linalg.solve(eye - tau * a, (eye + tau * q) @ boot[-1]))
+    values = [boot[0], boot[-1]]
+    for _ in range(1, time_grid.n_steps):
+        values.append(np.linalg.solve(3 * eye - 2 * dt * a,
+                                      (4 * eye + 2 * dt * q) @ values[-1]
+                                      - values[-2]))
+    return np.array(values), np.array(boot[:-1])
+
+
+def dense_adjoint_march(data, rates, basis: SplineBasis, cc: CCOperator,
+                        time_grid: TimeGrid, boot_substeps: int):
+    """(values, bootstrap) of the transposed recurrence by dense solves."""
+    n, dt, n_steps = cc.grid.n, time_grid.dt, time_grid.n_steps
+    tau = dt / boot_substeps
+    a = dense_cc_matrix(cc)
+    q = dense_jump_matrix(rates, basis, cc.grid)
+    eye = np.eye(n)
+    bdf2_t = (3 * eye - 2 * dt * a).T
+    euler_t = (eye - tau * a).T
+    p = np.zeros((n_steps + 2, n))      # p[n_steps + 1] stays zero
+    p[n_steps] = np.linalg.solve(bdf2_t, data)
+    for m in range(n_steps - 1, 1, -1):
+        p[m] = np.linalg.solve(bdf2_t, (4 * eye + 2 * dt * q).T @ p[m + 1]
+                               - p[m + 2])
+    r = np.zeros((boot_substeps, n))
+    r[-1] = np.linalg.solve(euler_t, (4 * eye + 2 * dt * q).T @ p[2] - p[3])
+    for s in range(boot_substeps - 2, -1, -1):
+        r[s] = np.linalg.solve(euler_t, (eye + tau * q).T @ r[s + 1])
+    p[1], p[0] = r[-1], r[0]
+    return p[:-1], r
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import dense_cc_matrix
+from conftest import (dense_adjoint_march, dense_cc_matrix,
+                      dense_forward_march)
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.forward import (CCOperator, JumpKernel, adjoint_jump_operator,
                              apply_jump_operator)
@@ -116,8 +117,10 @@ class TestSolveAdjoint:
         dt = 0.01
         m = 3 * np.eye(10) - 2 * dt * dense_cc_matrix(cc)
         rhs = rng.normal(size=10)
-        solver_t = cc.system_solver(3.0, 2 * dt, transpose=True)
-        assert np.allclose(solver_t.solve(rhs), np.linalg.solve(m.T, rhs),
+        # the adjoint sweep divides by the conjugate of the forward symbol
+        symbol_t = np.conj(cc.system_solver(3.0, 2 * dt).symbol)
+        solved = np.fft.irfft(np.fft.rfft(rhs) / symbol_t, n=10)
+        assert np.allclose(solved, np.linalg.solve(m.T, rhs),
                            rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("n_steps,drift", [(2, 0.0), (3, 0.5), (6, -0.8),
@@ -139,17 +142,7 @@ class TestSolveAdjoint:
         tau = tg.dt / boot
 
         def forward_map(f0):
-            es = cc.system_solver(1.0, tau)
-            bs = cc.system_solver(3.0, 2 * tg.dt)
-            g = f0.copy()
-            for _ in range(boot):
-                g = es.solve(g + tau * apply_jump_operator(g, kern))
-            levels = [f0, g]
-            for _ in range(1, n_steps):
-                levels.append(bs.solve(4 * levels[-1] - levels[-2]
-                                       + 2 * tg.dt
-                                       * apply_jump_operator(levels[-1], kern)))
-            return levels[-1]
+            return dense_forward_march(f0, rates, basis, cc, tg, boot)[0][-1]
 
         f0 = rng.uniform(0.1, 1.0, n)
         data = rng.normal(size=n)
@@ -159,6 +152,29 @@ class TestSolveAdjoint:
         lhs = data @ forward_map(f0)
         rhs = pullback @ f0
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("n,drift", [(9, -0.6), (12, 0.8), (15, 1.1),
+                                         (16, -1.4)])
+    def test_matches_dense_transposed_march(self, n, drift, rng):
+        """Every multiplier, bootstrap included, equals dense solves of the
+        transposed recurrence; even n exercise the Nyquist mode.  The domain
+        starts at a node for every n, as the brute-force jump oracle needs."""
+        grid = TorusGrid(0.0, 2 * np.pi, n)
+        cc = CCOperator(grid, ModelCoefficients(drift,
+                                                float(rng.uniform(0.05, 0.4))))
+        n_theta = int(rng.integers(2, 5))
+        basis = make_basis(tiling_centers(n_theta, grid), grid)
+        rates = rng.uniform(0, 2, n_theta)
+        n_steps, boot = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        tg = TimeGrid(float(rng.uniform(0.01, 0.1)), n_steps)
+        data = rng.normal(size=n)
+        adj = solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot)
+        values, bootstrap = dense_adjoint_march(data, rates, basis, cc, tg,
+                                                boot)
+        atol = 1e-12 * np.abs(values).max()
+        np.testing.assert_allclose(adj.values, values, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(adj.bootstrap, bootstrap, rtol=1e-12,
+                                   atol=atol)
 
     def test_symmetric_case_self_adjoint_pairing(self, rng):
         # zero drift plus an even jump measure make every operator symmetric,

@@ -7,7 +7,8 @@ import pytest
 from levyfit.cli import main
 from levyfit.config import RunConfig, config_from_dict, load_config
 from levyfit.errors import ConfigError
-from levyfit.experiment import run_experiment
+from levyfit.experiment import acquire_samples, build_grid, run_experiment
+from levyfit.samples import ingest_samples
 
 TINY = """
 # tiny deterministic experiment
@@ -130,6 +131,27 @@ class TestCliEntry:
         lines = out.read_text().splitlines()
         values = [l for l in lines if not l.startswith("#")]
         assert len(values) == 1500
+
+    @pytest.mark.parametrize("kind", ["compound_poisson", "bigamma"])
+    def test_simulate_writes_the_samples_run_draws(self, tiny_cfg, tmp_path,
+                                                   kind):
+        out = tmp_path / "samples.csv"
+        overrides = [f"sim_kind={kind}"]
+        assert main(["simulate", str(tiny_cfg), "--set", overrides[0],
+                     "--out", str(out)]) == 0
+        cfg = load_config(tiny_cfg, overrides)
+        drawn = acquire_samples(cfg, build_grid(cfg)).values
+        assert np.array_equal(ingest_samples(out), drawn)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_samples_are_data_errors(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.1\n-0.2\n{bad}\n0.3\n")
+        assert main(["run", "--set", f"samples_csv={path}",
+                     "--set", "n_space=32", "--set", "n_time=10",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert main(["preprocess", str(path),
+                     "--out", str(tmp_path / "t.csv")]) == 1
 
     def test_preprocess_pipeline(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from levyfit.cyclic import CyclicSolver
+from levyfit.errors import SolverError
 
 
 def dense(sub, diag, sup, n):
@@ -28,9 +29,17 @@ def test_matvec_roundtrip(rng):
     n = 40
     solver = CyclicSolver(-0.3, 2.1, -0.7, n)
     x = rng.normal(size=n)
-    assert np.allclose(solver.solve(solver.matvec(x)), x, rtol=1e-12)
+    assert np.allclose(solver.solve(dense(-0.3, 2.1, -0.7, n) @ x), x,
+                       rtol=1e-12)
 
 
 def test_rejects_tiny_systems():
     with pytest.raises(ValueError):
         CyclicSolver(-1.0, 3.0, -1.0, 2)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9])
+def test_rejects_singular_systems(n):
+    # the periodic second difference annihilates constants (symbol 0 at k=0)
+    with pytest.raises(SolverError):
+        CyclicSolver(-1.0, 2.0, -1.0, n)

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import brute_jump_apply, dense_cc_matrix, random_density
+from conftest import (brute_jump_apply, dense_cc_matrix,
+                      dense_forward_march, random_density)
 from levyfit.errors import StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, apply_jump_operator,
                              bdf2_step, cc_delta, euler_step, solve_forward,
@@ -322,6 +323,30 @@ class TestSolveForward:
             assert hist.diagnostics.mass_drift < 1e-10
             norms = np.abs(hist.values).sum(axis=1)
             assert np.all(np.diff(norms) <= 1e-12 * norms[0])
+
+    @pytest.mark.parametrize("n,drift", [(9, 0.7), (12, -0.9), (15, -0.4),
+                                         (16, 1.3)])
+    def test_matches_dense_march(self, n, drift, rng):
+        """The whole history, bootstrap included, equals dense real-space
+        solves; even n exercise the Nyquist mode.  The domain starts at a
+        node for every n, as the brute-force jump oracle needs."""
+        grid = TorusGrid(0.0, 2 * np.pi, n)
+        cc = CCOperator(grid, ModelCoefficients(drift,
+                                                float(rng.uniform(0.05, 0.4))))
+        n_theta = int(rng.integers(2, 5))
+        basis = make_basis(tiling_centers(n_theta, grid), grid)
+        rates = rng.uniform(0, 2, n_theta)
+        kern = JumpKernel.from_rates(rates, basis)
+        n_steps, boot = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        dt = 0.9 * stability_bounds(cc, kern, 2.0).dt_bdf2
+        tg = TimeGrid(dt * n_steps, n_steps)
+        f0 = random_density(rng, grid)
+        hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot)
+        values, bootstrap = dense_forward_march(f0, rates, basis, cc, tg, boot)
+        atol = 1e-12 * np.abs(values).max()
+        np.testing.assert_allclose(hist.values, values, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(hist.bootstrap, bootstrap, rtol=1e-12,
+                                   atol=atol)
 
     def test_xi_condition_reported(self):
         grid = TorusGrid(-np.pi, np.pi, 64)

@@ -58,6 +58,13 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 3"):
             ingest_samples(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        path.write_text(f"0.1\n{bad}\n0.4\n")
+        with pytest.raises(IngestError, match="non-finite .* line 2"):
+            ingest_samples(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# only a comment\n")
