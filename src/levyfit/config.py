@@ -11,6 +11,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
+from .optimizer import OptimizerParams
 
 
 @dataclass
@@ -65,6 +66,15 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
 
+    def optimizer_params(self) -> OptimizerParams:
+        return OptimizerParams(alpha0=self.alpha0,
+                               armijo_delta=self.armijo_delta,
+                               step_init=self.step_init,
+                               step_shrink=self.step_shrink,
+                               max_shrinks=self.max_shrinks,
+                               tol=self.grad_tol,
+                               max_iters=self.max_iters)
+
     def validate(self) -> "RunConfig":
         if self.centers_mode not in ("band", "full"):
             raise ConfigError("centers_mode must be 'band' or 'full'")
@@ -74,12 +84,28 @@ class RunConfig:
             raise ConfigError(f"unknown sim_kind {self.sim_kind!r}")
         if not self.n_theta_list:
             raise ConfigError("n_theta_list must not be empty")
+        if min(self.n_theta_list) < 2:
+            raise ConfigError("n_theta_list entries must be >= 2")
+        if not self.domain_upper > self.domain_lower:
+            raise ConfigError("domain_upper must exceed domain_lower")
         if self.n_space < 4 or self.n_time < 2:
             raise ConfigError("grid too small")
-        if self.sigma2 <= 0:
+        if not self.t_final > 0:
+            raise ConfigError("t_final must be > 0")
+        if not self.sigma2 > 0:
             raise ConfigError("sigma2 must be > 0")
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be >= 1")
+        if self.sample_count < 1:
+            raise ConfigError("sample_count must be >= 1")
+        if self.boot_substeps < 1:
+            raise ConfigError("boot_substeps must be >= 1")
+        if not 1.0 < self.bdf2_xi < 3.0:
+            raise ConfigError("bdf2_xi must lie in (1, 3)")
+        try:
+            self.optimizer_params()
+        except ValueError as exc:
+            raise ConfigError(f"optimizer: {exc}") from None
         return self
 
 

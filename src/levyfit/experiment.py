@@ -10,8 +10,7 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict
 from .errors import ConfigError
-from .optimizer import (CalibrationSetup, OptimizerParams, SweepResult,
-                        aic_sweep, run_forward)
+from .optimizer import CalibrationSetup, SweepResult, aic_sweep
 from .samples import SampleSet, ingest_samples
 from .simulate import SimulationSpec, sample_bigamma, sample_compound_poisson
 from .torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
@@ -75,16 +74,6 @@ def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:
     raise ConfigError("no data source: set sim_kind or samples_csv")
 
 
-def optimizer_params(config: RunConfig) -> OptimizerParams:
-    return OptimizerParams(alpha0=config.alpha0,
-                           armijo_delta=config.armijo_delta,
-                           step_init=config.step_init,
-                           step_shrink=config.step_shrink,
-                           max_shrinks=config.max_shrinks,
-                           tol=config.grad_tol,
-                           max_iters=config.max_iters)
-
-
 def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> ExperimentResult:
     """Fit every basis size in the sweep and write the report artifacts.
 
@@ -108,8 +97,8 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
                          xi=config.bdf2_xi, force=config.force_dt)
         for n in config.n_theta_list
     ]
-    params = optimizer_params(config)
-    sweep = aic_sweep(setups, samples, params, penalty=config.aic_penalty)
+    sweep = aic_sweep(setups, samples, config.optimizer_params(),
+                      penalty=config.aic_penalty)
     if not quiet:
         for rep in sweep.reports:
             print(f"n_theta={rep.n_theta}: J={rep.j_star:.6f} "
@@ -118,9 +107,6 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
 
     selected = next(r for r in sweep.reports
                     if r.n_theta == sweep.selected_n_theta)
-    sel_setup = next(s for s in setups
-                     if s.basis.n_theta == sweep.selected_n_theta)
-    terminal = run_forward(selected.alpha_star, sel_setup).terminal
 
     report = {
         "config": config_to_dict(config),
@@ -140,7 +126,7 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
     with open(paths["report"], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_density_csv(paths["density"], grid, terminal)
+    _write_density_csv(paths["density"], grid, selected.terminal)
     _write_histogram_csv(paths["histogram"], samples, config.hist_bins)
     _write_aic_csv(paths["aic"], sweep)
     return ExperimentResult(sweep=sweep, report=report, samples=samples,

@@ -97,12 +97,6 @@ class CCOperator:
         """Magnitude of the diagonal of A: (beta + beta_omega)/h."""
         return (self.beta + self.beta_omega) / self.grid.h
 
-    def damping_coth_form(self) -> float:
-        """Equivalent closed form B*coth(h*B/(2C))/h, for B != 0."""
-        if self.w == 0.0:
-            raise ValueError("coth form is singular at B = 0")
-        return self.coeffs.adv / math.tanh(self.w / 2.0) / self.grid.h
-
     def system_solver(self, shift: float, scale: float) -> CyclicSolver:
         """Solver for (shift*I - scale*A), whose symbol is shift - scale*a;
         the transposed matrix has the conjugate symbol."""
@@ -110,13 +104,6 @@ class CCOperator:
         sub = -scale * self.beta / h
         sup = -scale * self.beta_omega / h
         return CyclicSolver(sub, shift + scale * self.damping, sup, self.grid.n)
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """A @ f (used by diagnostics and tests)."""
-        h = self.grid.h
-        return (self.beta * np.roll(f, 1)
-                - (self.beta + self.beta_omega) * f
-                + self.beta_omega * np.roll(f, -1)) / h
 
 
 @dataclass
@@ -140,10 +127,6 @@ class JumpKernel:
                 f"expected {basis.n_theta} rates, got shape {rates.shape}")
         weights = basis.grid.h * (rates @ basis.samples)
         return cls(weights=weights, total_rate=float(weights.sum()))
-
-    @classmethod
-    def zero(cls, n: int) -> "JumpKernel":
-        return cls(weights=np.zeros(n), total_rate=0.0)
 
     @property
     def symbol(self) -> np.ndarray:

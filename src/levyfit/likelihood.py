@@ -23,12 +23,10 @@ class ObjectiveValue:
 
     value: float
     floored_count: int
-    per_sample: np.ndarray | None = None
 
 
 def evaluate_objective(f_terminal: np.ndarray, samples: SampleSet,
-                       eps: float = DEFAULT_FLOOR,
-                       keep_per_sample: bool = False) -> ObjectiveValue:
+                       eps: float = DEFAULT_FLOOR) -> ObjectiveValue:
     f = np.asarray(f_terminal, dtype=float)
     counts = samples.cell_counts
     if f.shape != counts.shape:
@@ -37,9 +35,7 @@ def evaluate_objective(f_terminal: np.ndarray, samples: SampleSet,
     log_f = np.log(np.maximum(f, eps))
     value = float(counts @ log_f) / n
     floored = int(counts[f < eps].sum())
-    per_sample = log_f[samples.snapped_index] if keep_per_sample else None
-    return ObjectiveValue(value=value, floored_count=floored,
-                          per_sample=per_sample)
+    return ObjectiveValue(value=value, floored_count=floored)
 
 
 def aic_score(j_star: float, n_samples: int, n_theta: int,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .adjoint import AdjointHistory, solve_adjoint, terminal_condition
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import CCOperator, DensityHistory, JumpKernel, solve_forward, stability_bounds
+from .forward import CCOperator, DensityHistory, solve_forward
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
@@ -55,13 +55,22 @@ class OptimizerParams:
     max_shrinks: int = 30
     tol: float = 1e-5            # on the projected gradient norm
     max_iters: int = 500
-    restart_every: int | None = None   # default 10 * n_theta
 
     def __post_init__(self):
+        if not self.alpha0 >= 0.0:
+            raise ValueError("alpha0 must be >= 0")
         if not 0.0 < self.armijo_delta < 0.5:
             raise ValueError("armijo_delta must lie in (0, 1/2)")
+        if not self.step_init > 0.0:
+            raise ValueError("step_init must be > 0")
         if not 0.0 < self.step_shrink < 1.0:
             raise ValueError("step_shrink must lie in (0, 1)")
+        if self.max_shrinks < 1:
+            raise ValueError("max_shrinks must be >= 1")
+        if not self.tol >= 0.0:
+            raise ValueError("tol must be >= 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass
@@ -74,6 +83,7 @@ class FitReport:
     converged: bool
     grad_norm: float             # projected-gradient norm at alpha_star
     diagnostics: dict
+    terminal: np.ndarray = field(repr=False)   # fitted density at t_final
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -83,10 +93,10 @@ def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
                          boot_substeps=setup.boot_substeps, force=setup.force)
 
 
-def objective(alpha, setup: CalibrationSetup, samples: SampleSet,
-              history: DensityHistory | None = None) -> tuple[ObjectiveValue, DensityHistory]:
+def objective(alpha, setup: CalibrationSetup,
+              samples: SampleSet) -> tuple[ObjectiveValue, DensityHistory]:
     """Minimized-objective building block: J_eps and the forward history."""
-    fwd = history if history is not None else run_forward(alpha, setup)
+    fwd = run_forward(alpha, setup)
     return evaluate_objective(fwd.terminal, samples, setup.eps), fwd
 
 
@@ -170,7 +180,6 @@ class LineSearchResult:
     step: float
     value: float
     n_evals: int
-    converged_direction: bool = False   # d == 0: nothing to search
 
 
 def armijo_linesearch(evaluate, f_current: float, slope: float,
@@ -181,12 +190,10 @@ def armijo_linesearch(evaluate, f_current: float, slope: float,
 
     `evaluate(step)` returns the objective at the (already clamped) trial
     point, or +inf for points the solver refuses.  `slope` is the
-    directional derivative at step 0 and must be negative; a zero direction
-    short-circuits with step 0.
+    directional derivative at step 0 and must be negative.  The accepted
+    step is always the last one evaluated.
     """
-    if slope == 0.0:
-        return LineSearchResult(0.0, f_current, 0, converged_direction=True)
-    if slope > 0.0:
+    if not slope < 0.0:
         raise LineSearchError(f"not a descent direction (slope {slope:.3e})")
     step = step_init
     for n_evals in range(1, max_shrinks + 1):
@@ -200,26 +207,26 @@ def armijo_linesearch(evaluate, f_current: float, slope: float,
 
 def calibrate(setup: CalibrationSetup, samples: SampleSet,
               params: OptimizerParams = OptimizerParams(),
-              alpha0=None) -> FitReport:
-    """Projected Dai-Yuan NLCG fit of the jump rates.
+              penalty: str = "log") -> FitReport:
+    """Projected Dai-Yuan NLCG fit of the jump rates, scored by `aic_score`.
 
     Never raises on non-convergence: the report carries converged=False
     and the trace instead.  Trial points that violate the step-size bounds
-    evaluate to +inf and are simply backtracked past.
+    evaluate to +inf and are simply backtracked past.  When the search
+    along the conjugate direction fails, it is retried once along steepest
+    descent; when that fails too, the fit stops with stop="linesearch".
     """
     n_theta = setup.basis.n_theta
-    alpha = (np.full(n_theta, params.alpha0) if alpha0 is None
-             else np.asarray(alpha0, dtype=float).copy())
-    alpha = np.maximum(alpha, 0.0)
-    restart_every = params.restart_every or 10 * n_theta
+    restart_every = 10 * n_theta
 
-    def safe_objective(a, history=None):
+    def safe_objective(a):
         try:
-            obj, fwd = objective(a, setup, samples, history=history)
+            obj, fwd = objective(a, setup, samples)
             return -obj.value, obj, fwd
         except StabilityError:
             return math.inf, None, None
 
+    alpha = np.full(n_theta, params.alpha0)
     f_val, obj, fwd = safe_objective(alpha)
     if not math.isfinite(f_val):
         raise StabilityError(
@@ -228,62 +235,46 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     grad = reduced_gradient(alpha, setup, samples, history=fwd)
     direction = projected_direction(-grad, alpha)
 
+    pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
     trace = []
-    converged = False
-    iterations = 0
+    iterations = params.max_iters
     stop_note = "max_iters"
     for k in range(params.max_iters):
-        iterations = k
-        pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
         if pg_norm <= params.tol:
-            converged = True
-            stop_note = "tol"
+            iterations, stop_note = k, "tol"
             break
 
-        slope = float(grad @ direction)
-        used_steepest = False
-        if slope >= 0.0 or not np.any(direction):
-            direction = projected_direction(-grad, alpha)
-            slope = float(grad @ direction)
-            used_steepest = True
-            if not np.any(direction):
-                converged = True     # all descent blocked by active bounds
-                stop_note = "kkt"
+        # the conjugate direction if it descends, then steepest descent;
+        # a direction equal to steepest descent is searched only once
+        steepest = projected_direction(-grad, alpha)
+        candidates = [steepest]
+        if (float(grad @ direction) < 0.0
+                and not np.array_equal(direction, steepest)):
+            candidates.insert(0, direction)
+        trial = None    # (point, value, objective, history) of the last trial
+        for direction in candidates:
+
+            def evaluate(step):
+                nonlocal trial
+                point = np.maximum(alpha + step * direction, 0.0)
+                trial = (point, *safe_objective(point))
+                return trial[1]
+
+            try:
+                ls = armijo_linesearch(evaluate, f_val, float(grad @ direction),
+                                       step_init=params.step_init,
+                                       shrink=params.step_shrink,
+                                       armijo_delta=params.armijo_delta,
+                                       max_shrinks=params.max_shrinks)
                 break
+            except LineSearchError:
+                continue
+        else:
+            iterations, stop_note = k, "linesearch"
+            break
 
-        eval_cache = {}
-
-        def evaluate(step):
-            trial = np.maximum(alpha + step * direction, 0.0)
-            result = safe_objective(trial)
-            eval_cache[step] = result
-            return result[0]
-
-        try:
-            ls = armijo_linesearch(evaluate, f_val, slope,
-                                   step_init=params.step_init,
-                                   shrink=params.step_shrink,
-                                   armijo_delta=params.armijo_delta,
-                                   max_shrinks=params.max_shrinks)
-        except LineSearchError:
-            if not used_steepest:
-                direction = projected_direction(-grad, alpha)
-                slope = float(grad @ direction)
-                try:
-                    ls = armijo_linesearch(evaluate, f_val, slope,
-                                           step_init=params.step_init,
-                                           shrink=params.step_shrink,
-                                           armijo_delta=params.armijo_delta,
-                                           max_shrinks=params.max_shrinks)
-                except LineSearchError:
-                    stop_note = "linesearch"
-                    break
-            else:
-                stop_note = "linesearch"
-                break
-
-        alpha_next = np.maximum(alpha + ls.step * direction, 0.0)
-        f_next, obj, fwd = eval_cache.get(ls.step) or safe_objective(alpha_next)
+        # Armijo accepts the last step it evaluated
+        alpha_next, f_next, obj, fwd = trial
         grad_next = reduced_gradient(alpha_next, setup, samples, history=fwd)
 
         beta = dai_yuan_beta(grad_next, grad, direction)
@@ -291,33 +282,24 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
             beta = 0.0
         direction = projected_direction(-grad_next + beta * direction,
                                         alpha_next)
-        trace.append({"iter": k, "j": -f_next,
-                      "pg_norm": float(np.linalg.norm(
-                          projected_gradient(grad_next, alpha_next))),
-                      "step": ls.step, "beta": beta, "evals": ls.n_evals})
         alpha, f_val, grad = alpha_next, f_next, grad_next
-    else:
-        iterations = params.max_iters
+        pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
+        trace.append({"iter": k, "j": -f_val, "pg_norm": pg_norm,
+                      "step": ls.step, "beta": beta, "evals": ls.n_evals})
 
-    pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
-    if pg_norm <= params.tol:
-        converged = True
-
-    kernel = JumpKernel.from_rates(alpha, setup.basis)
-    bounds = stability_bounds(setup.cc, kernel, setup.xi)
-    fwd_diag = fwd.diagnostics if fwd is not None else None
+    fwd_diag = fwd.diagnostics
     diagnostics = {
         "stop": stop_note,
-        "floored_count": obj.floored_count if obj is not None else None,
+        "floored_count": obj.floored_count,
         "grad_norm": pg_norm,
         "raw_grad_norm": float(np.linalg.norm(grad)),
-        "mass_drift": fwd_diag.mass_drift if fwd_diag else None,
-        "min_density": fwd_diag.min_density if fwd_diag else None,
-        "xi_condition_min": fwd_diag.xi_condition_min if fwd_diag else None,
+        "mass_drift": fwd_diag.mass_drift,
+        "min_density": fwd_diag.min_density,
+        "xi_condition_min": fwd_diag.xi_condition_min,
         "bounds": {
-            "dt_used": setup.time_grid.dt,
-            "dt_euler_pos": bounds.dt_euler_positive,
-            "dt_bdf2": bounds.dt_bdf2,
+            "dt_used": fwd_diag.dt_used,
+            "dt_euler_pos": fwd_diag.bounds.dt_euler_positive,
+            "dt_bdf2": fwd_diag.bounds.dt_bdf2,
         },
     }
     j_star = -f_val
@@ -325,11 +307,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         n_theta=n_theta,
         alpha_star=alpha,
         j_star=j_star,
-        aic=aic_score(j_star, len(samples), n_theta),
+        aic=aic_score(j_star, len(samples), n_theta, penalty),
         iterations=iterations,
-        converged=converged,
+        converged=pg_norm <= params.tol,
         grad_norm=pg_norm,
         diagnostics=diagnostics,
+        terminal=fwd.terminal.copy(),
         trace=trace,
     )
 
@@ -352,11 +335,7 @@ def aic_sweep(setups, samples: SampleSet,
     reports, errors = [], {}
     for setup in setups:
         try:
-            report = calibrate(setup, samples, params)
-            if penalty != "log":
-                report.aic = aic_score(report.j_star, len(samples),
-                                       report.n_theta, penalty)
-            reports.append(report)
+            reports.append(calibrate(setup, samples, params, penalty))
         except LevyfitError as exc:
             errors[setup.basis.n_theta] = str(exc)
     if not reports:

@@ -63,8 +63,7 @@ def _initial_positions(spec: SimulationSpec, grid: TorusGrid,
 
 
 def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
-                            grid: TorusGrid,
-                            rng: np.random.Generator | None = None) -> SampleSet:
+                            grid: TorusGrid) -> SampleSet:
     """Hat-mixture compound Poisson plus Brownian part, projected to the torus.
 
     The total intensity is sum_j rates_j * delta (exact hat integrals); each
@@ -77,7 +76,7 @@ def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
     rates = np.asarray(spec.rates, dtype=float)
     if rates.shape != (basis.n_theta,):
         raise ValueError("rates length must match the basis size")
-    rng = rng or np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     n, t = spec.n_samples, spec.t_final
 
     intensity = basis.delta * rates.sum()
@@ -100,13 +99,12 @@ def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
                                  raw=raw, jump_counts=counts)
 
 
-def sample_bigamma(spec: SimulationSpec, grid: TorusGrid,
-                   rng: np.random.Generator | None = None) -> SampleSet:
+def sample_bigamma(spec: SimulationSpec, grid: TorusGrid) -> SampleSet:
     """Difference of two independent gamma subordinators at the horizon,
     plus the Brownian part, projected to the torus."""
     if spec.kind != "bigamma":
         raise ValueError("spec.kind must be 'bigamma'")
-    rng = rng or np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     n, t = spec.n_samples, spec.t_final
     shape = spec.gamma_shape * t
     scale = 1.0 / spec.gamma_rate
@@ -119,15 +117,11 @@ def sample_bigamma(spec: SimulationSpec, grid: TorusGrid,
 
 
 def wrapped_bigamma_density(s: float, shape: float, rate: float,
-                            grid: TorusGrid, tol: float = 1e-12,
-                            variant: str = "lattice") -> float:
+                            grid: TorusGrid, tol: float = 1e-12) -> float:
     """Jump-measure density shape*exp(-rate*|y|)/|y| wrapped onto the torus.
 
-    variant="lattice" (default) sums the real-line density over all image
-    points s + n*K of the torus period K, truncating once the geometric
-    tail bound drops below tol.  variant="lerch_pi" evaluates the
-    half-period closed form shape/pi * exp(-rate*(|s|+pi)) * Phi(e^{-rate*pi},
-    1, |s|/pi) with the Lerch transcendent, kept for comparison plots.
+    Sums the real-line density over all image points s + n*K of the torus
+    period K, truncating once the geometric tail bound drops below tol.
     """
     if s == 0.0:
         raise ValueError("the density is singular at s = 0")
@@ -138,13 +132,6 @@ def wrapped_bigamma_density(s: float, shape: float, rate: float,
     r = abs(float(s))
     if r >= grid.length:
         raise ValueError("s must be a torus point (|s| < period)")
-
-    if variant == "lerch_pi":
-        z = math.exp(-rate * math.pi)
-        return (shape / math.pi * math.exp(-rate * (r + math.pi))
-                * _lerch_phi(z, r / math.pi, tol))
-    if variant != "lattice":
-        raise ValueError(f"unknown variant {variant!r}")
 
     period = grid.length
     damp = math.exp(-rate * period)
@@ -161,13 +148,3 @@ def wrapped_bigamma_density(s: float, shape: float, rate: float,
             return total
         n += 1
 
-
-def _lerch_phi(z: float, p: float, tol: float) -> float:
-    """Phi(z, 1, p) = sum_{n>=0} z^n / (p + n) for 0 < z < 1, p > 0."""
-    total, term, n = 0.0, 1.0, 0
-    while True:
-        total += term / (p + n)
-        term *= z
-        n += 1
-        if term / ((p + n) * (1.0 - z)) < tol:
-            return total

@@ -1,0 +1,69 @@
+"""The names the benchmark in perfbench/ imports, patches and wraps.
+
+perfbench/tracer.py patches each layer boundary where its caller looks it
+up, and perfbench/probe.py counts the optimizer's objective and gradient
+evaluations and times the sweep by replacing module attributes; a rename,
+or a caller that binds the function at import time, would leave those
+hooks silently unused.  These tests only read perfbench/.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import levyfit.experiment as experiment
+import levyfit.optimizer as optimizer
+from levyfit.config import RunConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_boundaries_resolve(monkeypatch):
+    tracer = load_perfbench("tracer", monkeypatch)
+    for _, module_name, attr in tracer.BOUNDARIES:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+
+
+def test_kernels_import(monkeypatch):
+    kernels = load_perfbench("kernels", monkeypatch)
+    assert callable(kernels.grad_check_rel_err)
+    assert callable(kernels.kernel_timings)
+
+
+def test_hooked_names_are_looked_up_at_call_time(monkeypatch, tmp_path):
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("objective", "reduced_gradient", "armijo_linesearch"):
+        count(optimizer, name)
+    count(experiment, "aic_sweep")
+    config = RunConfig(sim_kind="compound_poisson", sim_rates=(1.0, 0.5),
+                       n_space=32, n_time=10, sample_count=300,
+                       n_theta_list=(2,), max_iters=3)
+    experiment.run_experiment(config, out_dir=tmp_path)
+    assert calls["aic_sweep"] == 1
+    for name in ("objective", "reduced_gradient", "armijo_linesearch"):
+        assert calls.get(name, 0) >= 1, name

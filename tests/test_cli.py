@@ -7,8 +7,12 @@ import pytest
 from levyfit.cli import main
 from levyfit.config import RunConfig, config_from_dict, load_config
 from levyfit.errors import ConfigError
-from levyfit.experiment import acquire_samples, build_grid, run_experiment
+from levyfit.experiment import (acquire_samples, build_basis, build_grid,
+                                run_experiment)
+from levyfit.likelihood import aic_score
+from levyfit.optimizer import CalibrationSetup, run_forward
 from levyfit.samples import ingest_samples
+from levyfit.torus import ModelCoefficients, TimeGrid, von_mises_density
 
 TINY = """
 # tiny deterministic experiment
@@ -96,6 +100,36 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "report.json").read_bytes() == \
                (tmp_path / "b" / "report.json").read_bytes()
 
+    def test_classic_penalty_in_report_and_aic_csv(self, tiny_cfg, tmp_path):
+        cfg = load_config(tiny_cfg, ["aic_penalty=classic"])
+        result = run_experiment(cfg, out_dir=tmp_path / "o")
+        rows = (tmp_path / "o" / "aic.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(result.report["fits"]) == 2
+        for fit, row in zip(result.report["fits"], rows):
+            aic = aic_score(fit["j_eps"], cfg.sample_count, fit["n_theta"],
+                            "classic")
+            assert fit["aic"] == aic
+            assert row == f"{fit['n_theta']},{fit['j_eps']!r},{aic!r}"
+
+    def test_density_csv_is_the_selected_fit(self, tiny_cfg, tmp_path):
+        cfg = load_config(tiny_cfg)
+        result = run_experiment(cfg, out_dir=tmp_path / "o")
+        fit = next(f for f in result.report["fits"]
+                   if f["n_theta"] == result.report["selected_n_theta"])
+        grid = build_grid(cfg)
+        setup = CalibrationSetup(
+            grid=grid, time_grid=TimeGrid(cfg.t_final, cfg.n_time),
+            coeffs=ModelCoefficients(cfg.drift, cfg.sigma2),
+            basis=build_basis(fit["n_theta"], cfg, grid),
+            f0=von_mises_density(grid, cfg.init_center,
+                                 cfg.init_concentration),
+            eps=cfg.objective_floor, boot_substeps=cfg.boot_substeps,
+            xi=cfg.bdf2_xi, force=cfg.force_dt)
+        terminal = run_forward(np.array(fit["alpha_star"]), setup).terminal
+        rows = (tmp_path / "o" / "density.csv").read_text().splitlines()[1:]
+        written = np.array([float(r.split(",")[1]) for r in rows])
+        assert np.array_equal(written, terminal)
+
     def test_round_trip_from_report_echo(self, tiny_cfg, tmp_path):
         cfg = load_config(tiny_cfg)
         first = run_experiment(cfg, out_dir=tmp_path / "a")
@@ -118,6 +152,20 @@ class TestCliEntry:
 
     def test_bad_key_is_usage_error(self, tiny_cfg):
         assert main(["run", str(tiny_cfg), "--set", "bogus=1"]) == 1
+
+    @pytest.mark.parametrize("setting", [
+        "max_shrinks=0", "step_init=-0.5", "max_iters=-1", "grad_tol=-1",
+        "alpha0=-1", "boot_substeps=0", "bdf2_xi=3.5", "step_shrink=1.5",
+        "armijo_delta=0.7", "n_theta_list=0", "n_theta_list=1,3",
+        "sample_count=0", "domain_upper=-4", "t_final=0", "sigma2=nan"])
+    def test_bad_setting_is_config_error(self, tiny_cfg, tmp_path, capsys,
+                                         setting):
+        out = tmp_path / "o"
+        assert main(["run", str(tiny_cfg), "--set", setting,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tiny_cfg, tmp_path):
         # sigma2 large enough that every sweep entry violates the step bound

@@ -69,11 +69,15 @@ class TestCCOperator:
         assert np.abs(a.sum(axis=1)).max() < 1e-13 * scale
 
     def test_apply_matches_dense(self, rng):
+        # (shift*I - scale*A) @ f through its Fourier symbol
         grid = TorusGrid(-np.pi, np.pi, 32)
         cc = CCOperator(grid, ModelCoefficients(-0.4, 0.09))
         f = rng.normal(size=32)
-        assert np.allclose(cc.apply(f), dense_cc_matrix(cc) @ f, rtol=1e-12,
-                           atol=1e-14)
+        shift, scale = 3.0, 0.02
+        symbol = cc.system_solver(shift, scale).symbol
+        applied = np.fft.irfft(symbol * np.fft.rfft(f), n=32)
+        dense = shift * np.eye(32) - scale * dense_cc_matrix(cc)
+        assert np.allclose(applied, dense @ f, rtol=1e-12, atol=1e-14)
 
     def test_damping_coth_identity(self, rng):
         for _ in range(20):
@@ -82,7 +86,9 @@ class TestCCOperator:
             sigma2 = float(rng.uniform(0.01, 1.0))
             cc = CCOperator(TorusGrid(-np.pi, np.pi, n),
                             ModelCoefficients(drift, sigma2))
-            assert cc.damping == pytest.approx(cc.damping_coth_form(), rel=1e-12)
+            # closed form B*coth(h*B/(2C))/h of (beta + beta_omega)/h
+            coth_form = cc.coeffs.adv / math.tanh(cc.w / 2.0) / cc.grid.h
+            assert cc.damping == pytest.approx(coth_form, rel=1e-12)
 
 
 @pytest.fixture
@@ -230,7 +236,7 @@ class TestStabilityBounds:
     def test_pure_diffusion_closed_form(self):
         grid = TorusGrid(-np.pi, np.pi, 64)
         cc = CCOperator(grid, ModelCoefficients(0.4, 0.05))
-        kern = JumpKernel.zero(64)
+        kern = JumpKernel(weights=np.zeros(64), total_rate=0.0)
         b = stability_bounds(cc, kern, xi=2.0)
         damping = cc.beta * (1.0 + cc.omega) / grid.h
         assert b.dt_bdf2 == pytest.approx(1.0 / (2 * damping), rel=1e-12)

@@ -55,13 +55,6 @@ class TestObjective:
         expected_change = (math.log(f[dup]) - base) / (len(idx) + 1)
         assert grown - base == pytest.approx(expected_change, rel=1e-12)
 
-    def test_per_sample_contributions(self, grid):
-        ss = set_from_indices(grid, [1, 1, 4])
-        f = np.full(16, 0.5)
-        out = evaluate_objective(f, ss, keep_per_sample=True)
-        assert out.per_sample.shape == (3,)
-        assert np.allclose(out.per_sample, math.log(0.5))
-
     def test_mean_objective_stable_under_doubling_sample_size(self, grid, rng):
         # objective is a sample mean: doubling L only adds statistical noise,
         # while the score's data term L*J scales linearly by construction

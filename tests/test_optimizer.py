@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import levyfit.optimizer as optimizer
 from levyfit.errors import LineSearchError
+from levyfit.forward import JumpKernel, stability_bounds
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams,
                                aic_sweep, armijo_linesearch, calibrate,
                                dai_yuan_beta, objective, projected_direction,
-                               projected_gradient, reduced_gradient)
+                               projected_gradient, reduced_gradient,
+                               run_forward)
 from levyfit.samples import SampleSet
 from levyfit.simulate import SimulationSpec, sample_compound_poisson
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
@@ -91,10 +94,9 @@ class TestArmijo:
         assert res.step == 0.5            # first trial already sufficient
         assert res.value < f0
 
-    def test_zero_direction_short_circuits(self):
-        res = armijo_linesearch(lambda s: 1.0, 1.0, 0.0)
-        assert res.step == 0.0
-        assert res.converged_direction
+    def test_rejects_flat_direction(self):
+        with pytest.raises(LineSearchError, match="descent"):
+            armijo_linesearch(lambda s: 1.0, 1.0, 0.0)
 
     def test_rejects_ascent_direction(self):
         with pytest.raises(LineSearchError):
@@ -186,6 +188,72 @@ class TestCalibrate:
         report = calibrate(setup, samples,
                            OptimizerParams(max_iters=2, tol=1e-14))
         assert not report.converged
+
+
+class TestLineSearchRetry:
+    """The search along the conjugate direction, then along steepest descent."""
+
+    @staticmethod
+    def failing_searches(monkeypatch, fail):
+        """Make calibrate's searches number n (from 0) with fail(n) raise
+        after one trial evaluation; returns the slope of each search."""
+        real = optimizer.armijo_linesearch
+        slopes = []
+
+        def search(evaluate, f_current, slope, **kwargs):
+            slopes.append(slope)
+            if fail(len(slopes) - 1):
+                evaluate(kwargs["step_init"])
+                raise LineSearchError("refused by the test")
+            return real(evaluate, f_current, slope, **kwargs)
+
+        monkeypatch.setattr(optimizer, "armijo_linesearch", search)
+        return slopes
+
+    @staticmethod
+    def problem():
+        setup = make_setup(n=32, n_steps=12, n_theta=2)
+        return setup, synthetic_samples(setup, [0.8, 0.3], 500, seed=5)
+
+    def test_conjugate_failure_retries_steepest_descent(self, monkeypatch):
+        # search 0 is steepest descent from alpha0; search 1 is the first
+        # along a conjugate direction
+        setup, samples = self.problem()
+        slopes = self.failing_searches(monkeypatch, lambda n: n == 1)
+        report = calibrate(setup, samples, OptimizerParams(max_iters=6,
+                                                           tol=1e-9))
+        assert len(slopes) >= 4 and report.iterations == 6
+        assert [entry["iter"] for entry in report.trace] == list(range(6))
+        # the retry searches -projected gradient: slope -||pg||^2
+        pg_norm = report.trace[0]["pg_norm"]
+        assert slopes[2] == pytest.approx(-pg_norm**2, rel=1e-12)
+        assert slopes[1] != pytest.approx(slopes[2], rel=1e-6)
+
+    def test_both_failures_stop_at_the_pre_search_iterate(self, monkeypatch):
+        setup, samples = self.problem()
+        params = OptimizerParams(max_iters=6, tol=1e-9)
+        one_step = calibrate(setup, samples,
+                             OptimizerParams(max_iters=1, tol=1e-9))
+        slopes = self.failing_searches(monkeypatch, lambda n: n >= 1)
+        report = calibrate(setup, samples, params)
+        assert len(slopes) == 3
+        assert report.diagnostics["stop"] == "linesearch"
+        assert not report.converged
+        assert report.iterations == 1
+        assert np.array_equal(report.alpha_star, one_step.alpha_star)
+        assert report.j_star == one_step.j_star
+        # diagnostics and density belong to alpha_star, not to a trial point
+        kernel = JumpKernel.from_rates(report.alpha_star, setup.basis)
+        bounds = stability_bounds(setup.cc, kernel, setup.xi)
+        assert report.diagnostics["bounds"] == {
+            "dt_used": setup.time_grid.dt,
+            "dt_euler_pos": bounds.dt_euler_positive,
+            "dt_bdf2": bounds.dt_bdf2}
+        fwd = run_forward(report.alpha_star, setup)
+        assert np.array_equal(report.terminal, fwd.terminal)
+        assert report.diagnostics["mass_drift"] == fwd.diagnostics.mass_drift
+        assert report.diagnostics["min_density"] == \
+            fwd.diagnostics.min_density
 
 
 class TestSweep:

@@ -164,12 +164,3 @@ class TestWrappedDensity:
     def test_rejects_origin(self, grid):
         with pytest.raises(ValueError):
             wrapped_bigamma_density(0.0, 0.5, 1.0, grid)
-
-    def test_lerch_variant_matches_its_series(self, grid):
-        s, shape, rate = 0.9, 0.5, 1.0
-        val = wrapped_bigamma_density(s, shape, rate, grid, tol=1e-14,
-                                      variant="lerch_pi")
-        z = math.exp(-rate * math.pi)
-        phi = sum(z**n / (s / math.pi + n) for n in range(200))
-        expected = shape / math.pi * math.exp(-rate * (s + math.pi)) * phi
-        assert val == pytest.approx(expected, rel=1e-12)
