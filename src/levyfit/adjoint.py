@@ -61,20 +61,16 @@ def terminal_condition(f_terminal: np.ndarray, samples: SampleSet,
 
 @dataclass
 class AdjointHistory:
-    """Multipliers of the transposed recurrence.
+    """Spectra (rfft modes) of the multipliers of the transposed recurrence.
 
-    values[m] is the multiplier of the step that produced level m (m >= 2);
-    slot 1 repeats the last bootstrap multiplier and slot 0 the first one.
-    bootstrap[s-1] holds the substep multiplier r^s, s = 1..boot_substeps.
+    levels[m-2] is the multiplier spectrum of the step that produced level
+    m, m = 2..n_steps; bootstrap[s-1] is that of the substep multiplier
+    r^s, s = 1..boot_substeps.  The rate gradient pairs them with the
+    forward spectra mode by mode, so they are never turned into real space.
     """
 
-    values: np.ndarray      # (n_steps + 1, n)
-    bootstrap: np.ndarray   # (boot_substeps, n)
-    time_grid: TimeGrid
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
+    levels: np.ndarray      # (n_steps - 1, n // 2 + 1), complex
+    bootstrap: np.ndarray   # (boot_substeps, n // 2 + 1), complex
 
 
 def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
@@ -105,10 +101,6 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
     for s in range(boot_substeps - 2, -1, -1):
         boot_hat[s] = explicit * boot_hat[s + 1] / implicit
 
-    states = np.fft.irfft(spectra[:-1], n=n, axis=1)
-    if not np.all(np.isfinite(states)):
+    if not np.all(np.isfinite(spectra)):
         raise SolverError("non-finite adjoint values")
-    boot, p = states[:boot_substeps], states[boot_substeps:]
-    p[1] = boot[-1]
-    p[0] = boot[0]
-    return AdjointHistory(values=p, bootstrap=boot, time_grid=time_grid)
+    return AdjointHistory(levels=hat[2:-1], bootstrap=boot_hat)

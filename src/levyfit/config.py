@@ -88,12 +88,30 @@ class RunConfig:
             raise ConfigError("n_theta_list entries must be >= 2")
         if not self.domain_upper > self.domain_lower:
             raise ConfigError("domain_upper must exceed domain_lower")
+        # a compound Poisson simulation draws from one hat per rate
+        sizes = list(self.n_theta_list)
+        if self.sim_kind == "compound_poisson":
+            if len(self.sim_rates) < 2 or not all(
+                    r >= 0 for r in self.sim_rates):
+                raise ConfigError("sim_rates needs >= 2 entries, each >= 0")
+            sizes.append(len(self.sim_rates))
+        if self.centers_mode == "band":
+            if not self.centers_hi > self.centers_lo:
+                raise ConfigError("centers_hi must exceed centers_lo")
+            # band_centers spaces n hats (hi - lo) / (n + 1) apart
+            spacing = (self.centers_hi - self.centers_lo) / (min(sizes) + 1)
+            if spacing > (self.domain_upper - self.domain_lower) / 2.0:
+                raise ConfigError("band hats are spaced over half the torus")
         if self.n_space < 4 or self.n_time < 2:
             raise ConfigError("grid too small")
         if not self.t_final > 0:
             raise ConfigError("t_final must be > 0")
         if not self.sigma2 > 0:
             raise ConfigError("sigma2 must be > 0")
+        if not self.init_concentration > 0:
+            raise ConfigError("init_concentration must be > 0")
+        if not self.objective_floor > 0:
+            raise ConfigError("objective_floor must be > 0")
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be >= 1")
         if self.sample_count < 1:

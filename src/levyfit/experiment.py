@@ -38,6 +38,19 @@ def build_basis(n_theta: int, config: RunConfig, grid: TorusGrid):
     return make_basis(centers, grid)
 
 
+def calibration_setup(config: RunConfig, n_theta: int) -> CalibrationSetup:
+    """The problem the config poses for a fit with n_theta hats."""
+    grid = build_grid(config)
+    return CalibrationSetup(
+        grid=grid, time_grid=TimeGrid(config.t_final, config.n_time),
+        coeffs=ModelCoefficients(config.drift, config.sigma2),
+        basis=build_basis(n_theta, config, grid),
+        f0=von_mises_density(grid, config.init_center,
+                             config.init_concentration),
+        eps=config.objective_floor, boot_substeps=config.boot_substeps,
+        xi=config.bdf2_xi, force=config.force_dt)
+
+
 def simulation_spec(config: RunConfig) -> SimulationSpec:
     """The simulator settings of a config; paths start from the config's
     von Mises initial density, the one the solver assumes."""
@@ -84,19 +97,8 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
     config.validate()
     out_dir = str(out_dir if out_dir is not None else config.out_dir)
     grid = build_grid(config)
-    time_grid = TimeGrid(config.t_final, config.n_time)
-    coeffs = ModelCoefficients(config.drift, config.sigma2)
-    f0 = von_mises_density(grid, config.init_center, config.init_concentration)
     samples = acquire_samples(config, grid)
-
-    setups = [
-        CalibrationSetup(grid=grid, time_grid=time_grid, coeffs=coeffs,
-                         basis=build_basis(n, config, grid), f0=f0,
-                         eps=config.objective_floor,
-                         boot_substeps=config.boot_substeps,
-                         xi=config.bdf2_xi, force=config.force_dt)
-        for n in config.n_theta_list
-    ]
+    setups = [calibration_setup(config, n) for n in config.n_theta_list]
     sweep = aic_sweep(setups, samples, config.optimizer_params(),
                       penalty=config.aic_penalty)
     if not quiet:

@@ -100,39 +100,25 @@ def objective(alpha, setup: CalibrationSetup,
     return evaluate_objective(fwd.terminal, samples, setup.eps), fwd
 
 
-def _rate_sensitivity_block(mult: np.ndarray, state: np.ndarray,
-                            samples_matrix: np.ndarray) -> np.ndarray:
-    """sum over rows of Theta @ (corr - dot), the jump-rate sensitivity core.
-
-    For each paired row (u = multiplier level, v = state level) the
-    contribution to component j is sum_k theta_jk * (sum_i u_i v_{i-k} -
-    <u, v>); the inner correlations for all lags come from one FFT pass.
-    """
-    n = mult.shape[1]
-    u_hat = np.fft.rfft(mult, axis=1)
-    v_hat = np.fft.rfft(state, axis=1)
-    corr = np.fft.irfft(np.conj(v_hat) * u_hat, n=n, axis=1).sum(axis=0)
-    dots = float(np.einsum("ij,ij->", mult, state))
-    return samples_matrix @ (corr - dots)
-
-
 def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
                             basis: SplineBasis) -> np.ndarray:
     """Assemble dF/d(rates) from matched forward/adjoint histories.
 
-    Each two-step level contributes with weight 2*dt*h (the jump term's
-    weight in that recurrence), each Euler substep with tau*h.
+    Component j is h * sum_k theta_jk * (c_k - c_0), where c_k sums the lag-k
+    correlations sum_i u_i v_{i-k} of each multiplier row u with the state
+    row v it acts on: weight 2*dt for a two-step level (the jump term's
+    weight in that recurrence), tau for an Euler substep.  Every pairing is
+    a product of rfft modes, so c is one irfft of their weighted sum, and
+    c_0 is the dot-product term by Parseval.
     """
     dt = fwd.time_grid.dt
     tau = dt / fwd.bootstrap.shape[0]
-    h = fwd.grid.h
-    n_steps = fwd.time_grid.n_steps
-    theta = basis.samples
-
-    main = _rate_sensitivity_block(adj.values[2:n_steps + 1],
-                                   fwd.values[1:n_steps], theta)
-    boot = _rate_sensitivity_block(adj.bootstrap, fwd.bootstrap, theta)
-    return h * (2.0 * dt * main + tau * boot)
+    levels = np.fft.rfft(fwd.values[1:-1], axis=1)
+    substeps = np.fft.rfft(fwd.bootstrap, axis=1)
+    modes = (2.0 * dt * (np.conj(levels) * adj.levels).sum(axis=0)
+             + tau * (np.conj(substeps) * adj.bootstrap).sum(axis=0))
+    lags = np.fft.irfft(modes, n=fwd.grid.n)
+    return fwd.grid.h * (basis.samples @ (lags - lags[0]))
 
 
 def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,

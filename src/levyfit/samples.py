@@ -32,7 +32,6 @@ class SampleSet:
     """
 
     values: np.ndarray
-    snapped_index: np.ndarray
     cell_counts: np.ndarray
     grid: TorusGrid
     raw: np.ndarray | None = field(default=None, repr=False)
@@ -49,10 +48,9 @@ class SampleSet:
             raise ValueError("need a non-empty 1-d array of samples")
         if np.any(values < grid.lower) or np.any(values >= grid.upper):
             raise ValueError("samples must lie in [lower, upper); wrap first")
-        idx = snap_index(values, grid)
-        counts = np.bincount(idx, minlength=grid.n)
-        return cls(values=values, snapped_index=idx, cell_counts=counts,
-                   grid=grid, raw=raw, jump_counts=jump_counts)
+        counts = np.bincount(snap_index(values, grid), minlength=grid.n)
+        return cls(values=values, cell_counts=counts, grid=grid, raw=raw,
+                   jump_counts=jump_counts)
 
 
 def ingest_samples(path) -> np.ndarray:

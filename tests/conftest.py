@@ -71,7 +71,8 @@ def dense_forward_march(f0, rates, basis: SplineBasis, cc: CCOperator,
 
 def dense_adjoint_march(data, rates, basis: SplineBasis, cc: CCOperator,
                         time_grid: TimeGrid, boot_substeps: int):
-    """(values, bootstrap) of the transposed recurrence by dense solves."""
+    """(levels, bootstrap) of the transposed recurrence by dense solves:
+    the multipliers p^2 .. p^{N_T} and r^1 .. r^K."""
     n, dt, n_steps = cc.grid.n, time_grid.dt, time_grid.n_steps
     tau = dt / boot_substeps
     a = dense_cc_matrix(cc)
@@ -88,8 +89,7 @@ def dense_adjoint_march(data, rates, basis: SplineBasis, cc: CCOperator,
     r[-1] = np.linalg.solve(euler_t, (4 * eye + 2 * dt * q).T @ p[2] - p[3])
     for s in range(boot_substeps - 2, -1, -1):
         r[s] = np.linalg.solve(euler_t, (eye + tau * q).T @ r[s + 1])
-    p[1], p[0] = r[-1], r[0]
-    return p[:-1], r
+    return p[2:-1], r
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ hooks silently unused.  These tests only read perfbench/.
 
 import importlib
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,10 +42,23 @@ def test_tracer_boundaries_resolve(monkeypatch):
         assert callable(owner), (module_name, attr)
 
 
-def test_kernels_import(monkeypatch):
+def tiny_config():
+    return RunConfig(sim_kind="compound_poisson", sim_rates=(1.0, 0.5),
+                     n_space=32, n_time=10, sample_count=300,
+                     n_theta_list=(2,), max_iters=3)
+
+
+def test_kernel_checks_run_on_a_report(monkeypatch, tmp_path):
+    # the traced benchmark run rebuilds the selected fit from report.json and
+    # drives the history API directly, so an API change must not break it
     kernels = load_perfbench("kernels", monkeypatch)
-    assert callable(kernels.grad_check_rel_err)
-    assert callable(kernels.kernel_timings)
+    result = experiment.run_experiment(tiny_config(), out_dir=tmp_path)
+    report = json.loads(Path(result.paths["report"]).read_text())
+    ctx = kernels.fit_context(report, tmp_path)
+    rel_err = kernels.grad_check_rel_err(ctx)
+    assert math.isfinite(rel_err) and rel_err < 1e-4
+    timings = kernels.kernel_timings(ctx)
+    assert all(math.isfinite(v) and v > 0 for v in timings.values())
 
 
 def test_hooked_names_are_looked_up_at_call_time(monkeypatch, tmp_path):
@@ -60,10 +75,7 @@ def test_hooked_names_are_looked_up_at_call_time(monkeypatch, tmp_path):
     for name in ("objective", "reduced_gradient", "armijo_linesearch"):
         count(optimizer, name)
     count(experiment, "aic_sweep")
-    config = RunConfig(sim_kind="compound_poisson", sim_rates=(1.0, 0.5),
-                       n_space=32, n_time=10, sample_count=300,
-                       n_theta_list=(2,), max_iters=3)
-    experiment.run_experiment(config, out_dir=tmp_path)
+    experiment.run_experiment(tiny_config(), out_dir=tmp_path)
     assert calls["aic_sweep"] == 1
     for name in ("objective", "reduced_gradient", "armijo_linesearch"):
         assert calls.get(name, 0) >= 1, name

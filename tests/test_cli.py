@@ -7,12 +7,11 @@ import pytest
 from levyfit.cli import main
 from levyfit.config import RunConfig, config_from_dict, load_config
 from levyfit.errors import ConfigError
-from levyfit.experiment import (acquire_samples, build_basis, build_grid,
-                                run_experiment)
+from levyfit.experiment import (acquire_samples, build_grid,
+                                calibration_setup, run_experiment)
 from levyfit.likelihood import aic_score
-from levyfit.optimizer import CalibrationSetup, run_forward
+from levyfit.optimizer import run_forward
 from levyfit.samples import ingest_samples
-from levyfit.torus import ModelCoefficients, TimeGrid, von_mises_density
 
 TINY = """
 # tiny deterministic experiment
@@ -116,15 +115,7 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=tmp_path / "o")
         fit = next(f for f in result.report["fits"]
                    if f["n_theta"] == result.report["selected_n_theta"])
-        grid = build_grid(cfg)
-        setup = CalibrationSetup(
-            grid=grid, time_grid=TimeGrid(cfg.t_final, cfg.n_time),
-            coeffs=ModelCoefficients(cfg.drift, cfg.sigma2),
-            basis=build_basis(fit["n_theta"], cfg, grid),
-            f0=von_mises_density(grid, cfg.init_center,
-                                 cfg.init_concentration),
-            eps=cfg.objective_floor, boot_substeps=cfg.boot_substeps,
-            xi=cfg.bdf2_xi, force=cfg.force_dt)
+        setup = calibration_setup(cfg, fit["n_theta"])
         terminal = run_forward(np.array(fit["alpha_star"]), setup).terminal
         rows = (tmp_path / "o" / "density.csv").read_text().splitlines()[1:]
         written = np.array([float(r.split(",")[1]) for r in rows])
@@ -157,7 +148,10 @@ class TestCliEntry:
         "max_shrinks=0", "step_init=-0.5", "max_iters=-1", "grad_tol=-1",
         "alpha0=-1", "boot_substeps=0", "bdf2_xi=3.5", "step_shrink=1.5",
         "armijo_delta=0.7", "n_theta_list=0", "n_theta_list=1,3",
-        "sample_count=0", "domain_upper=-4", "t_final=0", "sigma2=nan"])
+        "sample_count=0", "domain_upper=-4", "t_final=0", "sigma2=nan",
+        "centers_lo=1", "centers_hi=9", "init_concentration=0",
+        "sim_rates=-1,2,1,0.5,0.25", "sim_rates=", "sim_rates=1",
+        "objective_floor=0", "objective_floor=-1"])
     def test_bad_setting_is_config_error(self, tiny_cfg, tmp_path, capsys,
                                          setting):
         out = tmp_path / "o"

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 import levyfit.optimizer as optimizer
+from conftest import dense_adjoint_march, dense_forward_march, random_density
+from levyfit.adjoint import AdjointHistory
 from levyfit.errors import LineSearchError
-from levyfit.forward import JumpKernel, stability_bounds
+from levyfit.forward import (CCOperator, DensityHistory, JumpKernel,
+                             stability_bounds)
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams,
                                aic_sweep, armijo_linesearch, calibrate,
-                               dai_yuan_beta, objective, projected_direction,
+                               dai_yuan_beta, gradient_from_histories,
+                               objective, projected_direction,
                                projected_gradient, reduced_gradient,
                                run_forward)
 from levyfit.samples import SampleSet
@@ -46,6 +50,44 @@ class TestReducedGradient:
             fd = (-objective(up, setup, samples)[0].value
                   + objective(dn, setup, samples)[0].value) / (2 * step)
             assert abs(grad[j] - fd) / abs(fd) < 1e-4
+
+    @pytest.mark.parametrize("n", [9, 12, 15, 16])
+    def test_assembly_matches_dense_double_sum(self, n, rng):
+        """The mode-sum assembly equals h * sum_w w * sum_i sum_k theta_jk *
+        u_i * (v_{i-k} - v_i) over the paired rows (u multiplier, v state)
+        of dense real-space marches; even n exercise the Nyquist mode."""
+        grid = TorusGrid(0.0, 2 * np.pi, n)
+        cc = CCOperator(grid, ModelCoefficients(float(rng.uniform(-1, 1)),
+                                                float(rng.uniform(0.05, 0.4))))
+        n_theta = int(rng.integers(2, 5))
+        # hats off the origin: none is even in the shift, so the test tells
+        # the lag i - k from i + k
+        basis = make_basis(band_centers(n_theta, 0.3, 2.9), grid)
+        rates = rng.uniform(0, 2, n_theta)
+        n_steps, boot = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        tg = TimeGrid(float(rng.uniform(0.01, 0.1)), n_steps)
+        values, substates = dense_forward_march(random_density(rng, grid),
+                                                rates, basis, cc, tg, boot)
+        levels, multipliers = dense_adjoint_march(rng.normal(size=n), rates,
+                                                  basis, cc, tg, boot)
+        pairs = ([(2 * tg.dt, u, v) for u, v in zip(levels, values[1:-1])]
+                 + [(tg.dt / boot, u, v) for u, v in zip(multipliers,
+                                                         substates)])
+        theta = basis.samples
+        expected = np.zeros(n_theta)
+        for weight, u, v in pairs:
+            for i in range(n):
+                for k in range(n):
+                    expected += (weight * theta[:, k] * u[i]
+                                 * (v[(i - k) % n] - v[i]))
+        expected *= grid.h
+
+        fwd = DensityHistory(values=values, bootstrap=substates, grid=grid,
+                             time_grid=tg, diagnostics=None)
+        adj = AdjointHistory(levels=np.fft.rfft(levels, axis=1),
+                             bootstrap=np.fft.rfft(multipliers, axis=1))
+        np.testing.assert_allclose(gradient_from_histories(fwd, adj, basis),
+                                   expected, rtol=1e-12)
 
     def test_zero_terminal_data_gives_zero_gradient(self):
         # a sample landing where the density is floored contributes nothing
