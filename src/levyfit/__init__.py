@@ -21,8 +21,7 @@ from .optimizer import (CalibrationSetup, FitReport, OptimizerParams,
 from .preprocess import (PreprocessResult, PreprocessSpec, preprocess_financial,
                          torus_diffusion, torus_drift)
 from .samples import SampleSet, ingest_samples, snap_index, write_samples_csv
-from .simulate import (SimulationSpec, sample_bigamma, sample_compound_poisson,
-                       wrapped_bigamma_density)
+from .simulate import SimulationSpec, sample_bigamma, sample_compound_poisson
 from .torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
                     band_centers, make_basis, project_to_torus, tiling_centers,
                     von_mises_density)

@@ -11,7 +11,11 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
-from .optimizer import OptimizerParams
+from .optimizer import CalibrationSetup, OptimizerParams
+from .simulate import SimulationSpec
+from .torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
+                    band_centers, make_basis, tiling_centers,
+                    von_mises_density)
 
 
 @dataclass
@@ -76,55 +80,70 @@ class RunConfig:
                                max_iters=self.max_iters)
 
     def validate(self) -> "RunConfig":
+        """Check the rules no constructor owns, then build every object
+        the config describes; their ValueError becomes a ConfigError."""
         if self.centers_mode not in ("band", "full"):
             raise ConfigError("centers_mode must be 'band' or 'full'")
         if self.aic_penalty not in ("log", "classic"):
             raise ConfigError("aic_penalty must be 'log' or 'classic'")
-        if self.sim_kind not in ("", "compound_poisson", "bigamma"):
-            raise ConfigError(f"unknown sim_kind {self.sim_kind!r}")
         if not self.n_theta_list:
             raise ConfigError("n_theta_list must not be empty")
-        if min(self.n_theta_list) < 2:
-            raise ConfigError("n_theta_list entries must be >= 2")
-        if not self.domain_upper > self.domain_lower:
-            raise ConfigError("domain_upper must exceed domain_lower")
-        # a compound Poisson simulation draws from one hat per rate
-        sizes = list(self.n_theta_list)
-        if self.sim_kind == "compound_poisson":
-            if len(self.sim_rates) < 2 or not all(
-                    r >= 0 for r in self.sim_rates):
-                raise ConfigError("sim_rates needs >= 2 entries, each >= 0")
-            sizes.append(len(self.sim_rates))
-        if self.centers_mode == "band":
-            if not self.centers_hi > self.centers_lo:
-                raise ConfigError("centers_hi must exceed centers_lo")
-            # band_centers spaces n hats (hi - lo) / (n + 1) apart
-            spacing = (self.centers_hi - self.centers_lo) / (min(sizes) + 1)
-            if spacing > (self.domain_upper - self.domain_lower) / 2.0:
-                raise ConfigError("band hats are spaced over half the torus")
-        if self.n_space < 4 or self.n_time < 2:
-            raise ConfigError("grid too small")
-        if not self.t_final > 0:
-            raise ConfigError("t_final must be > 0")
-        if not self.sigma2 > 0:
-            raise ConfigError("sigma2 must be > 0")
-        if not self.init_concentration > 0:
-            raise ConfigError("init_concentration must be > 0")
         if not self.objective_floor > 0:
             raise ConfigError("objective_floor must be > 0")
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be >= 1")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count must be >= 1")
         if self.boot_substeps < 1:
             raise ConfigError("boot_substeps must be >= 1")
         if not 1.0 < self.bdf2_xi < 3.0:
             raise ConfigError("bdf2_xi must lie in (1, 3)")
         try:
             self.optimizer_params()
+            for n_theta in self.n_theta_list:
+                calibration_setup(self, n_theta)
+            if self.sim_kind:
+                spec = simulation_spec(self)
+                if spec.kind == "compound_poisson":
+                    build_basis(len(spec.rates), self, build_grid(self))
         except ValueError as exc:
-            raise ConfigError(f"optimizer: {exc}") from None
+            raise ConfigError(str(exc)) from None
         return self
+
+
+def build_grid(config: RunConfig) -> TorusGrid:
+    return TorusGrid(config.domain_lower, config.domain_upper, config.n_space)
+
+
+def build_basis(n_theta: int, config: RunConfig, grid: TorusGrid) -> SplineBasis:
+    if config.centers_mode == "band":
+        centers = band_centers(n_theta, config.centers_lo, config.centers_hi)
+    else:
+        centers = tiling_centers(n_theta, grid)
+    return make_basis(centers, grid)
+
+
+def calibration_setup(config: RunConfig, n_theta: int) -> CalibrationSetup:
+    """The problem the config poses for a fit with n_theta hats."""
+    grid = build_grid(config)
+    return CalibrationSetup(
+        grid=grid, time_grid=TimeGrid(config.t_final, config.n_time),
+        coeffs=ModelCoefficients(config.drift, config.sigma2),
+        basis=build_basis(n_theta, config, grid),
+        f0=von_mises_density(grid, config.init_center,
+                             config.init_concentration),
+        eps=config.objective_floor, boot_substeps=config.boot_substeps,
+        xi=config.bdf2_xi, force=config.force_dt)
+
+
+def simulation_spec(config: RunConfig) -> SimulationSpec:
+    """The simulator settings of a config; paths start from the config's
+    von Mises initial density, the one the solver assumes."""
+    return SimulationSpec(kind=config.sim_kind, rates=config.sim_rates,
+                          gamma_shape=config.sim_gamma_shape,
+                          gamma_rate=config.sim_gamma_rate,
+                          drift=config.drift, sigma2=config.sigma2,
+                          t_final=config.t_final, n_samples=config.sample_count,
+                          seed=config.seed, init_center=config.init_center,
+                          init_concentration=config.init_concentration)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict
+from .config import (RunConfig, build_basis, build_grid, calibration_setup,
+                     config_to_dict, simulation_spec)
 from .errors import ConfigError
-from .optimizer import CalibrationSetup, SweepResult, aic_sweep
+from .optimizer import SweepResult, aic_sweep
 from .samples import SampleSet, ingest_samples
 from .simulate import SimulationSpec, sample_bigamma, sample_compound_poisson
-from .torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
-                    make_basis, project_to_torus, tiling_centers,
-                    von_mises_density)
+from .torus import TorusGrid, project_to_torus
 
 
 @dataclass
@@ -24,45 +23,6 @@ class ExperimentResult:
     report: dict
     samples: SampleSet
     paths: dict
-
-
-def build_grid(config: RunConfig) -> TorusGrid:
-    return TorusGrid(config.domain_lower, config.domain_upper, config.n_space)
-
-
-def build_basis(n_theta: int, config: RunConfig, grid: TorusGrid):
-    if config.centers_mode == "band":
-        centers = band_centers(n_theta, config.centers_lo, config.centers_hi)
-    else:
-        centers = tiling_centers(n_theta, grid)
-    return make_basis(centers, grid)
-
-
-def calibration_setup(config: RunConfig, n_theta: int) -> CalibrationSetup:
-    """The problem the config poses for a fit with n_theta hats."""
-    grid = build_grid(config)
-    return CalibrationSetup(
-        grid=grid, time_grid=TimeGrid(config.t_final, config.n_time),
-        coeffs=ModelCoefficients(config.drift, config.sigma2),
-        basis=build_basis(n_theta, config, grid),
-        f0=von_mises_density(grid, config.init_center,
-                             config.init_concentration),
-        eps=config.objective_floor, boot_substeps=config.boot_substeps,
-        xi=config.bdf2_xi, force=config.force_dt)
-
-
-def simulation_spec(config: RunConfig) -> SimulationSpec:
-    """The simulator settings of a config; paths start from the config's
-    von Mises initial density, the one the solver assumes."""
-    common = dict(drift=config.drift, sigma2=config.sigma2,
-                  t_final=config.t_final, n_samples=config.sample_count,
-                  seed=config.seed, init_center=config.init_center,
-                  init_concentration=config.init_concentration)
-    if config.sim_kind == "compound_poisson":
-        return SimulationSpec(kind="compound_poisson", rates=config.sim_rates,
-                              **common)
-    return SimulationSpec(kind="bigamma", gamma_shape=config.sim_gamma_shape,
-                          gamma_rate=config.sim_gamma_rate, **common)
 
 
 def simulate_samples(spec: SimulationSpec, config: RunConfig,

@@ -48,6 +48,14 @@ def cc_delta(w: float) -> float:
     return 1.0 / w - 1.0 / math.expm1(w)
 
 
+def _saturating(fn, w: float) -> float:
+    """fn(w) for math.exp/expm1, inf where the result overflows."""
+    try:
+        return fn(w)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class CCOperator:
     """Discrete periodic drift-diffusion operator in flux form.
@@ -75,17 +83,14 @@ class CCOperator:
         b_adv = self.coeffs.adv
         c_diff = self.coeffs.diff
         w = h * b_adv / c_diff
-        try:
-            omega = math.exp(w)
-        except OverflowError:
-            omega = math.inf
+        omega = _saturating(math.exp, w)
         if abs(w) < _W_SERIES:
             base = c_diff / h
             beta = base * (1.0 - w / 2.0 + w * w / 12.0)
             beta_omega = base * (1.0 + w / 2.0 + w * w / 12.0)
         else:
-            beta = b_adv / math.expm1(w)
-            beta_omega = b_adv / (-math.expm1(-w))
+            beta = b_adv / _saturating(math.expm1, w)
+            beta_omega = b_adv / -_saturating(math.expm1, -w)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "delta_cc", cc_delta(w))
@@ -271,10 +276,11 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     n = cc.grid.n
     if f0.shape != (n,):
         raise ValueError(f"f0 must have shape ({n},)")
-    if np.min(f0) < -1e-12:
+    # written so that a NaN anywhere in f0 fails both checks
+    if not np.min(f0) >= -1e-12:
         raise ValueError("initial density must be nonnegative")
     mass0 = cc.grid.h * f0.sum()
-    if abs(mass0 - 1.0) > 1e-8:
+    if not abs(mass0 - 1.0) <= 1e-8:
         raise ValueError(f"initial density mass {mass0} is not 1")
     if boot_substeps < 1:
         raise ValueError("boot_substeps must be >= 1")

@@ -46,8 +46,10 @@ class SampleSet:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("need a non-empty 1-d array of samples")
-        if np.any(values < grid.lower) or np.any(values >= grid.upper):
-            raise ValueError("samples must lie in [lower, upper); wrap first")
+        # NaN fails both comparisons, so it is refused here too
+        if not np.all((values >= grid.lower) & (values < grid.upper)):
+            raise ValueError("samples must be finite and lie in "
+                             "[lower, upper); wrap first")
         counts = np.bincount(snap_index(values, grid), minlength=grid.n)
         return cls(values=values, cell_counts=counts, grid=grid, raw=raw,
                    jump_counts=jump_counts)

@@ -1,4 +1,4 @@
-"""Monte Carlo generators of terminal samples, and reference wrapped densities.
+"""Monte Carlo generators of terminal samples.
 
 Terminal values are sampled directly (jump count + jump sizes + Gaussian
 part for the finite-activity case; terminal gamma laws for the
@@ -39,16 +39,18 @@ class SimulationSpec:
             raise ValueError(f"unknown simulation kind {self.kind!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.sigma2 < 0:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.sigma2 >= 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.kind == "bigamma" and (self.gamma_shape <= 0 or self.gamma_rate <= 0):
-            raise ValueError("gamma shape and rate must be positive")
-        if self.kind == "compound_poisson":
-            if len(self.rates) == 0:
-                raise ValueError("compound_poisson needs a rates vector")
-            if min(self.rates) < 0:
-                raise ValueError("rates must be nonnegative")
-        if self.init_concentration is not None and self.init_concentration <= 0:
+        if not (0 < self.gamma_shape < math.inf
+                and 0 < self.gamma_rate < math.inf):
+            raise ValueError("gamma shape and rate must be finite and positive")
+        if not all(0 <= r < math.inf for r in self.rates):
+            raise ValueError("rates must be finite and nonnegative")
+        if self.kind == "compound_poisson" and len(self.rates) == 0:
+            raise ValueError("compound_poisson needs a rates vector")
+        if self.init_concentration is not None and not self.init_concentration > 0:
             raise ValueError("init_concentration must be positive")
 
 
@@ -114,37 +116,3 @@ def sample_bigamma(spec: SimulationSpec, grid: TorusGrid) -> SampleSet:
     gauss = spec.drift * t + math.sqrt(spec.sigma2 * t) * rng.standard_normal(n)
     raw = up - down + gauss + _initial_positions(spec, grid, rng)
     return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw)
-
-
-def wrapped_bigamma_density(s: float, shape: float, rate: float,
-                            grid: TorusGrid, tol: float = 1e-12) -> float:
-    """Jump-measure density shape*exp(-rate*|y|)/|y| wrapped onto the torus.
-
-    Sums the real-line density over all image points s + n*K of the torus
-    period K, truncating once the geometric tail bound drops below tol.
-    """
-    if s == 0.0:
-        raise ValueError("the density is singular at s = 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if shape <= 0 or rate <= 0:
-        raise ValueError("shape and rate must be positive")
-    r = abs(float(s))
-    if r >= grid.length:
-        raise ValueError("s must be a torus point (|s| < period)")
-
-    period = grid.length
-    damp = math.exp(-rate * period)
-    total = shape * math.exp(-rate * r) / r
-    n = 1
-    while True:
-        left = period * n - r
-        right = period * n + r
-        pair = shape * (math.exp(-rate * left) / left
-                        + math.exp(-rate * right) / right)
-        total += pair
-        # remaining terms decay at least geometrically with ratio damp
-        if pair * damp / (1.0 - damp) < tol:
-            return total
-        n += 1
-

@@ -8,6 +8,7 @@ automatically periodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +28,11 @@ class TorusGrid:
     n: int
 
     def __post_init__(self):
-        if not self.upper > self.lower:
-            raise ValueError(f"empty domain [{self.lower}, {self.upper})")
         if self.n < 4:
             raise ValueError(f"need at least 4 grid cells, got {self.n}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"domain [{self.lower}, {self.upper}) must be "
+                             "finite and non-empty")
 
     @property
     def length(self) -> float:
@@ -43,10 +45,6 @@ class TorusGrid:
     @property
     def points(self) -> np.ndarray:
         return self.lower + self.h * np.arange(self.n)
-
-    def wrap_index(self, i):
-        """Circular index map: wrap_index(i + n) == wrap_index(i)."""
-        return np.asarray(i) % self.n
 
     @property
     def translation_nodes(self) -> np.ndarray:
@@ -67,8 +65,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError("t_final must be finite and > 0")
         if self.n_steps < 2:
             raise ValueError("need at least 2 time steps")
 
@@ -89,8 +87,10 @@ class ModelCoefficients:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be > 0 for the solver")
+        if not math.isfinite(self.drift):
+            raise ValueError("drift must be finite")
+        if not 0.0 < self.diff < math.inf:
+            raise ValueError("sigma2 must be finite and > 0 for the solver")
 
     @property
     def adv(self) -> float:
@@ -168,12 +168,17 @@ def make_basis(centers, grid: TorusGrid, delta: float | None = None) -> SplineBa
             raise ValueError("delta must equal the center spacing")
         delta = spacing
     elif delta is None:
-        raise ValueError("delta is required for a single-hat basis")
+        raise ValueError("a single-hat basis needs delta; give >= 2 centers")
     delta = float(delta)
-    if delta <= 0 or delta > grid.length / 2.0:
+    if not 0.0 < delta <= grid.length / 2.0:
         raise ValueError("delta must lie in (0, K/2]")
 
     samples = _hat_values(grid.translation_nodes, centers, delta, grid)
+    dead = np.flatnonzero(~np.any(samples > 0.0, axis=1))
+    if dead.size:
+        raise ValueError(f"{dead.size} of {centers.size} hats cover no grid "
+                         f"node (half-width {delta:.4g}, grid step "
+                         f"{grid.h:.4g}); use fewer hats or a finer grid")
     return SplineBasis(centers=centers, delta=delta, grid=grid, samples=samples)
 
 
@@ -181,6 +186,8 @@ def band_centers(n_theta: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     """n_theta equally spaced interior centers of (lo, hi), spacing (hi-lo)/(n_theta+1)."""
     if n_theta < 1:
         raise ValueError("n_theta must be >= 1")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"band ({lo}, {hi}) must be finite and non-empty")
     spacing = (hi - lo) / (n_theta + 1)
     return lo + spacing * np.arange(1, n_theta + 1)
 
@@ -200,10 +207,15 @@ def von_mises_density(grid: TorusGrid, mu: float, kappa: float) -> np.ndarray:
     exponential keeps kappa of several hundred overflow-free, and the
     discrete normalization removes the Bessel-function constant entirely.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
+    if not math.isfinite(mu):
+        raise ValueError("von Mises center mu must be finite")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("von Mises kappa must be finite and > 0")
     x = grid.points
     ang = 2.0 * np.pi * (x - mu - grid.lower) / grid.length - np.pi
     f = np.exp(kappa * (np.cos(ang) - 1.0))
     mass = grid.h * f.sum()
+    if not mass > 0.0:
+        raise ValueError(f"kappa = {kappa} is too sharp for the grid: "
+                         "the density underflows to 0 at every node")
     return f / mass

@@ -1,11 +1,14 @@
 import json
-import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfit.cli import main
-from levyfit.config import RunConfig, config_from_dict, load_config
+from levyfit.config import (RunConfig, config_from_dict, config_to_dict,
+                            load_config)
 from levyfit.errors import ConfigError
 from levyfit.experiment import (acquire_samples, build_grid,
                                 calibration_setup, run_experiment)
@@ -64,6 +67,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="data source"):
             run_experiment(RunConfig(sim_kind="", samples_csv="",
                                      n_space=32, n_time=10))
+
+
+NUMERIC_KEYS = sorted(f.name for f in fields(RunConfig)
+                      if f.type in ("int", "float", "tuple"))
+# finite values, 0, negatives and the non-finite spellings, as override text
+NUMBERS = st.one_of(
+    st.integers(-5, 200).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf"]))
+OVERRIDES = st.lists(st.tuples(st.sampled_from(NUMERIC_KEYS), NUMBERS),
+                     min_size=1, max_size=3)
+BASES = st.sampled_from(["compound_poisson", "bigamma"])
+
+
+def _load(kind, overrides):
+    lines = TINY.strip().splitlines() + [f"sim_kind={kind}"]
+    return load_config(None, lines + [f"{k}={v}" for k, v in overrides])
+
+
+class TestConfigProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=BASES, overrides=OVERRIDES)
+    def test_bad_numbers_are_config_errors(self, kind, overrides):
+        # either a config comes back or ConfigError says why; a ValueError
+        # (or any other exception) escaping means a rule has no owner
+        try:
+            _load(kind, overrides)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=BASES, overrides=OVERRIDES)
+    def test_dict_round_trip(self, kind, overrides):
+        try:
+            cfg = _load(kind, overrides)
+        except ConfigError:
+            return
+        assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 class TestRunExperiment:
@@ -151,12 +192,25 @@ class TestCliEntry:
         "sample_count=0", "domain_upper=-4", "t_final=0", "sigma2=nan",
         "centers_lo=1", "centers_hi=9", "init_concentration=0",
         "sim_rates=-1,2,1,0.5,0.25", "sim_rates=", "sim_rates=1",
-        "objective_floor=0", "objective_floor=-1"])
+        "objective_floor=0", "objective_floor=-1", "drift=nan", "drift=inf",
+        "init_center=inf", "domain_lower=-inf", "init_concentration=inf",
+        "n_theta_list=80", "seed=-1"])
     def test_bad_setting_is_config_error(self, tiny_cfg, tmp_path, capsys,
                                          setting):
         out = tmp_path / "o"
         assert main(["run", str(tiny_cfg), "--set", setting,
                      "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        "sim_gamma_shape=0", "sim_gamma_rate=-1", "sim_gamma_rate=nan"])
+    def test_bad_bigamma_setting_is_config_error(self, tiny_cfg, tmp_path,
+                                                 capsys, setting):
+        out = tmp_path / "o"
+        assert main(["run", str(tiny_cfg), "--set", "sim_kind=bigamma",
+                     "--set", setting, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()

@@ -56,6 +56,18 @@ class TestCCOperator:
         assert abs(flux_form - expm1_form) <= 1e-12 * c_over_h
         assert cc.beta == pytest.approx(expm1_form, rel=1e-12)
 
+    @pytest.mark.parametrize("drift", [1e6, -1e6])
+    def test_strong_drift_saturates_instead_of_overflowing(self, drift):
+        # |w| far beyond the overflow point of exp: the upwind band takes
+        # the whole advection and the other band vanishes
+        cc = CCOperator(TorusGrid(-np.pi, np.pi, 64),
+                        ModelCoefficients(drift, 0.02))
+        assert abs(cc.w) > 1e3
+        upwind, other = ((cc.beta, cc.beta_omega) if drift > 0
+                         else (cc.beta_omega, cc.beta))
+        assert upwind == pytest.approx(abs(cc.coeffs.adv))
+        assert other == 0.0
+
     def test_zero_drift_limit_of_beta(self):
         cc = CCOperator(TorusGrid(-np.pi, np.pi, 64), ModelCoefficients(0.0, 0.02))
         assert cc.beta == pytest.approx(cc.coeffs.diff / cc.grid.h, rel=1e-14)
@@ -290,6 +302,10 @@ class TestSolveForward:
         bad /= grid.h * bad.sum()
         with pytest.raises(ValueError, match="nonnegative"):
             solve_forward(bad, [0.0], basis, cc, tg)
+        nan_f0 = von_mises_density(grid, 0.0, 20.0)
+        nan_f0[5] = np.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_forward(nan_f0, [0.0], basis, cc, tg)
 
     def test_refuses_oversized_step_then_forced_run_reports(self, rng):
         grid = TorusGrid(-np.pi, np.pi, 48)

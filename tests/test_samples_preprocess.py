@@ -39,6 +39,10 @@ class TestSnapping:
     def test_rejects_out_of_range(self, grid):
         with pytest.raises(ValueError, match="wrap"):
             SampleSet.from_values(np.array([grid.upper]), grid)
+        # NaN passes both range comparisons, and snapping casts it to a cell
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SampleSet.from_values(np.array([0.1, bad]), grid)
 
 
 class TestIngest:

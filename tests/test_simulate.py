@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyfit.simulate import (SimulationSpec, sample_bigamma,
-                              sample_compound_poisson, wrapped_bigamma_density)
+                              sample_compound_poisson)
 from levyfit.torus import TorusGrid, band_centers, make_basis
 
 
@@ -36,6 +36,12 @@ class TestSpecValidation:
             cp_spec(sigma2=-1.0)
         with pytest.raises(ValueError):
             cp_spec(n_samples=0)
+        for bad in [dict(rates=(1.0, math.nan)), dict(rates=(math.inf, 1.0)),
+                    dict(gamma_shape=math.nan), dict(gamma_rate=math.inf),
+                    dict(seed=-1)]:
+            for kind in ("compound_poisson", "bigamma"):
+                with pytest.raises(ValueError):
+                    SimulationSpec(kind=kind, **{"rates": (1.0, 0.5), **bad})
 
 
 class TestCompoundPoisson:
@@ -134,33 +140,3 @@ class TestBigamma:
     def test_rejects_wrong_kind(self, grid):
         with pytest.raises(ValueError):
             sample_bigamma(cp_spec(), grid)
-
-
-class TestWrappedDensity:
-    def test_matches_long_brute_sum(self, grid):
-        tol = 1e-10
-        for s, shape, rate in [(0.5, 0.5, 1.0), (-1.7, 1.2, 0.6),
-                               (2.9, 0.3, 2.0)]:
-            period = grid.length
-            n = np.arange(1, 1_000_000)
-            brute = shape * math.exp(-rate * abs(s)) / abs(s)
-            brute += float(np.sum(shape * np.exp(-rate * (n * period - abs(s)))
-                                  / (n * period - abs(s))))
-            brute += float(np.sum(shape * np.exp(-rate * (n * period + abs(s)))
-                                  / (n * period + abs(s))))
-            val = wrapped_bigamma_density(s, shape, rate, grid, tol=tol)
-            assert val == pytest.approx(brute, abs=10 * tol)
-
-    def test_large_rate_reduces_to_unwrapped(self, grid):
-        s, shape, rate = 0.8, 0.5, 6.0     # rate * period ~ 38
-        val = wrapped_bigamma_density(s, shape, rate, grid, tol=1e-12)
-        assert val == pytest.approx(shape * math.exp(-rate * s) / s, abs=1e-12)
-
-    def test_even_in_s(self, grid):
-        a = wrapped_bigamma_density(1.1, 0.5, 1.0, grid)
-        b = wrapped_bigamma_density(-1.1, 0.5, 1.0, grid)
-        assert a == b
-
-    def test_rejects_origin(self, grid):
-        with pytest.raises(ValueError):
-            wrapped_bigamma_density(0.0, 0.5, 1.0, grid)

@@ -19,15 +19,15 @@ class TestTorusGrid:
         assert np.all(np.diff(grid.points) > 0)
         assert grid.points[0] == pytest.approx(-np.pi)
 
-    def test_wrap_index_periodic(self, grid):
-        i = np.arange(-130, 130)
-        assert np.array_equal(grid.wrap_index(i + grid.n), grid.wrap_index(i))
-
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             TorusGrid(1.0, 1.0, 16)
         with pytest.raises(ValueError):
             TorusGrid(0.0, 1.0, 2)
+        for lower, upper in [(-math.inf, 1.0), (0.0, math.inf),
+                             (math.nan, 1.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                TorusGrid(lower, upper, 16)
 
     def test_translation_nodes_are_grid_points_when_aligned(self, grid):
         # lower = -pi = -(n/2)*h, so the node set equals the point set
@@ -98,6 +98,15 @@ class TestBasis:
         with pytest.raises(ValueError):
             make_basis([0.0], grid, delta=grid.length)
 
+    def test_rejects_hats_that_cover_no_grid_node(self):
+        # 40 band hats on 32 cells: half-width 2/41 is below h/2, so some
+        # hats fall between two nodes and would carry a rate nothing sees
+        grid = TorusGrid(-np.pi, np.pi, 32)
+        with pytest.raises(ValueError, match="cover no grid node"):
+            make_basis(band_centers(40), grid)
+        basis = make_basis(band_centers(40), TorusGrid(-np.pi, np.pi, 128))
+        assert np.all(basis.samples.max(axis=1) > 0)
+
     def test_hat_wraps_across_the_seam(self, grid):
         basis = make_basis(tiling_centers(8, grid), grid)
         # the hat centered at -pi must rise again near +pi
@@ -153,19 +162,34 @@ class TestVonMises:
         with pytest.raises(ValueError):
             von_mises_density(grid, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu, kappa", [
+        (0.0, math.nan), (0.0, math.inf), (math.inf, 400.0), (math.nan, 400.0)])
+    def test_rejects_non_finite_parameters(self, grid, mu, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            von_mises_density(grid, mu, kappa)
+
+    def test_rejects_a_peak_that_misses_every_node(self, grid):
+        # exp underflows at every node when the peak sits between two
+        with pytest.raises(ValueError, match="too sharp"):
+            von_mises_density(grid, grid.h / 2, 1e300)
+
 
 def test_time_grid():
     tg = TimeGrid(1.0, 250)
     assert tg.dt == pytest.approx(1.0 / 250)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1)
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 10)
+    for t_final in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TimeGrid(t_final, 10)
 
 
 def test_model_coefficients():
     co = ModelCoefficients(drift=0.3, sigma2=0.02)
     assert co.adv == -0.3
     assert co.diff == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        ModelCoefficients(drift=0.0, sigma2=0.0)
+    # 5e-324 is positive, but C = sigma2/2 underflows to 0
+    for drift, sigma2 in [(0.0, 0.0), (0.0, 5e-324), (0.0, math.nan),
+                          (0.0, math.inf), (math.nan, 0.02), (-math.inf, 0.02)]:
+        with pytest.raises(ValueError):
+            ModelCoefficients(drift=drift, sigma2=sigma2)
