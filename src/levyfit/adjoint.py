@@ -37,7 +37,6 @@ from .torus import SplineBasis, TimeGrid
 
 
 def terminal_condition(f_terminal: np.ndarray, samples: SampleSet,
-                       n_samples: int | None = None,
                        eps: float = 1e-12) -> np.ndarray:
     """Derivative data of the floored log-likelihood at the final level.
 
@@ -50,9 +49,9 @@ def terminal_condition(f_terminal: np.ndarray, samples: SampleSet,
     counts = samples.cell_counts
     if f.shape != counts.shape:
         raise ValueError("terminal density and cell counts disagree in shape")
-    n = len(samples) if n_samples is None else int(n_samples)
+    n = len(samples)
     if n != counts.sum():
-        raise ValueError(f"n_samples = {n} but cell counts sum to {counts.sum()}")
+        raise ValueError(f"{n} samples but cell counts sum to {counts.sum()}")
     out = np.zeros_like(f)
     active = (counts > 0) & (f > eps)
     out[active] = -counts[active] / (n * f[active])

@@ -1,6 +1,7 @@
 """Command line entry points.
 
-Exit codes: 0 success, 1 usage/config/data error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/config/data error (a setting too large to
+allocate included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_preprocess(args)
-    except (ConfigError, IngestError, FileNotFoundError) as exc:
+    except (ConfigError, IngestError, FileNotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LevyfitError, np.linalg.LinAlgError) as exc:

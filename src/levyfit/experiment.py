@@ -58,6 +58,8 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
     out_dir = str(out_dir if out_dir is not None else config.out_dir)
     grid = build_grid(config)
     samples = acquire_samples(config, grid)
+    # before the sweep, so that a bin count too large to allocate fails first
+    histogram = empirical_histogram(samples, config.hist_bins)
     setups = [calibration_setup(config, n) for n in config.n_theta_list]
     sweep = aic_sweep(setups, samples, config.optimizer_params(),
                       penalty=config.aic_penalty)
@@ -89,7 +91,7 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_density_csv(paths["density"], grid, selected.terminal)
-    _write_histogram_csv(paths["histogram"], samples, config.hist_bins)
+    _write_histogram_csv(paths["histogram"], *histogram)
     _write_aic_csv(paths["aic"], sweep)
     return ExperimentResult(sweep=sweep, report=report, samples=samples,
                             paths=paths)
@@ -122,8 +124,7 @@ def _write_density_csv(path, grid, terminal) -> None:
             fh.write(f"{float(x)!r},{float(f)!r}\n")
 
 
-def _write_histogram_csv(path, samples, bins: int) -> None:
-    heights, edges = empirical_histogram(samples, bins)
+def _write_histogram_csv(path, heights, edges) -> None:
     centers = 0.5 * (edges[:-1] + edges[1:])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_center,height\n")

@@ -16,6 +16,10 @@ with a and q their rfft symbols, `solve_forward` marches each mode through
 g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2), from one rfft of
 f0 to one batched irfft of all levels.
+
+The march checks its step against `stability_bounds` and its values for
+finiteness only; `history_diagnostics` measures mass conservation and
+positivity on a finished history, so a fit pays for them once.
 """
 
 from __future__ import annotations
@@ -32,26 +36,10 @@ from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
 
 
-def cc_delta(w: float) -> float:
-    """Exponential-fitting weight delta(w) = 1/w - 1/(e^w - 1).
-
-    Monotonically decreasing from 1 (w -> -inf) to 0 (w -> +inf), equal to
-    1/2 at w = 0.  Below |w| = 1e-4 the two 1/w-sized terms cancel
-    catastrophically, so the series 1/2 - w/12 + w^3/720 is used instead
-    (first dropped term w^5/30240).
-    """
-    w = float(w)
-    if abs(w) < _W_SERIES:
-        return 0.5 - w / 12.0 + w**3 / 720.0
-    if w > 700.0:
-        return 1.0 / w  # 1/(e^w - 1) underflows; avoids exp overflow
-    return 1.0 / w - 1.0 / math.expm1(w)
-
-
-def _saturating(fn, w: float) -> float:
-    """fn(w) for math.exp/expm1, inf where the result overflows."""
+def _expm1(w: float) -> float:
+    """math.expm1(w), inf where the result overflows."""
     try:
-        return fn(w)
+        return math.expm1(w)
     except OverflowError:
         return math.inf
 
@@ -64,17 +52,15 @@ class CCOperator:
     matrix A has constant bands
         A[i, i-1] = beta/h,  A[i, i] = -(beta + beta_omega)/h,
         A[i, i+1] = beta_omega/h,
-    (indices cyclic) where beta = B/(e^w - 1) = C/h - delta*B and
-    beta_omega = omega*beta with omega = e^w.  Both beta forms agree
-    analytically; beta and beta_omega are evaluated through expm1 (series
-    below |w| = 1e-4) so the B -> 0 limit beta -> C/h is exact.
+    (indices cyclic) where beta = B/(e^w - 1) = C/h - delta*B, with the
+    Chang-Cooper weight delta = 1/w - 1/(e^w - 1), and beta_omega =
+    e^w*beta.  Both beta forms agree analytically; beta and beta_omega are
+    evaluated through expm1 (series below |w| = 1e-4) so the B -> 0 limit
+    beta -> C/h is exact.
     """
 
     grid: TorusGrid
     coeffs: ModelCoefficients
-    w: float = field(init=False)
-    omega: float = field(init=False)
-    delta_cc: float = field(init=False)
     beta: float = field(init=False)
     beta_omega: float = field(init=False)
 
@@ -83,17 +69,13 @@ class CCOperator:
         b_adv = self.coeffs.adv
         c_diff = self.coeffs.diff
         w = h * b_adv / c_diff
-        omega = _saturating(math.exp, w)
         if abs(w) < _W_SERIES:
             base = c_diff / h
             beta = base * (1.0 - w / 2.0 + w * w / 12.0)
             beta_omega = base * (1.0 + w / 2.0 + w * w / 12.0)
         else:
-            beta = b_adv / _saturating(math.expm1, w)
-            beta_omega = b_adv / -_saturating(math.expm1, -w)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "delta_cc", cc_delta(w))
+            beta = b_adv / _expm1(w)
+            beta_omega = b_adv / -_expm1(-w)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "beta_omega", beta_omega)
 
@@ -200,13 +182,13 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
 
 
 def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
-               kernel: JumpKernel, force: bool = False) -> np.ndarray:
+               kernel: JumpKernel) -> np.ndarray:
     """One implicit Euler step: solve (I - dt*A) f = f_prev + dt*Q(f_prev).
 
-    Refuses dt_sub above 1/total_rate, the positivity bound, unless forced.
+    Refuses dt_sub above 1/total_rate, the positivity bound.
     """
     a = kernel.total_rate
-    if a > 0.0 and dt_sub > 1.0 / a and not force:
+    if a > 0.0 and dt_sub > 1.0 / a:
         raise StabilityError(
             f"Euler step {dt_sub:.3e} exceeds positivity bound {1.0 / a:.3e}")
     explicit, implicit = euler_symbols(cc, kernel, dt_sub)
@@ -229,31 +211,21 @@ def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
     return out
 
 
-@dataclass(frozen=True)
-class ForwardDiagnostics:
-    mass_drift: float
-    min_density: float
-    dt_used: float
-    bounds: StabilityBounds
-    forced: bool
-    xi_condition_min: float     # min over cells of xi*f^1 - f^0
-    first_negative_step: int | None
-
-
 @dataclass
 class DensityHistory:
     """Space-time table of the solved density.
 
     values[m] approximates the density at t_m for m = 0..n_steps; bootstrap
     holds the Euler substep states preceding values[1] (needed to assemble
-    exact rate sensitivities).
+    exact rate sensitivities); bounds are the step bounds the march was
+    checked against.
     """
 
     values: np.ndarray          # (n_steps + 1, n)
     bootstrap: np.ndarray       # (boot_substeps, n): states g^0 .. g^{K-1}
     grid: TorusGrid
     time_grid: TimeGrid
-    diagnostics: ForwardDiagnostics
+    bounds: StabilityBounds
 
     @property
     def terminal(self) -> np.ndarray:
@@ -269,8 +241,8 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     of dt/boot_substeps, each checked against the Euler positivity bound;
     all later levels use the two-step scheme.  dt itself is validated
     against the two-step bound and the solve refuses when it is violated,
-    unless `force` is passed (the violation is then recorded and the first
-    negative time level reported in the diagnostics).
+    unless `force` is passed.  The march only checks its values for
+    finiteness; `history_diagnostics` measures mass and positivity.
     """
     f0 = np.asarray(f0, dtype=float)
     n = cc.grid.n
@@ -289,8 +261,7 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     bounds = stability_bounds(cc, kernel, xi)
     dt = time_grid.dt
     tau = dt / boot_substeps
-    violated = dt > bounds.dt_bdf2 or tau > bounds.dt_euler_positive
-    if violated and not force:
+    if (dt > bounds.dt_bdf2 or tau > bounds.dt_euler_positive) and not force:
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
@@ -316,19 +287,29 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
         raise SolverError("non-finite values in the forward march")
     boot, values = states[:boot_substeps], states[boot_substeps:]
     boot[0] = values[0] = f0
-
-    masses = cc.grid.h * values.sum(axis=1)
-    mass_drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
-    mins = values.min(axis=1)
-    negative = np.nonzero(mins < -1e-13)[0]
-    diagnostics = ForwardDiagnostics(
-        mass_drift=mass_drift,
-        min_density=float(mins.min()),
-        dt_used=dt,
-        bounds=bounds,
-        forced=bool(violated),
-        xi_condition_min=float(np.min(xi * values[1] - values[0])),
-        first_negative_step=int(negative[0]) if negative.size else None,
-    )
     return DensityHistory(values=values, bootstrap=boot, grid=cc.grid,
-                          time_grid=time_grid, diagnostics=diagnostics)
+                          time_grid=time_grid, bounds=bounds)
+
+
+def history_diagnostics(history: DensityHistory) -> dict:
+    """The scheme's guarantees as measured on one history.
+
+    mass_drift is the largest relative change of the mass over the levels,
+    min_density the smallest value of any level, and xi_condition_min the
+    smallest entry of xi*f^1 - f^0: when it is >= 0, the starting pair
+    meets the positivity condition of the two-step scheme.  bounds holds
+    the step used next to the Euler and two-step bounds.
+    """
+    values, bounds = history.values, history.bounds
+    masses = history.grid.h * values.sum(axis=1)
+    return {
+        "mass_drift": float(np.max(np.abs(masses - masses[0]))
+                            / abs(masses[0])),
+        "min_density": float(values.min()),
+        "xi_condition_min": float(np.min(bounds.xi * values[1] - values[0])),
+        "bounds": {
+            "dt_used": history.time_grid.dt,
+            "dt_euler_pos": bounds.dt_euler_positive,
+            "dt_bdf2": bounds.dt_bdf2,
+        },
+    }

@@ -19,7 +19,8 @@ import numpy as np
 
 from .adjoint import AdjointHistory, solve_adjoint, terminal_condition
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import CCOperator, DensityHistory, solve_forward
+from .forward import (CCOperator, DensityHistory, history_diagnostics,
+                      solve_forward)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
@@ -81,7 +82,6 @@ class FitReport:
     aic: float
     iterations: int
     converged: bool
-    grad_norm: float             # projected-gradient norm at alpha_star
     diagnostics: dict
     terminal: np.ndarray = field(repr=False)   # fitted density at t_final
     trace: list = field(default_factory=list, repr=False)
@@ -273,20 +273,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         trace.append({"iter": k, "j": -f_val, "pg_norm": pg_norm,
                       "step": ls.step, "beta": beta, "evals": ls.n_evals})
 
-    fwd_diag = fwd.diagnostics
     diagnostics = {
         "stop": stop_note,
         "floored_count": obj.floored_count,
         "grad_norm": pg_norm,
         "raw_grad_norm": float(np.linalg.norm(grad)),
-        "mass_drift": fwd_diag.mass_drift,
-        "min_density": fwd_diag.min_density,
-        "xi_condition_min": fwd_diag.xi_condition_min,
-        "bounds": {
-            "dt_used": fwd_diag.dt_used,
-            "dt_euler_pos": fwd_diag.bounds.dt_euler_positive,
-            "dt_bdf2": fwd_diag.bounds.dt_bdf2,
-        },
+        **history_diagnostics(fwd),
     }
     j_star = -f_val
     return FitReport(
@@ -296,7 +288,6 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         aic=aic_score(j_star, len(samples), n_theta, penalty),
         iterations=iterations,
         converged=pg_norm <= params.tol,
-        grad_norm=pg_norm,
         diagnostics=diagnostics,
         terminal=fwd.terminal.copy(),
         trace=trace,

@@ -26,8 +26,15 @@ class PreprocessSpec:
     outside: str = "wrap"
 
     def __post_init__(self):
+        if not (math.isfinite(self.band_lo) and math.isfinite(self.band_hi)):
+            raise ConfigError("band edges must be finite")
         if not self.band_lo < self.band_hi:
             raise ConfigError("band_lo must be below band_hi")
+        # torus_diffusion multiplies by the squared stretch
+        if not 0.0 < self.scale * self.scale < math.inf:
+            raise ConfigError(
+                f"band [{self.band_lo!r}, {self.band_hi!r}] maps onto the "
+                "torus by a stretch whose square is 0 or overflows")
         if not 0.0 < self.diffusion_fraction <= 1.0:
             raise ConfigError("diffusion_fraction must lie in (0, 1]")
         if self.outside not in ("wrap", "discard"):

@@ -109,9 +109,11 @@ def project_to_torus(y, grid: TorusGrid):
     """
     k = grid.length
     r = np.mod(np.asarray(y, dtype=float) - grid.lower, k)
-    # guard the roundoff case mod(...) == K, which would land on `upper`
+    # mod(...) == K, or a sum lower + r that rounds up, would land on
+    # `upper`, which is `lower` on the torus
     r = np.where(r >= k, r - k, r)
     out = grid.lower + r
+    out = np.where(out >= grid.upper, grid.lower, out)
     return float(out) if np.isscalar(y) else out
 
 

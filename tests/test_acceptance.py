@@ -15,8 +15,8 @@ from conftest import random_density
 from levyfit.config import RunConfig
 from levyfit.errors import StabilityError
 from levyfit.experiment import empirical_histogram, run_experiment
-from levyfit.forward import (CCOperator, JumpKernel, solve_forward,
-                             stability_bounds)
+from levyfit.forward import (CCOperator, JumpKernel, history_diagnostics,
+                             solve_forward, stability_bounds)
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams, aic_sweep,
                                calibrate, objective, reduced_gradient,
                                run_forward)
@@ -70,14 +70,14 @@ def test_criterion_1_solver_structure_suite():
         n_steps = int(rng.integers(5, 20))
         hist = solve_forward(random_density(rng, grid), rates, basis, cc,
                              TimeGrid(dt * n_steps, n_steps))
-        d = hist.diagnostics
+        d = history_diagnostics(hist)
         norms = np.abs(hist.values).sum(axis=1)
         norm_growth = float(np.max(np.diff(norms), initial=-np.inf))
-        worst["drift"] = max(worst["drift"], d.mass_drift)
-        worst["min"] = min(worst["min"], d.min_density)
+        worst["drift"] = max(worst["drift"], d["mass_drift"])
+        worst["min"] = min(worst["min"], d["min_density"])
         worst["norm"] = max(worst["norm"], norm_growth)
-        assert d.mass_drift < 1e-10
-        assert d.min_density >= -1e-13
+        assert d["mass_drift"] < 1e-10
+        assert d["min_density"] >= -1e-13
         assert norm_growth <= 1e-12
     print(f"\ncriterion 1 PASS: 50 configs, worst mass drift {worst['drift']:.2e}, "
           f"min density {worst['min']:.2e}, norm growth {worst['norm']:.2e} "
@@ -102,13 +102,13 @@ def test_criterion_2_bound_sharpness():
 
         safe = solve_forward(random_density(rng, grid), rates, basis, cc,
                              TimeGrid(0.9 * bound * 12, 12))
-        assert safe.diagnostics.min_density >= -1e-13
+        assert history_diagnostics(safe)["min_density"] >= -1e-13
 
         spike = np.zeros(n)
         spike[int(rng.integers(0, n))] = 1.0 / grid.h
         wild = solve_forward(spike, rates, basis, cc,
                              TimeGrid(50 * bound * 6, 6), force=True)
-        negatives += wild.diagnostics.min_density < 0
+        negatives += history_diagnostics(wild)["min_density"] < 0
     assert negatives >= 1
     print(f"\ncriterion 2 PASS: 20/20 positive at 0.9x bound, "
           f"{negatives}/20 configs negative at 50x bound")

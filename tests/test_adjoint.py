@@ -42,7 +42,7 @@ class TestTerminalCondition:
         counts[4] = 1
         ss = sample_set_with_counts(grid, counts)
         f = np.full(12, 0.5)
-        p = terminal_condition(f, ss, n_samples=1)
+        p = terminal_condition(f, ss)
         assert p[4] == pytest.approx(-2.0)
 
     def test_multiplicity_counts(self, grid):
@@ -50,7 +50,7 @@ class TestTerminalCondition:
         counts[7] = 3
         ss = sample_set_with_counts(grid, counts)
         f = np.full(12, 0.25)
-        p = terminal_condition(f, ss, n_samples=3)
+        p = terminal_condition(f, ss)
         assert p[7] == pytest.approx(-4.0)
 
     def test_floored_cells_contribute_zero(self, grid):

@@ -194,7 +194,7 @@ class TestCliEntry:
         "sim_rates=-1,2,1,0.5,0.25", "sim_rates=", "sim_rates=1",
         "objective_floor=0", "objective_floor=-1", "drift=nan", "drift=inf",
         "init_center=inf", "domain_lower=-inf", "init_concentration=inf",
-        "n_theta_list=80", "seed=-1"])
+        "n_theta_list=80", "seed=-1", "hist_bins=100000000000"])
     def test_bad_setting_is_config_error(self, tiny_cfg, tmp_path, capsys,
                                          setting):
         out = tmp_path / "o"
@@ -248,6 +248,20 @@ class TestCliEntry:
                      "--out", str(tmp_path / "o")]) == 1
         assert main(["preprocess", str(path),
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("band", [
+        ["--band-hi=inf"], ["--band-lo=-inf"],
+        ["--band-lo=-1e308", "--band-hi=1e308"],
+        ["--band-lo=0", "--band-hi=1e-170"]], ids=" ".join)
+    def test_preprocess_refuses_degenerate_band(self, tmp_path, capsys, band):
+        raw = tmp_path / "raw.csv"
+        rng = np.random.default_rng(0)
+        raw.write_text("\n".join(map(repr, rng.normal(0, 0.01, 1000).tolist())))
+        out = tmp_path / "t.csv"
+        assert main(["preprocess", str(raw), "--out", str(out), *band]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_preprocess_pipeline(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

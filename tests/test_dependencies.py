@@ -18,7 +18,7 @@ SCIPY_FREE_MARCH = textwrap.dedent("""
     cc = lf.CCOperator(grid, lf.ModelCoefficients(0.1, 0.05))
     hist = lf.solve_forward(lf.von_mises_density(grid, 0.0, 20.0),
                             [0.5, 0.2, 0.1], basis, cc, lf.TimeGrid(0.2, 10))
-    assert hist.diagnostics.mass_drift < 1e-10
+    assert lf.history_diagnostics(hist)["mass_drift"] < 1e-10
 """)
 
 

@@ -3,13 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_jump_apply, dense_cc_matrix,
                       dense_forward_march, random_density)
 from levyfit.errors import StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, apply_jump_operator,
-                             bdf2_step, cc_delta, euler_step, solve_forward,
-                             stability_bounds)
+                             bdf2_step, euler_step, history_diagnostics,
+                             solve_forward, stability_bounds)
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
                            make_basis, tiling_centers, von_mises_density)
 
@@ -21,38 +23,80 @@ def reference_delta(w):
         return float(1 / wm - 1 / mpmath.expm1(wm))
 
 
+def reference_bands(cc):
+    """(beta, beta_omega) in 50 digits: B/(e^w - 1) and B/(1 - e^-w), which
+    equal C/h - delta*B and C/h + (1 - delta)*B."""
+    with mpmath.workdps(50):
+        h, b, c = (mpmath.mpf(x) for x in (cc.grid.h, cc.coeffs.adv,
+                                           cc.coeffs.diff))
+        w = h * b / c
+        return float(b / mpmath.expm1(w)), float(-b / mpmath.expm1(-w))
+
+
+def peclet(cc):
+    """The cell Peclet number w = h*B/C, as the operator forms it."""
+    return cc.grid.h * cc.coeffs.adv / cc.coeffs.diff
+
+
+def operator_at(w):
+    """A 64-cell operator with C = 0.02 whose cell Peclet number is w."""
+    grid = TorusGrid(-np.pi, np.pi, 64)
+    return CCOperator(grid, ModelCoefficients(-w * 0.02 / grid.h, 0.04))
+
+
 class TestCCDelta:
+    """The Chang-Cooper weight delta(w) = 1/w - 1/(e^w - 1) as the bands
+    carry it: beta = C/h - delta*B and beta_omega = C/h + (1 - delta)*B."""
+
     def test_zero_drift_limit(self):
-        assert cc_delta(0.0) == 0.5
+        # delta -> 1/2: the bands leave C/h by -B/2 and +B/2
+        for w in (1e-8, -1e-8):
+            cc = operator_at(w)
+            c_over_h = cc.coeffs.diff / cc.grid.h
+            half = 0.5 * cc.coeffs.adv
+            assert cc.beta == pytest.approx(c_over_h - half, rel=1e-15)
+            assert cc.beta_omega == pytest.approx(c_over_h + half, rel=1e-15)
 
     def test_value_at_one(self):
-        assert cc_delta(1.0) == pytest.approx(reference_delta(1.0), rel=1e-13)
-        assert cc_delta(1.0) == pytest.approx(0.4180233, abs=5e-8)
+        cc = operator_at(1.0)
+        delta = (cc.coeffs.diff / cc.grid.h - cc.beta) / cc.coeffs.adv
+        assert delta == pytest.approx(reference_delta(peclet(cc)), rel=1e-13)
+        assert delta == pytest.approx(0.4180233, abs=5e-8)
 
     @pytest.mark.parametrize("w", [1e-6, -1e-6, 1e-5, 3e-5, 1e-4, 2e-4, 1e-3,
                                    0.01, 0.1, -0.1, 1.0, -3.0, 10.0, -30.0])
     def test_matches_high_precision(self, w):
-        assert cc_delta(w) == pytest.approx(reference_delta(w), rel=1e-12)
+        # both sides of the series switch at |w| = 1e-4
+        cc = operator_at(w)
+        beta, beta_omega = reference_bands(cc)
+        assert cc.beta == pytest.approx(beta, rel=1e-12)
+        assert cc.beta_omega == pytest.approx(beta_omega, rel=1e-12)
 
     def test_monotone_decreasing_between_limits(self):
-        w = np.linspace(-40, 40, 401)
-        vals = np.array([cc_delta(x) for x in w])
-        assert np.all(np.diff(vals) < 0)
-        assert np.all((vals > 0) & (vals < 1))
-        assert cc_delta(500.0) < 1e-2 and cc_delta(-500.0) > 1 - 1e-2
+        # 0 < delta < 1/w keeps both bands positive (an M-matrix); at fixed
+        # C/h, beta = (C/h)*w/(e^w - 1) falls with w and beta_omega rises
+        ops = [operator_at(w) for w in np.linspace(-40, 40, 401)]
+        beta = np.array([cc.beta for cc in ops])
+        beta_omega = np.array([cc.beta_omega for cc in ops])
+        assert np.all(beta > 0) and np.all(beta_omega > 0)
+        assert np.all(np.diff(beta) < 0) and np.all(np.diff(beta_omega) > 0)
+        # pure upwinding in the limits: delta -> 0 (w -> +inf), 1 (-inf)
+        far, near = operator_at(500.0), operator_at(-500.0)
+        assert far.beta < 1e-2 * abs(far.coeffs.adv)
+        assert near.beta_omega < 1e-2 * abs(near.coeffs.adv)
 
 
 class TestCCOperator:
     @pytest.mark.parametrize("drift,sigma2,n", [(0.5, 0.02, 64), (-1.2, 0.1, 50),
-                                                (0.0123, 0.4, 200), (2.0, 0.05, 32)])
+                                                (0.0123, 0.4, 200), (2.0, 0.05, 32),
+                                                (1e-6, 0.02, 64), (-3e-6, 0.1, 50)])
     def test_beta_forms_agree(self, drift, sigma2, n):
+        # the last two have |w| < 1e-4, where beta comes from its series
         cc = CCOperator(TorusGrid(-np.pi, np.pi, n),
                         ModelCoefficients(drift, sigma2))
-        if abs(cc.w) < 1e-4:
-            pytest.skip("series regime")
         c_over_h = cc.coeffs.diff / cc.grid.h
-        flux_form = c_over_h - cc.delta_cc * cc.coeffs.adv
-        expm1_form = cc.coeffs.adv / math.expm1(cc.w)
+        flux_form = c_over_h - reference_delta(peclet(cc)) * cc.coeffs.adv
+        expm1_form, _ = reference_bands(cc)
         assert abs(flux_form - expm1_form) <= 1e-12 * c_over_h
         assert cc.beta == pytest.approx(expm1_form, rel=1e-12)
 
@@ -62,7 +106,7 @@ class TestCCOperator:
         # the whole advection and the other band vanishes
         cc = CCOperator(TorusGrid(-np.pi, np.pi, 64),
                         ModelCoefficients(drift, 0.02))
-        assert abs(cc.w) > 1e3
+        assert abs(peclet(cc)) > 1e3
         upwind, other = ((cc.beta, cc.beta_omega) if drift > 0
                          else (cc.beta_omega, cc.beta))
         assert upwind == pytest.approx(abs(cc.coeffs.adv))
@@ -99,7 +143,7 @@ class TestCCOperator:
             cc = CCOperator(TorusGrid(-np.pi, np.pi, n),
                             ModelCoefficients(drift, sigma2))
             # closed form B*coth(h*B/(2C))/h of (beta + beta_omega)/h
-            coth_form = cc.coeffs.adv / math.tanh(cc.w / 2.0) / cc.grid.h
+            coth_form = cc.coeffs.adv / math.tanh(peclet(cc) / 2.0) / cc.grid.h
             assert cc.damping == pytest.approx(coth_form, rel=1e-12)
 
 
@@ -199,7 +243,6 @@ class TestSteps:
         f = np.full(8, 1.0)
         with pytest.raises(StabilityError):
             euler_step(f, 1.5 / kern.total_rate, cc, kern)
-        euler_step(f, 1.5 / kern.total_rate, cc, kern, force=True)
 
     def test_bdf2_uniform_fixed_point(self):
         grid = TorusGrid(-np.pi, np.pi, 32)
@@ -250,7 +293,7 @@ class TestStabilityBounds:
         cc = CCOperator(grid, ModelCoefficients(0.4, 0.05))
         kern = JumpKernel(weights=np.zeros(64), total_rate=0.0)
         b = stability_bounds(cc, kern, xi=2.0)
-        damping = cc.beta * (1.0 + cc.omega) / grid.h
+        damping = cc.beta * (1.0 + math.exp(peclet(cc))) / grid.h
         assert b.dt_bdf2 == pytest.approx(1.0 / (2 * damping), rel=1e-12)
         assert b.dt_euler_positive == math.inf
 
@@ -321,9 +364,7 @@ class TestSolveForward:
         with pytest.raises(StabilityError):
             solve_forward(spike, rates, basis, cc, tg)
         hist = solve_forward(spike, rates, basis, cc, tg, force=True)
-        assert hist.diagnostics.forced
-        assert hist.diagnostics.min_density < 0
-        assert hist.diagnostics.first_negative_step is not None
+        assert history_diagnostics(hist)["min_density"] < 0
 
     def test_positivity_and_norm_stability_randomized(self, rng):
         # structural guarantees across 100 random admissible configurations
@@ -341,8 +382,9 @@ class TestSolveForward:
             f0 = random_density(rng, grid)
             hist = solve_forward(f0, rates, basis, cc,
                                  TimeGrid(dt * n_steps, n_steps))
-            assert hist.diagnostics.min_density >= -1e-13
-            assert hist.diagnostics.mass_drift < 1e-10
+            diagnostics = history_diagnostics(hist)
+            assert diagnostics["min_density"] >= -1e-13
+            assert diagnostics["mass_drift"] < 1e-10
             norms = np.abs(hist.values).sum(axis=1)
             assert np.all(np.diff(norms) <= 1e-12 * norms[0])
 
@@ -376,7 +418,7 @@ class TestSolveForward:
         basis = make_basis(band_centers(3), grid)
         f0 = von_mises_density(grid, 0.0, 400.0)
         hist = solve_forward(f0, [0.5, 0.2, 0.1], basis, cc, TimeGrid(1.0, 100))
-        assert hist.diagnostics.xi_condition_min >= 0.0
+        assert history_diagnostics(hist)["xi_condition_min"] >= 0.0
 
     def test_reference_experiment_resolution(self):
         grid = TorusGrid(-np.pi, np.pi, 420)
@@ -385,8 +427,9 @@ class TestSolveForward:
         f0 = von_mises_density(grid, 0.0, 400.0)
         hist = solve_forward(f0, [3.0, 2.0, 1.0, 0.5, 0.25], basis, cc,
                              TimeGrid(1.0, 250))
-        assert hist.diagnostics.mass_drift < 1e-10
-        assert hist.diagnostics.min_density >= -1e-13
+        diagnostics = history_diagnostics(hist)
+        assert diagnostics["mass_drift"] < 1e-10
+        assert diagnostics["min_density"] >= -1e-13
 
     def test_second_order_against_fine_reference(self):
         co = ModelCoefficients(0.05, 0.02)
@@ -404,3 +447,33 @@ class TestSolveForward:
         e128 = np.abs(terminal(128) - ref[::4]).sum() * (2 * np.pi / 128)
         order = np.log2(e64 / e128)
         assert 1.6 < order < 2.4
+
+
+class TestMarchProperties:
+    """The certified invariants on random admissible marches."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 96), drift=st.floats(-3.0, 3.0),
+           sigma2=st.floats(0.01, 1.0),
+           rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                          min_size=2, max_size=4),
+           xi=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+           boot=st.integers(1, 12), n_steps=st.integers(2, 12),
+           share=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_mass_and_positivity_below_dt_bdf2(self, n, drift, sigma2, rates,
+                                               xi, boot, n_steps, share,
+                                               seed):
+        grid = TorusGrid(-np.pi, np.pi, n)
+        cc = CCOperator(grid, ModelCoefficients(drift, sigma2))
+        basis = make_basis(tiling_centers(len(rates), grid), grid)
+        bound = stability_bounds(cc, JumpKernel.from_rates(rates, basis),
+                                 xi).dt_bdf2
+        tg = TimeGrid(share * bound * n_steps, n_steps)
+        assume(tg.dt <= bound)
+        f0 = random_density(np.random.default_rng(seed), grid)
+        d = history_diagnostics(solve_forward(f0, rates, basis, cc, tg, xi=xi,
+                                              boot_substeps=boot))
+        assert d["mass_drift"] < 1e-10
+        # the two-step scheme's positivity needs xi*f^1 - f^0 >= 0
+        if d["xi_condition_min"] >= 0.0:
+            assert d["min_density"] >= -1e-13

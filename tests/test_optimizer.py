@@ -6,7 +6,7 @@ from conftest import dense_adjoint_march, dense_forward_march, random_density
 from levyfit.adjoint import AdjointHistory
 from levyfit.errors import LineSearchError
 from levyfit.forward import (CCOperator, DensityHistory, JumpKernel,
-                             stability_bounds)
+                             history_diagnostics, stability_bounds)
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams,
                                aic_sweep, armijo_linesearch, calibrate,
                                dai_yuan_beta, gradient_from_histories,
@@ -83,7 +83,7 @@ class TestReducedGradient:
         expected *= grid.h
 
         fwd = DensityHistory(values=values, bootstrap=substates, grid=grid,
-                             time_grid=tg, diagnostics=None)
+                             time_grid=tg, bounds=None)
         adj = AdjointHistory(levels=np.fft.rfft(levels, axis=1),
                              bootstrap=np.fft.rfft(multipliers, axis=1))
         np.testing.assert_allclose(gradient_from_histories(fwd, adj, basis),
@@ -293,9 +293,9 @@ class TestLineSearchRetry:
             "dt_bdf2": bounds.dt_bdf2}
         fwd = run_forward(report.alpha_star, setup)
         assert np.array_equal(report.terminal, fwd.terminal)
-        assert report.diagnostics["mass_drift"] == fwd.diagnostics.mass_drift
-        assert report.diagnostics["min_density"] == \
-            fwd.diagnostics.min_density
+        diagnostics = history_diagnostics(fwd)
+        assert report.diagnostics["mass_drift"] == diagnostics["mass_drift"]
+        assert report.diagnostics["min_density"] == diagnostics["min_density"]
 
 
 class TestSweep:

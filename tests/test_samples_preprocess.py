@@ -137,3 +137,11 @@ class TestPreprocess:
             PreprocessSpec(diffusion_fraction=0.0)
         with pytest.raises(ConfigError):
             PreprocessSpec(outside="ignore")
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-0.03, np.inf), (-np.inf, 0.03),
+        # the stretch 2*pi/(hi - lo) squares to 0, then overflows
+        (-1e308, 1e308), (0.0, 1e-170)])
+    def test_band_needs_finite_edges_and_stretch(self, lo, hi):
+        with pytest.raises(ConfigError, match="band"):
+            PreprocessSpec(band_lo=lo, band_hi=hi)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
                            make_basis, project_to_torus, tiling_centers,
@@ -63,6 +65,24 @@ class TestProjection:
                                  + project_to_torus(y2, grid), grid)
             diff = abs(a - b)
             assert min(diff, abs(diff - k)) < 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lower=st.floats(-100.0, 100.0), length=st.floats(1e-3, 100.0),
+           y=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=50))
+    # 2.0 + mod(y - 2.0, 0.5) rounds up to 2.5 = upper
+    @example(lower=2.0, length=0.5, y=[1.4999999999999998])
+    def test_lands_in_domain_and_is_periodic_on_random_grids(self, lower,
+                                                             length, y):
+        grid = TorusGrid(lower, lower + length, 16)
+        y = np.array(y)
+        x = project_to_torus(y, grid)
+        assert np.all((x >= grid.lower) & (x < grid.upper))
+        # K-periodic up to the roundoff of forming y + K and reducing it
+        gap = np.abs(project_to_torus(y + grid.length, grid) - x)
+        gap = np.minimum(gap, grid.length - gap)
+        eps = np.finfo(float).eps
+        assert np.all(gap <= 8 * eps * (np.abs(y) + grid.length
+                                        + abs(grid.lower)))
 
 
 class TestBasis:
