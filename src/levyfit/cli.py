@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import load_config
 from .errors import ConfigError, IngestError, LevyfitError
 from .experiment import (build_grid, run_experiment, simulate_samples,
@@ -54,7 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config, args.overrides)
-    result = run_experiment(config, out_dir=args.out, quiet=not args.verbose)
+    result = run_experiment(config, out_dir=args.out)
+    if args.verbose:
+        for rep in result.sweep.reports:
+            print(f"n_theta={rep.n_theta}: J={rep.j_star:.6f} "
+                  f"aic={rep.aic:.3f} iters={rep.iterations} "
+                  f"converged={rep.converged}")
     print(f"selected n_theta = {result.sweep.selected_n_theta}; "
           f"report at {result.paths['report']}")
     return 0
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
     except (ConfigError, IngestError, FileNotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LevyfitError, np.linalg.LinAlgError) as exc:
+    except LevyfitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

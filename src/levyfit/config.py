@@ -79,9 +79,10 @@ class RunConfig:
                                tol=self.grad_tol,
                                max_iters=self.max_iters)
 
-    def validate(self) -> "RunConfig":
+    def calibration_setups(self) -> list[CalibrationSetup]:
         """Check the rules no constructor owns, then build every object
-        the config describes; their ValueError becomes a ConfigError."""
+        the config describes; their ValueError becomes a ConfigError.
+        Returns the fit problems, one per entry of n_theta_list."""
         if self.centers_mode not in ("band", "full"):
             raise ConfigError("centers_mode must be 'band' or 'full'")
         if self.aic_penalty not in ("log", "classic"):
@@ -98,14 +99,18 @@ class RunConfig:
             raise ConfigError("bdf2_xi must lie in (1, 3)")
         try:
             self.optimizer_params()
-            for n_theta in self.n_theta_list:
-                calibration_setup(self, n_theta)
+            setups = [calibration_setup(self, n) for n in self.n_theta_list]
             if self.sim_kind:
                 spec = simulation_spec(self)
                 if spec.kind == "compound_poisson":
-                    build_basis(len(spec.rates), self, build_grid(self))
+                    build_basis(len(spec.rates), self, setups[0].grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        return setups
+
+    def validate(self) -> "RunConfig":
+        """Run the checks of calibration_setups; returns the config."""
+        self.calibration_setups()
         return self
 
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (RunConfig, build_basis, build_grid, calibration_setup,
-                     config_to_dict, simulation_spec)
+from .config import (RunConfig, build_basis, build_grid, config_to_dict,
+                     simulation_spec)
 from .errors import ConfigError
 from .optimizer import SweepResult, aic_sweep
 from .samples import SampleSet, ingest_samples
@@ -21,7 +21,6 @@ from .torus import TorusGrid, project_to_torus
 class ExperimentResult:
     sweep: SweepResult
     report: dict
-    samples: SampleSet
     paths: dict
 
 
@@ -47,36 +46,29 @@ def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:
     raise ConfigError("no data source: set sim_kind or samples_csv")
 
 
-def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> ExperimentResult:
+def run_experiment(config: RunConfig, out_dir=None) -> ExperimentResult:
     """Fit every basis size in the sweep and write the report artifacts.
 
     Artifacts: report.json (full sweep + config echo), density.csv (grid
     and fitted terminal density of the selected fit), histogram.csv
     (empirical density histogram), aic.csv (score curve).
     """
-    config.validate()
+    setups = config.calibration_setups()
     out_dir = str(out_dir if out_dir is not None else config.out_dir)
     grid = build_grid(config)
     samples = acquire_samples(config, grid)
     # before the sweep, so that a bin count too large to allocate fails first
-    histogram = empirical_histogram(samples, config.hist_bins)
-    setups = [calibration_setup(config, n) for n in config.n_theta_list]
+    heights, edges = empirical_histogram(samples, config.hist_bins)
     sweep = aic_sweep(setups, samples, config.optimizer_params(),
                       penalty=config.aic_penalty)
-    if not quiet:
-        for rep in sweep.reports:
-            print(f"n_theta={rep.n_theta}: J={rep.j_star:.6f} "
-                  f"aic={rep.aic:.3f} iters={rep.iterations} "
-                  f"converged={rep.converged}")
-
-    selected = next(r for r in sweep.reports
-                    if r.n_theta == sweep.selected_n_theta)
+    reports = sweep.reports
+    selected = next(r for r in reports if r.n_theta == sweep.selected_n_theta)
 
     report = {
         "config": config_to_dict(config),
         "seed": config.seed,
         "selected_n_theta": sweep.selected_n_theta,
-        "fits": [_fit_entry(r) for r in sweep.reports],
+        "fits": [_fit_entry(r) for r in reports],
         "errors": sweep.errors,
     }
 
@@ -90,11 +82,12 @@ def run_experiment(config: RunConfig, out_dir=None, quiet: bool = True) -> Exper
     with open(paths["report"], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_density_csv(paths["density"], grid, selected.terminal)
-    _write_histogram_csv(paths["histogram"], *histogram)
-    _write_aic_csv(paths["aic"], sweep)
-    return ExperimentResult(sweep=sweep, report=report, samples=samples,
-                            paths=paths)
+    _write_csv(paths["density"], "x,density", grid.points, selected.terminal)
+    _write_csv(paths["histogram"], "bin_center,height",
+               0.5 * (edges[:-1] + edges[1:]), heights)
+    _write_csv(paths["aic"], "n_theta,j_eps,aic", [r.n_theta for r in reports],
+               [r.j_star for r in reports], [r.aic for r in reports])
+    return ExperimentResult(sweep=sweep, report=report, paths=paths)
 
 
 def _fit_entry(report) -> dict:
@@ -117,23 +110,9 @@ def empirical_histogram(samples: SampleSet, bins: int):
     return heights, edges
 
 
-def _write_density_csv(path, grid, terminal) -> None:
+def _write_csv(path, header: str, *columns) -> None:
+    """One row per index of the columns, each value written as its repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,density\n")
-        for x, f in zip(grid.points, terminal):
-            fh.write(f"{float(x)!r},{float(f)!r}\n")
-
-
-def _write_histogram_csv(path, heights, edges) -> None:
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_center,height\n")
-        for c, v in zip(centers, heights):
-            fh.write(f"{float(c)!r},{float(v)!r}\n")
-
-
-def _write_aic_csv(path, sweep: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n_theta,j_eps,aic\n")
-        for rep in sweep.reports:
-            fh.write(f"{rep.n_theta},{rep.j_star!r},{rep.aic!r}\n")
+        fh.write(header + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")

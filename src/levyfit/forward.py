@@ -265,7 +265,7 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
-            "pass force=True to integrate anyway")
+            "pass force=True (config key force_dt) to integrate anyway")
 
     # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}
     n_steps = time_grid.n_steps

@@ -34,7 +34,7 @@ def evaluate_objective(f_terminal: np.ndarray, samples: SampleSet,
     n = len(samples)
     log_f = np.log(np.maximum(f, eps))
     value = float(counts @ log_f) / n
-    floored = int(counts[f < eps].sum())
+    floored = int(counts[f <= eps].sum())
     return ObjectiveValue(value=value, floored_count=floored)
 
 

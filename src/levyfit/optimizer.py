@@ -198,7 +198,8 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
     Never raises on non-convergence: the report carries converged=False
     and the trace instead.  Trial points that violate the step-size bounds
-    evaluate to +inf and are simply backtracked past.  When the search
+    evaluate to +inf and are simply backtracked past; a refused starting
+    point raises solve_forward's StabilityError.  When the search
     along the conjugate direction fails, it is retried once along steepest
     descent; when that fails too, the fit stops with stop="linesearch".
     """
@@ -213,11 +214,8 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
             return math.inf, None, None
 
     alpha = np.full(n_theta, params.alpha0)
-    f_val, obj, fwd = safe_objective(alpha)
-    if not math.isfinite(f_val):
-        raise StabilityError(
-            "initial rates violate the admissible time step; "
-            "refine the time grid or pass force=True")
+    obj, fwd = objective(alpha, setup, samples)
+    f_val = -obj.value
     grad = reduced_gradient(alpha, setup, samples, history=fwd)
     direction = projected_direction(-grad, alpha)
 

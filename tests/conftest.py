@@ -1,10 +1,14 @@
 """Shared dense/brute-force oracles, deliberately independent of the fast paths."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from levyfit.forward import CCOperator, JumpKernel
-from levyfit.torus import SplineBasis, TimeGrid, TorusGrid, project_to_torus
+from levyfit.torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
+                           make_basis, project_to_torus, tiling_centers)
 
 
 def dense_cc_matrix(cc: CCOperator) -> np.ndarray:
@@ -100,3 +104,34 @@ def rng():
 def random_density(rng, grid: TorusGrid) -> np.ndarray:
     f = rng.uniform(0.05, 1.0, grid.n)
     return f / (grid.h * f.sum())
+
+
+class SmallProblem(NamedTuple):
+    cc: CCOperator
+    basis: SplineBasis
+    rates: np.ndarray
+    time_grid: TimeGrid
+    boot_substeps: int
+    rng: np.random.Generator
+
+
+@st.composite
+def small_problems(draw):
+    """A random small march problem: 8..20 nodes on a grid that starts at a
+    node (as brute_jump_apply needs), any drift, sigma^2 in [0.01, 1], 2..4
+    hat rates with zeros allowed, 2..8 steps of a horizon up to 1 and 1..5
+    bootstrap substeps, with a generator for the vectors it acts on."""
+    grid = TorusGrid(0.0, 2 * np.pi, draw(st.integers(8, 20)))
+    coeffs = ModelCoefficients(draw(st.floats(-3.0, 3.0)),
+                               draw(st.floats(0.01, 1.0)))
+    rates = np.array(draw(st.lists(st.one_of(st.just(0.0),
+                                             st.floats(0.0, 4.0)),
+                                   min_size=2, max_size=4)))
+    return SmallProblem(
+        cc=CCOperator(grid, coeffs),
+        basis=make_basis(tiling_centers(len(rates), grid), grid),
+        rates=rates,
+        time_grid=TimeGrid(draw(st.floats(0.01, 1.0)),
+                           draw(st.integers(2, 8))),
+        boot_substeps=draw(st.integers(1, 5)),
+        rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (dense_adjoint_march, dense_cc_matrix,
-                      dense_forward_march)
+                      dense_forward_march, random_density, small_problems)
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.forward import (CCOperator, JumpKernel, adjoint_jump_operator,
                              apply_jump_operator)
@@ -214,3 +215,23 @@ class TestSolveAdjoint:
                  + tau * adjoint_jump_operator(bootstrap[0], kern)
                  - levels[0])
         assert pb_data @ f0 == pytest.approx(pb_f0 @ data, rel=1e-10)
+
+
+class TestAdjointProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(problem=small_problems())
+    def test_space_time_transposition_identity(self, problem):
+        """<data, F^{N_T}(f0)> == <pullback(data), f0> on random small
+        problems, the pullback built from the sweep as in
+        TestSolveAdjoint.test_space_time_transposition_identity."""
+        cc, basis, rates, tg, boot, rng = problem
+        grid = cc.grid
+        f0 = random_density(rng, grid)
+        data = rng.normal(size=grid.n)
+        terminal = dense_forward_march(f0, rates, basis, cc, tg, boot)[0][-1]
+        adj = solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot)
+        levels, bootstrap = multipliers(adj, grid.n)
+        r1 = bootstrap[0]
+        pullback = (r1 + tg.dt / boot * adjoint_jump_operator(
+            r1, JumpKernel.from_rates(rates, basis)) - levels[0])
+        assert data @ terminal == pytest.approx(pullback @ f0, rel=1e-10)

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfit.cli import main
-from levyfit.config import (RunConfig, config_from_dict, config_to_dict,
-                            load_config)
+from levyfit.config import (RunConfig, calibration_setup, config_from_dict,
+                            config_to_dict, load_config)
 from levyfit.errors import ConfigError
-from levyfit.experiment import (acquire_samples, build_grid,
-                                calibration_setup, run_experiment)
+from levyfit.experiment import acquire_samples, build_grid, run_experiment
 from levyfit.likelihood import aic_score
-from levyfit.optimizer import run_forward
+from levyfit.optimizer import CalibrationSetup, run_forward
 from levyfit.samples import ingest_samples
 
 TINY = """
@@ -34,6 +33,18 @@ def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
     return path
+
+
+def count_setup_builds(monkeypatch):
+    """Record the n_theta of every CalibrationSetup built, wherever."""
+    built = []
+    real = CalibrationSetup.__post_init__
+
+    def counted(setup):
+        built.append(setup.basis.n_theta)
+        real(setup)
+    monkeypatch.setattr(CalibrationSetup, "__post_init__", counted)
+    return built
 
 
 class TestConfig:
@@ -171,6 +182,17 @@ class TestRunExperiment:
         for r1, r2 in zip(first.report["fits"], second.report["fits"]):
             assert r1["alpha_star"] == r2["alpha_star"]
 
+    def test_builds_each_setup_once_and_prints_nothing(self, tiny_cfg,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        built = count_setup_builds(monkeypatch)
+        cfg = load_config(tiny_cfg)
+        assert built == [2, 3]
+        built.clear()
+        run_experiment(cfg, out_dir=tmp_path / "o")
+        assert built == [2, 3]
+        assert capsys.readouterr().out == ""
+
 
 class TestCliEntry:
     def test_run_success(self, tiny_cfg, tmp_path, capsys):
@@ -178,6 +200,26 @@ class TestCliEntry:
         assert main(["run", str(tiny_cfg), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
         assert "selected n_theta" in capsys.readouterr().out
+
+    def test_run_builds_each_setup_twice(self, tiny_cfg, tmp_path,
+                                         monkeypatch):
+        # once when load_config checks the config, once for the sweep
+        built = count_setup_builds(monkeypatch)
+        assert main(["run", str(tiny_cfg), "--out", str(tmp_path / "o")]) == 0
+        assert built == [2, 3, 2, 3]
+
+    def test_verbose_prints_each_size_before_the_selection(self, tiny_cfg,
+                                                            tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", str(tiny_cfg), "--out", str(out),
+                     "--verbose"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        expected = [f"n_theta={f['n_theta']}: J={f['j_eps']:.6f} "
+                    f"aic={f['aic']:.3f} iters={f['iterations']} "
+                    f"converged={f['converged']}" for f in report["fits"]]
+        expected.append(f"selected n_theta = {report['selected_n_theta']}; "
+                        f"report at {out / 'report.json'}")
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["run", "/nonexistent/nope.cfg"]) == 1
@@ -215,11 +257,13 @@ class TestCliEntry:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
-    def test_numerical_failure_exit_code(self, tiny_cfg, tmp_path):
-        # sigma2 large enough that every sweep entry violates the step bound
+    def test_numerical_failure_exit_code(self, tiny_cfg, tmp_path, capsys):
+        # sigma2 large enough that every sweep entry violates the step bound;
+        # the refusal names the step and both bounds
         code = main(["run", str(tiny_cfg), "--set", "sigma2=50.0",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+        assert "dt =" in capsys.readouterr().err
 
     def test_simulate_writes_csv(self, tiny_cfg, tmp_path):
         out = tmp_path / "samples.csv"

@@ -39,6 +39,17 @@ class TestObjective:
         assert out.value == pytest.approx(-27.631, abs=1e-3)
         assert out.floored_count == 1
 
+    def test_cell_exactly_at_the_floor_counts_as_floored(self, grid):
+        # the adjoint's terminal data treats f <= eps as flat, and so does
+        # the count
+        ss = set_from_indices(grid, [5, 5, 9])
+        f = np.full(16, 0.4)
+        f[5] = 1e-12
+        out = evaluate_objective(f, ss, eps=1e-12)
+        assert out.floored_count == 2
+        assert out.value == pytest.approx((2 * math.log(1e-12)
+                                           + math.log(0.4)) / 3, rel=1e-14)
+
     def test_invariant_under_sample_permutation(self, grid, rng):
         idx = rng.integers(0, 16, 40)
         f = rng.uniform(0.1, 2.0, 16)

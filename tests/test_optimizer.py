@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levyfit.optimizer as optimizer
-from conftest import dense_adjoint_march, dense_forward_march, random_density
+from conftest import (dense_adjoint_march, dense_forward_march, random_density,
+                      small_problems)
 from levyfit.adjoint import AdjointHistory
 from levyfit.errors import LineSearchError
 from levyfit.forward import (CCOperator, DensityHistory, JumpKernel,
@@ -50,6 +53,39 @@ class TestReducedGradient:
             fd = (-objective(up, setup, samples)[0].value
                   + objective(dn, setup, samples)[0].value) / (2 * step)
             assert abs(grad[j] - fd) / abs(fd) < 1e-4
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(problem=small_problems(), kappa=st.floats(1.0, 30.0),
+           n_samples=st.integers(5, 40))
+    def test_matches_central_differences_on_random_problems(self, problem,
+                                                            kappa, n_samples):
+        # samples only in cells above a tenth of the peak, far from the
+        # floor; force admits a rate stepped below 0 and a step above the
+        # bounds, where the march is the same smooth map of the rates.
+        # Fourth-order central differences keep both the truncation and
+        # the roundoff error below 1e-6 of the gradient.
+        cc, basis, rates, tg, boot, rng = problem
+        grid = cc.grid
+        setup = CalibrationSetup(
+            grid=grid, time_grid=tg, coeffs=cc.coeffs, basis=basis,
+            f0=von_mises_density(grid, float(rng.uniform(0, 2 * np.pi)),
+                                 kappa),
+            boot_substeps=boot, force=True)
+        f = run_forward(rates, setup).terminal
+        cells = rng.choice(np.flatnonzero(f > 0.1 * f.max()), n_samples)
+        samples = SampleSet.from_values(grid.points[cells], grid)
+        grad = reduced_gradient(rates, setup, samples)
+
+        def minimized(j, shift):
+            point = rates.copy()
+            point[j] += shift
+            return -objective(point, setup, samples)[0].value
+
+        step = 1e-4
+        fd = np.array([(8 * (minimized(j, step) - minimized(j, -step))
+                        - minimized(j, 2 * step) + minimized(j, -2 * step))
+                       / (12 * step) for j in range(len(rates))])
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("n", [9, 12, 15, 16])
     def test_assembly_matches_dense_double_sum(self, n, rng):
