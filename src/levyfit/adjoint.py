@@ -20,7 +20,9 @@ why the transposed structure is kept exact.
 
 Every operator is circulant with a real stencil, so its transpose has the
 conjugate rfft symbol: the sweep runs the recurrence mode by mode with the
-conjugated `euler_symbols` / `bdf2_symbols` of the forward march.
+conjugated `euler_symbols` / `bdf2_symbols` of the forward march (whose
+implicit symbols each `CCOperator` builds once), writing every multiplier
+in place into its row of one preallocated spectra array.
 """
 
 from __future__ import annotations
@@ -87,19 +89,32 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
     tau = dt / boot_substeps
     n = cc.grid.n
 
-    # spectra of r^1 .. r^K, then of p^0 .. p^{N_T} and the absent p^{N_T+1}
+    # spectra of r^1 .. r^K, then of p^0 .. p^{N_T} and the absent p^{N_T+1};
+    # each level is written into its own row as (explicit*x - y)/implicit,
+    # the order that fixes its rounding
     spectra = np.zeros((boot_substeps + n_steps + 2, n // 2 + 1), dtype=complex)
-    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    rows = list(spectra)
+    boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
     explicit, implicit = np.conj(bdf2_symbols(cc, kernel, dt))
-    hat[n_steps] = np.fft.rfft(np.asarray(terminal_data, dtype=float)) / implicit
-    for m in range(n_steps - 1, 1, -1):
-        hat[m] = (explicit * hat[m + 1] - hat[m + 2]) / implicit
-    rhs = explicit * hat[2] - hat[3]
+    np.divide(np.fft.rfft(np.asarray(terminal_data, dtype=float)), implicit,
+              out=hat[n_steps])
+    # p^m from p^{m+1} and p^{m+2}, m = N_T-1 .. 2
+    for p_m, p_next, p_after in zip(hat[n_steps - 1:1:-1], hat[n_steps:2:-1],
+                                    hat[n_steps + 1:3:-1]):
+        np.multiply(explicit, p_next, out=p_m)
+        np.subtract(p_m, p_after, out=p_m)
+        np.divide(p_m, implicit, out=p_m)
+    # r^K from the right-hand side 4 p^2 - p^3 + 2*dt*Qt(p^2), then r^s
+    # from r^{s+1}, s = K-1 .. 1
+    np.multiply(explicit, hat[2], out=boot_hat[-1])
+    np.subtract(boot_hat[-1], hat[3], out=boot_hat[-1])
     explicit, implicit = np.conj(euler_symbols(cc, kernel, tau))
-    boot_hat[-1] = rhs / implicit
-    for s in range(boot_substeps - 2, -1, -1):
-        boot_hat[s] = explicit * boot_hat[s + 1] / implicit
+    np.divide(boot_hat[-1], implicit, out=boot_hat[-1])
+    for r_s, r_next in zip(boot_hat[-2::-1], boot_hat[::-1]):
+        np.multiply(explicit, r_next, out=r_s)
+        np.divide(r_s, implicit, out=r_s)
 
     if not np.all(np.isfinite(spectra)):
         raise SolverError("non-finite adjoint values")
-    return AdjointHistory(levels=hat[2:-1], bootstrap=boot_hat)
+    return AdjointHistory(levels=spectra[boot_substeps + 2:-1],
+                          bootstrap=spectra[:boot_substeps])

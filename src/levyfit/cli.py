@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .config import load_config
+from .config import load_config, read_config
 from .errors import ConfigError, IngestError, LevyfitError
 from .experiment import (build_grid, run_experiment, simulate_samples,
                          simulation_spec)
@@ -64,9 +64,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config, args.overrides)
+    # checks only the keys a simulation reads: no fit problem is built
+    config = read_config(args.config, args.overrides)
     if not config.sim_kind:
         raise ConfigError("simulate needs sim_kind in the config")
+    config.check_simulation()
     spec = simulation_spec(config)
     sample_set = simulate_samples(spec, config, build_grid(config))
     if spec.kind == "compound_poisson":

@@ -83,8 +83,6 @@ class RunConfig:
         """Check the rules no constructor owns, then build every object
         the config describes; their ValueError becomes a ConfigError.
         Returns the fit problems, one per entry of n_theta_list."""
-        if self.centers_mode not in ("band", "full"):
-            raise ConfigError("centers_mode must be 'band' or 'full'")
         if self.aic_penalty not in ("log", "classic"):
             raise ConfigError("aic_penalty must be 'log' or 'classic'")
         if not self.n_theta_list:
@@ -100,13 +98,23 @@ class RunConfig:
         try:
             self.optimizer_params()
             setups = [calibration_setup(self, n) for n in self.n_theta_list]
-            if self.sim_kind:
-                spec = simulation_spec(self)
-                if spec.kind == "compound_poisson":
-                    build_basis(len(spec.rates), self, setups[0].grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.sim_kind:
+            self.check_simulation()
         return setups
+
+    def check_simulation(self) -> None:
+        """Check the keys a simulation reads by building what it builds:
+        the simulator settings, the grid and, for compound Poisson, the hat
+        basis its jumps follow; their ValueError becomes a ConfigError."""
+        try:
+            spec = simulation_spec(self)
+            grid = build_grid(self)
+            if spec.kind == "compound_poisson":
+                build_basis(len(spec.rates), self, grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def validate(self) -> "RunConfig":
         """Run the checks of calibration_setups; returns the config."""
@@ -121,8 +129,10 @@ def build_grid(config: RunConfig) -> TorusGrid:
 def build_basis(n_theta: int, config: RunConfig, grid: TorusGrid) -> SplineBasis:
     if config.centers_mode == "band":
         centers = band_centers(n_theta, config.centers_lo, config.centers_hi)
-    else:
+    elif config.centers_mode == "full":
         centers = tiling_centers(n_theta, grid)
+    else:
+        raise ValueError("centers_mode must be 'band' or 'full'")
     return make_basis(centers, grid)
 
 
@@ -195,14 +205,20 @@ def parse_assignments(lines, source: str = "<config>") -> dict:
     return out
 
 
-def load_config(path=None, overrides=()) -> RunConfig:
-    """Defaults, then file assignments, then key=value overrides."""
+def read_config(path=None, overrides=()) -> RunConfig:
+    """Defaults, then file assignments, then key=value overrides, each
+    value only parsed as its key's type."""
     values = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             values.update(parse_assignments(fh, source=str(path)))
     values.update(parse_assignments(list(overrides), source="<override>"))
-    return RunConfig(**values).validate()
+    return RunConfig(**values)
+
+
+def load_config(path=None, overrides=()) -> RunConfig:
+    """read_config, checked by building every fit problem it describes."""
+    return read_config(path, overrides).validate()
 
 
 def config_from_dict(data: dict) -> RunConfig:

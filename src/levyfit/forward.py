@@ -15,7 +15,11 @@ Both operators are circulant, so every Fourier mode evolves on its own:
 with a and q their rfft symbols, `solve_forward` marches each mode through
 g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2), from one rfft of
-f0 to one batched irfft of all levels.
+f0 to one batched irfft of all levels.  Every level is written in place
+into its row of one preallocated spectra array, with the operations in
+the order shown, and each `CCOperator` builds its implicit symbols
+1 - tau*a and 3 - 2dt*a once, so the march allocates nothing per level
+and rebuilds nothing that does not depend on the rates.
 
 The march checks its step against `stability_bounds` and its values for
 finiteness only; `history_diagnostics` measures mass conservation and
@@ -63,6 +67,9 @@ class CCOperator:
     coeffs: ModelCoefficients
     beta: float = field(init=False)
     beta_omega: float = field(init=False)
+    # shift -> (scale, symbol): the last implicit symbol built per shift
+    _symbols: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         h = self.grid.h
@@ -91,6 +98,19 @@ class CCOperator:
         sub = -scale * self.beta / h
         sup = -scale * self.beta_omega / h
         return CyclicSolver(sub, shift + scale * self.damping, sup, self.grid.n)
+
+    def implicit_symbol(self, shift: float, scale: float) -> np.ndarray:
+        """The (read-only) symbol of system_solver(shift, scale).
+
+        A fit uses two pairs, Euler (1, tau) and BDF2 (3, 2dt), so one
+        symbol is kept per shift and rebuilt only when its scale changes.
+        """
+        kept = self._symbols.get(shift)
+        if kept is None or kept[0] != scale:
+            symbol = self.system_solver(shift, scale).symbol
+            symbol.flags.writeable = False
+            kept = self._symbols[shift] = (scale, symbol)
+        return kept[1]
 
 
 @dataclass
@@ -171,14 +191,13 @@ def stability_bounds(cc: CCOperator, kernel: JumpKernel,
 def euler_symbols(cc: CCOperator, kernel: JumpKernel,
                   tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Fourier factors (1 + tau*q, 1 - tau*a) of one implicit Euler step."""
-    return 1.0 + tau * kernel.symbol, cc.system_solver(1.0, tau).symbol
+    return 1.0 + tau * kernel.symbol, cc.implicit_symbol(1.0, tau)
 
 
 def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
                  dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Fourier factors (4 + 2dt*q, 3 - 2dt*a) of one BDF2/IMEX step."""
-    return (4.0 + 2.0 * dt * kernel.symbol,
-            cc.system_solver(3.0, 2.0 * dt).symbol)
+    return 4.0 + 2.0 * dt * kernel.symbol, cc.implicit_symbol(3.0, 2.0 * dt)
 
 
 def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
@@ -267,20 +286,26 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
             "pass force=True (config key force_dt) to integrate anyway")
 
-    # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}
+    # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}; each level is
+    # written into its own row as (explicit*x - y)/implicit, the order that
+    # fixes its rounding
     n_steps = time_grid.n_steps
     spectra = np.empty((boot_substeps + n_steps + 1, n // 2 + 1), dtype=complex)
-    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    rows = list(spectra)
+    boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
+    boot_hat[0][:] = np.fft.rfft(f0)
+    # g^{s+1} from g^s; the last substep g^K is F^1
     explicit, implicit = euler_symbols(cc, kernel, tau)
-    g = np.fft.rfft(f0)
-    for s in range(boot_substeps):
-        boot_hat[s] = g
-        g = explicit * g / implicit
-    hat[0] = boot_hat[0]
-    hat[1] = g
+    chain = boot_hat + hat[1:2]
+    for g, g_next in zip(chain, chain[1:]):
+        np.multiply(explicit, g, out=g_next)
+        np.divide(g_next, implicit, out=g_next)
+    hat[0][:] = boot_hat[0]
     explicit, implicit = bdf2_symbols(cc, kernel, dt)
-    for m in range(1, n_steps):
-        hat[m + 1] = (explicit * hat[m] - hat[m - 1]) / implicit
+    for f_prev, f_m, f_next in zip(hat, hat[1:], hat[2:]):
+        np.multiply(explicit, f_m, out=f_next)
+        np.subtract(f_next, f_prev, out=f_next)
+        np.divide(f_next, implicit, out=f_next)
 
     states = np.fft.irfft(spectra, n=n, axis=1)
     if not np.all(np.isfinite(states)):

@@ -41,8 +41,14 @@ class SimulationSpec:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.sigma2 >= 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError("t_final must be finite and > 0")
+        if not math.isfinite(self.drift):
+            raise ValueError("drift must be finite")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and >= 0")
+        if not math.isfinite(self.init_center):
+            raise ValueError("init_center must be finite")
         if not (0 < self.gamma_shape < math.inf
                 and 0 < self.gamma_rate < math.inf):
             raise ValueError("gamma shape and rate must be finite and positive")
@@ -50,8 +56,9 @@ class SimulationSpec:
             raise ValueError("rates must be finite and nonnegative")
         if self.kind == "compound_poisson" and len(self.rates) == 0:
             raise ValueError("compound_poisson needs a rates vector")
-        if self.init_concentration is not None and not self.init_concentration > 0:
-            raise ValueError("init_concentration must be positive")
+        if (self.init_concentration is not None
+                and not 0 < self.init_concentration < math.inf):
+            raise ValueError("init_concentration must be finite and positive")
 
 
 def _initial_positions(spec: SimulationSpec, grid: TorusGrid,

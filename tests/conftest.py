@@ -28,30 +28,21 @@ def brute_jump_apply(f: np.ndarray, rates, basis: SplineBasis,
     """Direct double sum over hats and quadrature nodes.
 
     Evaluates h * sum_j rates_j * sum_k hat_j(s_k) * f(x_i - s_k) - a * f_i
-    with s_k the grid points and f continued periodically; needs the grid
-    origin to be node-aligned so x_i - s_k lands exactly on the mesh.
+    with s_k the grid points and f continued periodically, by gathering f
+    at the node each x_i - s_k lands on (no FFT); needs the grid origin to
+    be node-aligned so x_i - s_k lands exactly on the mesh.  f may carry
+    further axes after the grid axis.
     """
-    rates = np.asarray(rates, dtype=float)
     pts = grid.points
-    h = grid.h
-    hats = basis.evaluate(pts)          # (n_theta, n)
-    weights = h * rates @ hats
-    total = weights.sum()
-    out = np.empty_like(f)
-    for i in range(grid.n):
-        acc = 0.0
-        for k in range(grid.n):
-            y = project_to_torus(pts[i] - pts[k], grid)
-            j = int(round((y - grid.lower) / h)) % grid.n
-            acc += weights[k] * f[j]
-        out[i] = acc - total * f[i]
-    return out
+    weights = grid.h * np.asarray(rates, dtype=float) @ basis.evaluate(pts)
+    y = project_to_torus(pts[:, None] - pts[None, :], grid)
+    index = np.rint((y - grid.lower) / grid.h).astype(int) % grid.n
+    gathered = np.asarray(f)[index]     # (n, n, ...): f at x_i - s_k
+    return np.tensordot(weights, gathered, axes=(0, 1)) - weights.sum() * f
 
 
 def dense_jump_matrix(rates, basis: SplineBasis, grid: TorusGrid) -> np.ndarray:
-    eye = np.eye(grid.n)
-    return np.column_stack([brute_jump_apply(eye[:, j], rates, basis, grid)
-                            for j in range(grid.n)])
+    return brute_jump_apply(np.eye(grid.n), rates, basis, grid)
 
 
 def dense_forward_march(f0, rates, basis: SplineBasis, cc: CCOperator,

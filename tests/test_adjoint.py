@@ -218,7 +218,7 @@ class TestSolveAdjoint:
 
 
 class TestAdjointProperties:
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(problem=small_problems())
     def test_space_time_transposition_identity(self, problem):
         """<data, F^{N_T}(f0)> == <pullback(data), f0> on random small

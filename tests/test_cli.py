@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -107,6 +109,18 @@ class TestConfigProperties:
             _load(kind, overrides)
         except ConfigError:
             pass
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=BASES, overrides=OVERRIDES)
+    def test_simulate_exits_0_or_1(self, kind, overrides):
+        # the simulator reads fewer keys than a fit, and checks them alone:
+        # a value it cannot draw from must still be a config error
+        lines = [f"sim_kind={kind}", *(f"{k}={v}" for k, v in overrides)]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["simulate", "--out", os.path.join(tmp, "s.csv")]
+            for line in TINY.strip().splitlines()[1:] + lines:
+                argv += ["--set", line]
+            assert main(argv) in (0, 1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(kind=BASES, overrides=OVERRIDES)
@@ -271,6 +285,40 @@ class TestCliEntry:
         lines = out.read_text().splitlines()
         values = [l for l in lines if not l.startswith("#")]
         assert len(values) == 1500
+
+    def test_simulate_builds_no_fit_setup(self, tiny_cfg, tmp_path,
+                                          monkeypatch):
+        built = count_setup_builds(monkeypatch)
+        assert main(["simulate", str(tiny_cfg),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("settings", [
+        ["sim_kind="], ["sim_kind=levy"], ["sim_rates=-1,2"], ["sim_rates=1"],
+        ["sample_count=0"], ["seed=-1"], ["t_final=0"], ["t_final=inf"],
+        ["drift=nan"], ["sigma2=-1"], ["sigma2=inf"], ["init_center=inf"],
+        ["init_concentration=0"], ["init_concentration=inf"],
+        ["n_space=3"], ["domain_upper=-4"], ["centers_mode=grid"],
+        ["centers_lo=1"], ["n_space=8", "sim_rates=1,1,1,1,1,1,1,1,1"],
+        ["sim_kind=bigamma", "sim_gamma_shape=0"],
+        ["sim_kind=bigamma", "sim_gamma_rate=nan"]], ids=" ".join)
+    def test_bad_simulation_setting_is_config_error(self, tiny_cfg, tmp_path,
+                                                    capsys, settings):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", str(tiny_cfg), "--out", str(out)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        "n_time=1", "n_theta_list=80", "objective_floor=0", "max_iters=-1",
+        "hist_bins=0", "bdf2_xi=3.5", "aic_penalty=none", "sigma2=0"])
+    def test_simulate_ignores_fit_settings(self, tiny_cfg, tmp_path, setting):
+        assert main(["simulate", str(tiny_cfg), "--set", setting,
+                     "--out", str(tmp_path / "s.csv")]) == 0
 
     @pytest.mark.parametrize("kind", ["compound_poisson", "bigamma"])
     def test_simulate_writes_the_samples_run_draws(self, tiny_cfg, tmp_path,

@@ -1,0 +1,126 @@
+"""The in-place spectral march and sweep against the allocating recurrences
+they replaced.  Both run the same operations in the same order on the same
+symbols, so they must agree bit for bit, not just to a tolerance."""
+
+import numpy as np
+from hypothesis import given, settings
+
+from conftest import random_density, small_problems
+from levyfit.adjoint import solve_adjoint
+from levyfit.forward import CCOperator, JumpKernel, solve_forward
+from levyfit.torus import TimeGrid
+
+
+def allocating_forward(f0, rates, basis, cc, time_grid, boot_substeps):
+    """(values, bootstrap): a new array per level, fresh symbols per call."""
+    kernel = JumpKernel.from_rates(rates, basis)
+    n, dt = cc.grid.n, time_grid.dt
+    tau = dt / boot_substeps
+    spectra = np.empty((boot_substeps + time_grid.n_steps + 1, n // 2 + 1),
+                       dtype=complex)
+    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    explicit = 1.0 + tau * kernel.symbol
+    implicit = cc.system_solver(1.0, tau).symbol
+    g = np.fft.rfft(f0)
+    for s in range(boot_substeps):
+        boot_hat[s] = g
+        g = explicit * g / implicit
+    hat[0] = boot_hat[0]
+    hat[1] = g
+    explicit = 4.0 + 2.0 * dt * kernel.symbol
+    implicit = cc.system_solver(3.0, 2.0 * dt).symbol
+    for m in range(1, time_grid.n_steps):
+        hat[m + 1] = (explicit * hat[m] - hat[m - 1]) / implicit
+    states = np.fft.irfft(spectra, n=n, axis=1)
+    boot, values = states[:boot_substeps], states[boot_substeps:]
+    boot[0] = values[0] = f0
+    return values, boot
+
+
+def allocating_adjoint(data, rates, basis, cc, time_grid, boot_substeps):
+    """(levels, bootstrap) spectra of the transposed recurrence, the same
+    way: a new array per level, fresh conjugated symbols per call."""
+    kernel = JumpKernel.from_rates(rates, basis)
+    n, dt, n_steps = cc.grid.n, time_grid.dt, time_grid.n_steps
+    tau = dt / boot_substeps
+    spectra = np.zeros((boot_substeps + n_steps + 2, n // 2 + 1),
+                       dtype=complex)
+    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    explicit = np.conj(4.0 + 2.0 * dt * kernel.symbol)
+    implicit = np.conj(cc.system_solver(3.0, 2.0 * dt).symbol)
+    hat[n_steps] = np.fft.rfft(data) / implicit
+    for m in range(n_steps - 1, 1, -1):
+        hat[m] = (explicit * hat[m + 1] - hat[m + 2]) / implicit
+    rhs = explicit * hat[2] - hat[3]
+    explicit = np.conj(1.0 + tau * kernel.symbol)
+    implicit = np.conj(cc.system_solver(1.0, tau).symbol)
+    boot_hat[-1] = rhs / implicit
+    for s in range(boot_substeps - 2, -1, -1):
+        boot_hat[s] = explicit * boot_hat[s + 1] / implicit
+    return hat[2:-1], boot_hat
+
+
+def march_and_sweep(problem, cc, time_grid, boot_substeps, f0, data):
+    """solve_forward (forced past the step bounds, so every random problem
+    runs) and solve_adjoint, as four arrays."""
+    basis, rates = problem.basis, problem.rates
+    hist = solve_forward(f0, rates, basis, cc, time_grid,
+                         boot_substeps=boot_substeps, force=True)
+    adj = solve_adjoint(data, rates, basis, cc, time_grid,
+                        boot_substeps=boot_substeps)
+    return hist.values, hist.bootstrap, adj.levels, adj.bootstrap
+
+
+def inputs(problem):
+    grid = problem.cc.grid
+    return random_density(problem.rng, grid), problem.rng.normal(size=grid.n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_forward_march_equals_allocating_march(problem):
+    cc, basis, rates, tg, boot, _ = problem
+    f0, data = inputs(problem)
+    hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
+                         force=True)
+    values, bootstrap = allocating_forward(f0, rates, basis, cc, tg, boot)
+    assert np.array_equal(hist.values, values)
+    assert np.array_equal(hist.bootstrap, bootstrap)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_adjoint_sweep_equals_allocating_sweep(problem):
+    cc, basis, rates, tg, boot, _ = problem
+    _, data = inputs(problem)
+    adj = solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot)
+    levels, bootstrap = allocating_adjoint(data, rates, basis, cc, tg, boot)
+    assert np.array_equal(adj.levels, levels)
+    assert np.array_equal(adj.bootstrap, bootstrap)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_one_operator_serves_changing_time_grids(problem):
+    """An operator reused with another step and substep count rebuilds the
+    symbols it keeps: every run equals the same run on a fresh operator."""
+    cc, tg, boot = problem.cc, problem.time_grid, problem.boot_substeps
+    f0, data = inputs(problem)
+    runs = [(tg, boot), (TimeGrid(0.5 * tg.t_final, tg.n_steps + 1), boot),
+            (tg, boot + 1), (tg, boot)]
+    for time_grid, substeps in runs:
+        reused = march_and_sweep(problem, cc, time_grid, substeps, f0, data)
+        fresh = march_and_sweep(problem, CCOperator(cc.grid, cc.coeffs),
+                                time_grid, substeps, f0, data)
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_kept_symbols_are_the_solver_symbols(problem):
+    cc, dt = problem.cc, problem.time_grid.dt
+    for shift, scale in ((1.0, dt), (3.0, 2.0 * dt), (1.0, 0.5 * dt)):
+        kept = cc.implicit_symbol(shift, scale)
+        assert np.array_equal(kept, cc.system_solver(shift, scale).symbol)
+        assert not kept.flags.writeable
