@@ -27,11 +27,17 @@ class ExperimentResult:
 def simulate_samples(spec: SimulationSpec, config: RunConfig,
                      grid: TorusGrid) -> SampleSet:
     """Draw the samples of `spec`; compound Poisson jumps follow the hat
-    basis the config's centers give for len(spec.rates) hats."""
-    if spec.kind == "compound_poisson":
-        basis = build_basis(len(spec.rates), config, grid)
-        return sample_compound_poisson(spec, basis, grid)
-    return sample_bigamma(spec, grid)
+    basis the config's centers give for len(spec.rates) hats.  Settings
+    whose draws cannot be made or overflow are a ConfigError; the samplers
+    refuse an overflow themselves, so numpy's warning of it is not shown."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.kind == "compound_poisson":
+                basis = build_basis(len(spec.rates), config, grid)
+                return sample_compound_poisson(spec, basis, grid)
+            return sample_bigamma(spec, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,58 @@ def ingest_samples(path) -> np.ndarray:
     """Read raw sample values from a CSV file: one decimal per line, '#' comments.
 
     Returns the unwrapped values; projection onto a grid happens later.
-    nan and inf are refused: projection would put them in cell 0.
+    nan and inf are refused: projection would put them in cell 0.  numpy's
+    C reader parses the common layout (leading '#' lines, then one number
+    per line); a file it refuses is read again line by line, which accepts
+    whatever float() accepts and names the first bad line.
     """
+    try:
+        values = _read_column(path)
+        if values is None:
+            values = _read_lines(path)
+    except OSError as exc:
+        raise IngestError(
+            f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return values
+
+
+# numpy opens a path through its DataSource, which decompresses a file by
+# these suffixes and would take a relative "scheme://host/..." for a URL:
+# such names go to the line reader, and numpy gets the absolute path
+_NUMPY_OPENER_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_column(path) -> np.ndarray | None:
+    """The finite values of one number per line after the leading blank and
+    '#' lines, or None where the line reader must decide."""
+    name = os.path.abspath(path)
+    if name.endswith(_NUMPY_OPENER_SUFFIXES):
+        return None
+    skip = 0
+    with open(name, "r", encoding="utf-8") as fh:
+        for line in fh:
+            text = line.strip()
+            if text and not text.startswith("#"):
+                break
+            skip += 1
+        else:
+            return None
+    try:
+        # ndmin=2 keeps a single line "1 2" a row of two values, refused below
+        table = np.loadtxt(name, comments=None, skiprows=skip, ndmin=2,
+                           encoding="utf-8")
+    except ValueError:
+        return None
+    if table.shape[1] != 1 or not np.isfinite(table).all():
+        return None
+    return table.ravel()
+
+
+def _read_lines(path) -> np.ndarray:
+    """float() of each line that is not blank or '#'; an IngestError names
+    the first line it refuses."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -15,6 +15,12 @@ import numpy as np
 from .samples import SampleSet
 from .torus import SplineBasis, TorusGrid, project_to_torus
 
+# rng.poisson refuses a mean above numpy's POISSON_LAM_MAX.  The jump total
+# of n paths is Poisson with n times the mean, so a bound on that product
+# also keeps the total, summed in int64, from wrapping.
+_INT64_MAX = float(np.iinfo(np.int64).max)
+_POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -88,11 +94,16 @@ def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
     rng = np.random.default_rng(spec.seed)
     n, t = spec.n_samples, spec.t_final
 
-    intensity = basis.delta * rates.sum()
+    mean = basis.delta * rates.sum() * t
+    if not mean * n <= _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"the paths expect {mean * n:.3g} jumps in all (delta * "
+            f"sum(rates) * t_final * n_samples), more than the "
+            f"{_POISSON_MEAN_MAX:.3g} that can be drawn")
     jump_sum = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    if intensity > 0:
-        counts = rng.poisson(intensity * t, size=n)
+    if mean > 0:
+        counts = rng.poisson(mean, size=n)
         total = int(counts.sum())
         if total > 0:
             component = rng.choice(basis.n_theta, size=total,
@@ -104,8 +115,7 @@ def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
 
     gauss = spec.drift * t + math.sqrt(spec.sigma2 * t) * rng.standard_normal(n)
     raw = jump_sum + gauss + _initial_positions(spec, grid, rng)
-    return SampleSet.from_values(project_to_torus(raw, grid), grid,
-                                 raw=raw, jump_counts=counts)
+    return _terminal_set(raw, grid, jump_counts=counts)
 
 
 def sample_bigamma(spec: SimulationSpec, grid: TorusGrid) -> SampleSet:
@@ -122,4 +132,15 @@ def sample_bigamma(spec: SimulationSpec, grid: TorusGrid) -> SampleSet:
     down = rng.gamma(shape, scale, size=n)
     gauss = spec.drift * t + math.sqrt(spec.sigma2 * t) * rng.standard_normal(n)
     raw = up - down + gauss + _initial_positions(spec, grid, rng)
-    return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw)
+    return _terminal_set(raw, grid)
+
+
+def _terminal_set(raw: np.ndarray, grid: TorusGrid,
+                  jump_counts=None) -> SampleSet:
+    """The samples of the terminal values `raw`, which must be finite: a
+    scale derived from finite settings (1/gamma_rate, drift * t_final, a
+    sum of draws) can still overflow."""
+    if not np.isfinite(raw).all():
+        raise ValueError("simulated terminal values overflow to inf or nan")
+    return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw,
+                                 jump_counts=jump_counts)

@@ -37,6 +37,15 @@ def tiny_cfg(tmp_path):
     return path
 
 
+# settings each finite and in range whose derived scale overflows: the
+# gamma scale 1/rate, or the expected jump total of all paths,
+# delta * sum(rates) * t_final * sample_count
+OVERFLOWING = [
+    ["sim_kind=bigamma", "sim_gamma_rate=5e-324"],
+    ["sim_kind=bigamma", "sim_gamma_rate=1e-308"],
+    ["sim_rates=1e308,1e308"], ["t_final=1e300"], ["sim_rates=1e17,1e17"]]
+
+
 def count_setup_builds(monkeypatch):
     """Record the n_theta of every CalibrationSetup built, wherever."""
     built = []
@@ -301,11 +310,24 @@ class TestCliEntry:
         ["n_space=3"], ["domain_upper=-4"], ["centers_mode=grid"],
         ["centers_lo=1"], ["n_space=8", "sim_rates=1,1,1,1,1,1,1,1,1"],
         ["sim_kind=bigamma", "sim_gamma_shape=0"],
-        ["sim_kind=bigamma", "sim_gamma_rate=nan"]], ids=" ".join)
+        ["sim_kind=bigamma", "sim_gamma_rate=nan"], *OVERFLOWING],
+        ids=" ".join)
     def test_bad_simulation_setting_is_config_error(self, tiny_cfg, tmp_path,
                                                     capsys, settings):
         out = tmp_path / "s.csv"
         argv = ["simulate", str(tiny_cfg), "--out", str(out)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings", OVERFLOWING, ids=" ".join)
+    def test_overflowing_simulation_stops_run(self, tiny_cfg, tmp_path,
+                                              capsys, settings):
+        out = tmp_path / "o"
+        argv = ["run", str(tiny_cfg), "--out", str(out)]
         for setting in settings:
             argv += ["--set", setting]
         assert main(argv) == 1
@@ -340,6 +362,25 @@ class TestCliEntry:
                      "--out", str(tmp_path / "o")]) == 1
         assert main(["preprocess", str(path),
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("command", ["preprocess", "run"])
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_sample_file_is_data_error(self, tmp_path, capsys,
+                                                  command, kind):
+        path = tmp_path / "in.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("0.1\n# caf\xe9\n0.2\n".encode("latin-1"))
+        if command == "preprocess":
+            argv = ["preprocess", str(path), "--out", str(tmp_path / "t.csv")]
+        else:
+            argv = ["run", "--set", f"samples_csv={path}", "--set",
+                    "n_space=32", "--set", "n_time=10",
+                    "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("band", [
         ["--band-hi=inf"], ["--band-lo=-inf"],
