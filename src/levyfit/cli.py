@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 
-from .config import load_config, read_config
+from .config import load_config
 from .errors import ConfigError, IngestError, LevyfitError
-from .experiment import (build_grid, run_experiment, simulate_samples,
-                         simulation_spec)
+from .experiment import run_experiment, simulate_samples
 from .preprocess import PreprocessSpec, preprocess_financial
 from .samples import ingest_samples, write_samples_csv
 
@@ -42,11 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="map raw return data onto the torus")
     pre.add_argument("input", help="raw values CSV (one per line)")
     pre.add_argument("--out", required=True, help="output CSV path")
-    pre.add_argument("--band-lo", type=float, default=-0.03)
-    pre.add_argument("--band-hi", type=float, default=0.03)
-    pre.add_argument("--fraction", type=float, default=0.25,
+    pre.add_argument("--band-lo", type=float, default=PreprocessSpec.band_lo)
+    pre.add_argument("--band-hi", type=float, default=PreprocessSpec.band_hi)
+    pre.add_argument("--fraction", type=float,
+                     default=PreprocessSpec.diffusion_fraction,
                      help="share of empirical variance given to the diffusion")
-    pre.add_argument("--outside", choices=("wrap", "discard"), default="wrap")
+    pre.add_argument("--outside", choices=("wrap", "discard"),
+                     default=PreprocessSpec.outside)
     return parser
 
 
@@ -64,22 +65,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # checks only the keys a simulation reads: no fit problem is built
-    config = read_config(args.config, args.overrides)
+    config = load_config(args.config, args.overrides)
     if not config.sim_kind:
         raise ConfigError("simulate needs sim_kind in the config")
-    config.check_simulation()
-    spec = simulation_spec(config)
-    sample_set = simulate_samples(spec, config, build_grid(config))
-    if spec.kind == "compound_poisson":
-        meta = {"kind": spec.kind, "rates": ",".join(map(str, spec.rates))}
+    sample_set = simulate_samples(config)
+    if config.sim_kind == "compound_poisson":
+        meta = {"kind": config.sim_kind,
+                "rates": ",".join(map(str, config.sim_rates))}
     else:
-        meta = {"kind": spec.kind, "gamma_shape": spec.gamma_shape,
-                "gamma_rate": spec.gamma_rate}
-    meta.update({"seed": spec.seed, "t_final": spec.t_final,
-                 "drift": spec.drift, "sigma2": spec.sigma2,
-                 "init_center": spec.init_center,
-                 "init_concentration": spec.init_concentration})
+        meta = {"kind": config.sim_kind,
+                "gamma_shape": config.sim_gamma_shape,
+                "gamma_rate": config.sim_gamma_rate}
+    meta.update({"seed": config.seed, "t_final": config.t_final,
+                 "drift": config.drift, "sigma2": config.sigma2,
+                 "init_center": config.init_center,
+                 "init_concentration": config.init_concentration})
     write_samples_csv(args.out, sample_set.values, metadata=meta)
     print(f"wrote {len(sample_set)} samples to {args.out}")
     return 0

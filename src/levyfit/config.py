@@ -80,9 +80,10 @@ class RunConfig:
                                max_iters=self.max_iters)
 
     def calibration_setups(self) -> list[CalibrationSetup]:
-        """Check the rules no constructor owns, then build every object
-        the config describes; their ValueError becomes a ConfigError.
-        Returns the fit problems, one per entry of n_theta_list."""
+        """Check the fit rules no constructor owns, then build the fit
+        problems, one per entry of n_theta_list; a ValueError of the
+        objects they are built from becomes a ConfigError.  The simulation
+        is checked where it is built, by experiment.simulate_samples."""
         if self.aic_penalty not in ("log", "classic"):
             raise ConfigError("aic_penalty must be 'log' or 'classic'")
         if not self.n_theta_list:
@@ -100,26 +101,7 @@ class RunConfig:
             setups = [calibration_setup(self, n) for n in self.n_theta_list]
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.sim_kind:
-            self.check_simulation()
         return setups
-
-    def check_simulation(self) -> None:
-        """Check the keys a simulation reads by building what it builds:
-        the simulator settings, the grid and, for compound Poisson, the hat
-        basis its jumps follow; their ValueError becomes a ConfigError."""
-        try:
-            spec = simulation_spec(self)
-            grid = build_grid(self)
-            if spec.kind == "compound_poisson":
-                build_basis(len(spec.rates), self, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def validate(self) -> "RunConfig":
-        """Run the checks of calibration_setups; returns the config."""
-        self.calibration_setups()
-        return self
 
 
 def build_grid(config: RunConfig) -> TorusGrid:
@@ -205,20 +187,16 @@ def parse_assignments(lines, source: str = "<config>") -> dict:
     return out
 
 
-def read_config(path=None, overrides=()) -> RunConfig:
+def load_config(path=None, overrides=()) -> RunConfig:
     """Defaults, then file assignments, then key=value overrides, each
-    value only parsed as its key's type."""
+    value only parsed as its key's type.  The command that runs the config
+    checks it, by building what it runs."""
     values = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             values.update(parse_assignments(fh, source=str(path)))
     values.update(parse_assignments(list(overrides), source="<override>"))
     return RunConfig(**values)
-
-
-def load_config(path=None, overrides=()) -> RunConfig:
-    """read_config, checked by building every fit problem it describes."""
-    return read_config(path, overrides).validate()
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -228,7 +206,7 @@ def config_from_dict(data: dict) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = tuple(val) if _FIELD_TYPES[key] == "tuple" else val
-    return RunConfig(**values).validate()
+    return RunConfig(**values)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -13,7 +13,7 @@ from .config import (RunConfig, build_basis, build_grid, config_to_dict,
 from .errors import ConfigError
 from .optimizer import SweepResult, aic_sweep
 from .samples import SampleSet, ingest_samples
-from .simulate import SimulationSpec, sample_bigamma, sample_compound_poisson
+from .simulate import sample_bigamma, sample_compound_poisson
 from .torus import TorusGrid, project_to_torus
 
 
@@ -24,28 +24,32 @@ class ExperimentResult:
     paths: dict
 
 
-def simulate_samples(spec: SimulationSpec, config: RunConfig,
-                     grid: TorusGrid) -> SampleSet:
-    """Draw the samples of `spec`; compound Poisson jumps follow the hat
-    basis the config's centers give for len(spec.rates) hats.  Settings
-    whose draws cannot be made or overflow are a ConfigError; the samplers
-    refuse an overflow themselves, so numpy's warning of it is not shown."""
+def simulate_samples(config: RunConfig) -> SampleSet:
+    """The config's simulation: its SimulationSpec, its grid and, for
+    compound Poisson, the hat basis the jumps follow, then the draw.  A
+    setting any of them refuses, or whose draws cannot be made or overflow,
+    is a ConfigError; the samplers refuse an overflow themselves, so
+    numpy's warning of it is not shown."""
     try:
+        spec = simulation_spec(config)
+        grid = build_grid(config)
+        basis = (build_basis(len(spec.rates), config, grid)
+                 if spec.kind == "compound_poisson" else None)
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.kind == "compound_poisson":
-                basis = build_basis(len(spec.rates), config, grid)
-                return sample_compound_poisson(spec, basis, grid)
-            return sample_bigamma(spec, grid)
+            if basis is None:
+                return sample_bigamma(spec, grid)
+            return sample_compound_poisson(spec, basis, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:
-    """Simulate per the config, or ingest and wrap a CSV of torus values."""
+    """Simulate per the config, or ingest a CSV of torus values and wrap
+    it onto `grid`."""
     if config.sim_kind and config.samples_csv:
         raise ConfigError("give either sim_kind or samples_csv, not both")
     if config.sim_kind:
-        return simulate_samples(simulation_spec(config), config, grid)
+        return simulate_samples(config)
     if config.samples_csv:
         raw = ingest_samples(config.samples_csv)
         return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw)
@@ -61,7 +65,7 @@ def run_experiment(config: RunConfig, out_dir=None) -> ExperimentResult:
     """
     setups = config.calibration_setups()
     out_dir = str(out_dir if out_dir is not None else config.out_dir)
-    grid = build_grid(config)
+    grid = setups[0].grid
     samples = acquire_samples(config, grid)
     # before the sweep, so that a bin count too large to allocate fails first
     heights, edges = empirical_histogram(samples, config.hist_bins)

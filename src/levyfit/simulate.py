@@ -95,22 +95,27 @@ def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
     n, t = spec.n_samples, spec.t_final
 
     mean = basis.delta * rates.sum() * t
+    expected = (f"the paths expect {mean * n:.3g} jumps in all (delta * "
+                f"sum(rates) * t_final * n_samples)")
     if not mean * n <= _POISSON_MEAN_MAX:
-        raise ValueError(
-            f"the paths expect {mean * n:.3g} jumps in all (delta * "
-            f"sum(rates) * t_final * n_samples), more than the "
-            f"{_POISSON_MEAN_MAX:.3g} that can be drawn")
+        raise ValueError(f"{expected}, more than the "
+                         f"{_POISSON_MEAN_MAX:.3g} that can be drawn")
     jump_sum = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     if mean > 0:
         counts = rng.poisson(mean, size=n)
         total = int(counts.sum())
         if total > 0:
-            component = rng.choice(basis.n_theta, size=total,
-                                   p=rates / rates.sum())
-            sizes = (basis.centers[component]
-                     + basis.delta * (rng.random(total) + rng.random(total) - 1.0))
-            owner = np.repeat(np.arange(n), counts)
+            # one entry per jump: numpy refuses a total beyond memory
+            try:
+                component = rng.choice(basis.n_theta, size=total,
+                                       p=rates / rates.sum())
+                sizes = (basis.centers[component] + basis.delta
+                         * (rng.random(total) + rng.random(total) - 1.0))
+                owner = np.repeat(np.arange(n), counts)
+            except (MemoryError, ValueError) as exc:
+                raise ValueError(f"{expected}, too many to hold in memory: "
+                                 f"{exc}") from None
             jump_sum = np.bincount(owner, weights=sizes, minlength=n)
 
     gauss = spec.drift * t + math.sqrt(spec.sigma2 * t) * rng.standard_normal(n)

@@ -16,6 +16,8 @@ from levyfit.experiment import acquire_samples, build_grid, run_experiment
 from levyfit.likelihood import aic_score
 from levyfit.optimizer import CalibrationSetup, run_forward
 from levyfit.samples import ingest_samples
+from levyfit.simulate import SimulationSpec
+from levyfit.torus import TorusGrid
 
 TINY = """
 # tiny deterministic experiment
@@ -46,16 +48,22 @@ OVERFLOWING = [
     ["sim_rates=1e308,1e308"], ["t_final=1e300"], ["sim_rates=1e17,1e17"]]
 
 
+def count_builds(monkeypatch, cls, label):
+    """Record label(obj) for every instance of cls built, wherever."""
+    built = []
+    real = cls.__post_init__
+
+    def counted(obj):
+        built.append(label(obj))
+        real(obj)
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
 def count_setup_builds(monkeypatch):
     """Record the n_theta of every CalibrationSetup built, wherever."""
-    built = []
-    real = CalibrationSetup.__post_init__
-
-    def counted(setup):
-        built.append(setup.basis.n_theta)
-        real(setup)
-    monkeypatch.setattr(CalibrationSetup, "__post_init__", counted)
-    return built
+    return count_builds(monkeypatch, CalibrationSetup,
+                        lambda setup: setup.basis.n_theta)
 
 
 class TestConfig:
@@ -112,10 +120,11 @@ class TestConfigProperties:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(kind=BASES, overrides=OVERRIDES)
     def test_bad_numbers_are_config_errors(self, kind, overrides):
-        # either a config comes back or ConfigError says why; a ValueError
-        # (or any other exception) escaping means a rule has no owner
+        # either the fit problems are built or ConfigError says why; a
+        # ValueError (or any other exception) escaping means a rule has no
+        # owner
         try:
-            _load(kind, overrides)
+            _load(kind, overrides).calibration_setups()
         except ConfigError:
             pass
 
@@ -136,6 +145,7 @@ class TestConfigProperties:
     def test_dict_round_trip(self, kind, overrides):
         try:
             cfg = _load(kind, overrides)
+            cfg.calibration_setups()
         except ConfigError:
             return
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -210,8 +220,7 @@ class TestRunExperiment:
                                                        capsys):
         built = count_setup_builds(monkeypatch)
         cfg = load_config(tiny_cfg)
-        assert built == [2, 3]
-        built.clear()
+        assert built == []
         run_experiment(cfg, out_dir=tmp_path / "o")
         assert built == [2, 3]
         assert capsys.readouterr().out == ""
@@ -224,12 +233,13 @@ class TestCliEntry:
         assert (out / "report.json").exists()
         assert "selected n_theta" in capsys.readouterr().out
 
-    def test_run_builds_each_setup_twice(self, tiny_cfg, tmp_path,
-                                         monkeypatch):
-        # once when load_config checks the config, once for the sweep
+    def test_run_builds_each_setup_once(self, tiny_cfg, tmp_path,
+                                        monkeypatch):
+        # load_config only parses; the builds the run uses are the check
         built = count_setup_builds(monkeypatch)
+        specs = count_builds(monkeypatch, SimulationSpec, lambda s: s.kind)
         assert main(["run", str(tiny_cfg), "--out", str(tmp_path / "o")]) == 0
-        assert built == [2, 3, 2, 3]
+        assert built == [2, 3] and specs == ["compound_poisson"]
 
     def test_verbose_prints_each_size_before_the_selection(self, tiny_cfg,
                                                             tmp_path, capsys):
@@ -298,9 +308,11 @@ class TestCliEntry:
     def test_simulate_builds_no_fit_setup(self, tiny_cfg, tmp_path,
                                           monkeypatch):
         built = count_setup_builds(monkeypatch)
+        specs = count_builds(monkeypatch, SimulationSpec, lambda s: s.kind)
+        grids = count_builds(monkeypatch, TorusGrid, lambda grid: grid.n)
         assert main(["simulate", str(tiny_cfg),
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert built == []
+        assert built == [] and specs == ["compound_poisson"] and grids == [64]
 
     @pytest.mark.parametrize("settings", [
         ["sim_kind="], ["sim_kind=levy"], ["sim_rates=-1,2"], ["sim_rates=1"],
@@ -333,6 +345,22 @@ class TestCliEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("setting", ["t_final=1e10",
+                                         "sim_rates=1e15,1e15"])
+    def test_jump_total_beyond_memory_names_its_settings(
+            self, tiny_cfg, tmp_path, capsys, command, setting):
+        # below the Poisson bound, but numpy refuses to allocate one entry
+        # per jump (1.5e13 and 2e18 of them) without touching memory
+        out = tmp_path / "out"
+        assert main([command, str(tiny_cfg), "--set", setting,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the paths expect ")
+        assert ("jumps in all (delta * sum(rates) * t_final * n_samples), "
+                "too many to hold in memory") in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", [
