@@ -1,7 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 usage/config/data error (a setting too large to
-allocate included), 2 numerical failure.
+allocate and a path that cannot be read or written included), 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_preprocess(args)
-    except (ConfigError, IngestError, FileNotFoundError, MemoryError) as exc:
+    except (ConfigError, IngestError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LevyfitError as exc:

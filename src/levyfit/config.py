@@ -42,11 +42,6 @@ class RunConfig:
     centers_hi: float = 1.0
 
     # optimizer
-    alpha0: float = 0.1
-    armijo_delta: float = 0.1
-    step_init: float = 0.5
-    step_shrink: float = 0.3
-    max_shrinks: int = 30
     grad_tol: float = 1e-5
     max_iters: int = 500
 
@@ -71,13 +66,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def optimizer_params(self) -> OptimizerParams:
-        return OptimizerParams(alpha0=self.alpha0,
-                               armijo_delta=self.armijo_delta,
-                               step_init=self.step_init,
-                               step_shrink=self.step_shrink,
-                               max_shrinks=self.max_shrinks,
-                               tol=self.grad_tol,
-                               max_iters=self.max_iters)
+        return OptimizerParams(tol=self.grad_tol, max_iters=self.max_iters)
 
     def calibration_setups(self) -> list[CalibrationSetup]:
         """Check the fit rules no constructor owns, then build the fit

@@ -67,8 +67,10 @@ def run_experiment(config: RunConfig, out_dir=None) -> ExperimentResult:
     out_dir = str(out_dir if out_dir is not None else config.out_dir)
     grid = setups[0].grid
     samples = acquire_samples(config, grid)
-    # before the sweep, so that a bin count too large to allocate fails first
+    # before the sweep, so that a bin count too large to allocate or an
+    # output path that cannot be a directory fails first
     heights, edges = empirical_histogram(samples, config.hist_bins)
+    os.makedirs(out_dir, exist_ok=True)
     sweep = aic_sweep(setups, samples, config.optimizer_params(),
                       penalty=config.aic_penalty)
     reports = sweep.reports
@@ -82,7 +84,6 @@ def run_experiment(config: RunConfig, out_dir=None) -> ExperimentResult:
         "errors": sweep.errors,
     }
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "report": os.path.join(out_dir, "report.json"),
         "density": os.path.join(out_dir, "density.csv"),

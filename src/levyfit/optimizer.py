@@ -25,6 +25,12 @@ from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objec
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
+ALPHA0 = 0.1            # fill value of the initial rate vector
+ARMIJO_DELTA = 0.1      # sufficient-decrease constant, in (0, 1/2)
+STEP_INIT = 0.5         # first trial step length
+STEP_SHRINK = 0.3       # backtracking factor
+MAX_SHRINKS = 30        # trial steps per line search
+
 
 @dataclass(frozen=True)
 class CalibrationSetup:
@@ -47,27 +53,14 @@ class CalibrationSetup:
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """Knobs of the NLCG loop (defaults follow the standard experiment setup)."""
+    """Stopping rules of the NLCG loop (defaults follow the standard
+    experiment setup); its start fill and line search use the module
+    constants above."""
 
-    alpha0: float = 0.1          # fill value of the initial rate vector
-    armijo_delta: float = 0.1    # sufficient-decrease constant, in (0, 1/2)
-    step_init: float = 0.5       # first trial step length
-    step_shrink: float = 0.3     # backtracking factor
-    max_shrinks: int = 30
     tol: float = 1e-5            # on the projected gradient norm
     max_iters: int = 500
 
     def __post_init__(self):
-        if not self.alpha0 >= 0.0:
-            raise ValueError("alpha0 must be >= 0")
-        if not 0.0 < self.armijo_delta < 0.5:
-            raise ValueError("armijo_delta must lie in (0, 1/2)")
-        if not self.step_init > 0.0:
-            raise ValueError("step_init must be > 0")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.max_shrinks < 1:
-            raise ValueError("max_shrinks must be >= 1")
         if not self.tol >= 0.0:
             raise ValueError("tol must be >= 0")
         if self.max_iters < 0:
@@ -168,11 +161,9 @@ class LineSearchResult:
     n_evals: int
 
 
-def armijo_linesearch(evaluate, f_current: float, slope: float,
-                      step_init: float = 0.5, shrink: float = 0.3,
-                      armijo_delta: float = 0.1,
-                      max_shrinks: int = 30) -> LineSearchResult:
-    """First step in {init * shrink^n} with sufficient decrease.
+def armijo_linesearch(evaluate, f_current: float,
+                      slope: float) -> LineSearchResult:
+    """First step in {STEP_INIT * STEP_SHRINK^n} with sufficient decrease.
 
     `evaluate(step)` returns the objective at the (already clamped) trial
     point, or +inf for points the solver refuses.  `slope` is the
@@ -181,14 +172,14 @@ def armijo_linesearch(evaluate, f_current: float, slope: float,
     """
     if not slope < 0.0:
         raise LineSearchError(f"not a descent direction (slope {slope:.3e})")
-    step = step_init
-    for n_evals in range(1, max_shrinks + 1):
+    step = STEP_INIT
+    for n_evals in range(1, MAX_SHRINKS + 1):
         value = evaluate(step)
-        if value <= f_current + armijo_delta * step * slope:
+        if value <= f_current + ARMIJO_DELTA * step * slope:
             return LineSearchResult(step, value, n_evals)
-        step *= shrink
+        step *= STEP_SHRINK
     raise LineSearchError(
-        f"no sufficient decrease within {max_shrinks} shrinks")
+        f"no sufficient decrease within {MAX_SHRINKS} shrinks")
 
 
 def calibrate(setup: CalibrationSetup, samples: SampleSet,
@@ -213,7 +204,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         except StabilityError:
             return math.inf, None, None
 
-    alpha = np.full(n_theta, params.alpha0)
+    alpha = np.full(n_theta, ALPHA0)
     obj, fwd = objective(alpha, setup, samples)
     f_val = -obj.value
     grad = reduced_gradient(alpha, setup, samples, history=fwd)
@@ -221,11 +212,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
     pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
     trace = []
-    iterations = params.max_iters
-    stop_note = "max_iters"
-    for k in range(params.max_iters):
+    for k in range(params.max_iters + 1):
         if pg_norm <= params.tol:
-            iterations, stop_note = k, "tol"
+            stop_note = "tol"
+            break
+        if k == params.max_iters:
+            stop_note = "max_iters"
             break
 
         # the conjugate direction if it descends, then steepest descent;
@@ -245,16 +237,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
                 return trial[1]
 
             try:
-                ls = armijo_linesearch(evaluate, f_val, float(grad @ direction),
-                                       step_init=params.step_init,
-                                       shrink=params.step_shrink,
-                                       armijo_delta=params.armijo_delta,
-                                       max_shrinks=params.max_shrinks)
+                ls = armijo_linesearch(evaluate, f_val, float(grad @ direction))
                 break
             except LineSearchError:
                 continue
         else:
-            iterations, stop_note = k, "linesearch"
+            stop_note = "linesearch"
             break
 
         # Armijo accepts the last step it evaluated
@@ -284,8 +272,8 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         alpha_star=alpha,
         j_star=j_star,
         aic=aic_score(j_star, len(samples), n_theta, penalty),
-        iterations=iterations,
-        converged=pg_norm <= params.tol,
+        iterations=k,
+        converged=stop_note == "tol",
         diagnostics=diagnostics,
         terminal=fwd.terminal.copy(),
         trace=trace,

@@ -90,13 +90,23 @@ def preprocess_financial(raw_values, spec: PreprocessSpec) -> PreprocessResult:
     y = np.asarray(raw_values, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ConfigError("need a non-empty 1-d array of raw values")
-    raw_mean = float(y.mean())
-    raw_var = float(y.var())
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_mean = float(y.mean())
+        raw_var = float(y.var())
+        x = (y - spec.center) * spec.scale
     if raw_var <= 0.0:
         raise ConfigError("zero-variance input; nothing to calibrate")
+    drift = torus_drift(raw_mean, spec)
+    diffusion = torus_diffusion(raw_var, spec)
+    overflowed = [name for name, ok in (
+        ("torus_drift", math.isfinite(drift)),
+        ("torus_sigma2", math.isfinite(diffusion)),
+        ("torus values", bool(np.isfinite(x).all()))) if not ok]
+    if overflowed:
+        raise ConfigError("the raw values are too large for float64: the "
+                          + ", ".join(overflowed) + " overflow")
 
     target = spec.target_halfwidth
-    x = (y - spec.center) * spec.scale
     outside = (x < -target) | (x >= target)
     n_outside = int(outside.sum())
     if spec.outside == "discard":
@@ -110,8 +120,8 @@ def preprocess_financial(raw_values, spec: PreprocessSpec) -> PreprocessResult:
 
     return PreprocessResult(
         values=x,
-        drift=torus_drift(raw_mean, spec),
-        diffusion=torus_diffusion(raw_var, spec),
+        drift=drift,
+        diffusion=diffusion,
         raw_mean=raw_mean,
         raw_variance=raw_var,
         n_wrapped=n_wrapped,

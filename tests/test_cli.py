@@ -1,13 +1,17 @@
 import json
 import os
+import re
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levyfit.experiment as experiment
+import levyfit.optimizer as optimizer
 from levyfit.cli import main
 from levyfit.config import (RunConfig, calibration_setup, config_from_dict,
                             config_to_dict, load_config)
@@ -17,7 +21,9 @@ from levyfit.likelihood import aic_score
 from levyfit.optimizer import CalibrationSetup, run_forward
 from levyfit.samples import ingest_samples
 from levyfit.simulate import SimulationSpec
-from levyfit.torus import TorusGrid
+from levyfit.torus import TorusGrid, tiling_centers
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY = """
 # tiny deterministic experiment
@@ -72,9 +78,10 @@ class TestConfig:
         assert cfg.n_space == 420 and cfg.n_time == 250
         assert cfg.sigma2 == pytest.approx(0.02)
         assert cfg.init_concentration == 400.0
-        assert cfg.alpha0 == 0.1
-        assert cfg.armijo_delta == 0.1
-        assert cfg.step_init == 0.5 and cfg.step_shrink == 0.3
+        assert optimizer.ALPHA0 == 0.1
+        assert optimizer.ARMIJO_DELTA == 0.1
+        assert optimizer.STEP_INIT == 0.5 and optimizer.STEP_SHRINK == 0.3
+        assert optimizer.MAX_SHRINKS == 30
         assert cfg.objective_floor == 1e-12
         assert cfg.hist_bins == 40
 
@@ -92,6 +99,25 @@ class TestConfig:
     def test_bad_value_rejected(self, tiny_cfg):
         with pytest.raises(ConfigError, match="bad value"):
             load_config(tiny_cfg, overrides=["n_space=abc"])
+
+    def test_readme_table_lists_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        listed = [key for line in section.splitlines()
+                  if line.startswith("| `")
+                  for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+        assert sorted(listed) == sorted(f.name for f in fields(RunConfig))
+
+    def test_full_centers_tile_the_torus(self, tiny_cfg, tmp_path):
+        cfg = load_config(tiny_cfg, ["centers_mode=full"])
+        setups = cfg.calibration_setups()
+        assert [s.basis.n_theta for s in setups] == [2, 3]
+        for setup in setups:
+            assert np.array_equal(
+                setup.basis.centers,
+                tiling_centers(setup.basis.n_theta, setup.grid))
+        assert main(["run", str(tiny_cfg), "--set", "centers_mode=full",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_requires_data_source(self):
         with pytest.raises(ConfigError, match="data source"):
@@ -261,9 +287,8 @@ class TestCliEntry:
         assert main(["run", str(tiny_cfg), "--set", "bogus=1"]) == 1
 
     @pytest.mark.parametrize("setting", [
-        "max_shrinks=0", "step_init=-0.5", "max_iters=-1", "grad_tol=-1",
-        "alpha0=-1", "boot_substeps=0", "bdf2_xi=3.5", "step_shrink=1.5",
-        "armijo_delta=0.7", "n_theta_list=0", "n_theta_list=1,3",
+        "max_iters=-1", "grad_tol=-1", "boot_substeps=0", "bdf2_xi=3.5",
+        "n_theta_list=0", "n_theta_list=1,3",
         "sample_count=0", "domain_upper=-4", "t_final=0", "sigma2=nan",
         "centers_lo=1", "centers_hi=9", "init_concentration=0",
         "sim_rates=-1,2,1,0.5,0.25", "sim_rates=", "sim_rates=1",
@@ -278,6 +303,32 @@ class TestCliEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    # the start fill and the line-search constants are no longer settings
+    @pytest.mark.parametrize("setting", [
+        "alpha0=-1", "armijo_delta=0.7", "max_shrinks=0", "step_init=-0.5",
+        "step_shrink=1.5"])
+    def test_retired_optimizer_key_is_unknown(self, tiny_cfg, tmp_path,
+                                              capsys, setting):
+        out = tmp_path / "o"
+        assert main(["run", str(tiny_cfg), "--set", setting,
+                     "--out", str(out)]) == 1
+        key = setting.split("=")[0]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unknown config key {key!r}"]
+        assert not out.exists()
+
+    def test_out_path_that_cannot_be_a_directory(self, tiny_cfg, tmp_path,
+                                                 capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(experiment, "aic_sweep",
+                            lambda *args, **kwargs: sweeps.append(args))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["run", str(tiny_cfg), "--out", str(afile / "sub")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sweeps == []
 
     @pytest.mark.parametrize("setting", [
         "sim_gamma_shape=0", "sim_gamma_rate=-1", "sim_gamma_rate=nan"])
@@ -423,6 +474,22 @@ class TestCliEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, overflowed", [
+        ("1e307 -1e307 0.01", "torus_sigma2, torus values"),
+        ("1e308 1e308 0.01", "torus_drift, torus_sigma2, torus values"),
+        ("3e153 -3e153 0", "torus_sigma2")])
+    def test_preprocess_refuses_overflowing_values(self, tmp_path, capsys,
+                                                   values, overflowed):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(values.split()) + "\n")
+        out = tmp_path / "t.csv"
+        assert main(["preprocess", str(raw), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: the raw values are too large for float64: the "
+            f"{overflowed} overflow"]
+        assert captured.out == "" and not out.exists()
 
     def test_preprocess_pipeline(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

@@ -167,8 +167,7 @@ class TestArmijo:
             return 0.5 * float((trial - target) @ (trial - target))
 
         f0 = 0.5 * float((start - target) @ (start - target))
-        res = armijo_linesearch(evaluate, f0, slope, step_init=0.5,
-                                shrink=0.3, armijo_delta=0.1)
+        res = armijo_linesearch(evaluate, f0, slope)
         assert res.step == 0.5            # first trial already sufficient
         assert res.value < f0
 
@@ -181,15 +180,18 @@ class TestArmijo:
             armijo_linesearch(lambda s: 1.0, 1.0, +1.0)
 
     def test_exhausts_shrinks(self):
-        with pytest.raises(LineSearchError, match="shrinks"):
-            armijo_linesearch(lambda s: 1.0, 1.0, -1.0, max_shrinks=5)
+        # an objective above f_current, so that no step underflows into
+        # acceptance
+        trials = []
+        with pytest.raises(LineSearchError, match="30 shrinks"):
+            armijo_linesearch(lambda s: trials.append(s) or 2.0, 1.0, -1.0)
+        assert len(trials) == 30
 
     def test_backtracks_past_infeasible_points(self):
         def evaluate(step):
             return np.inf if step > 0.1 else 1.0 - step
 
-        res = armijo_linesearch(evaluate, 1.0, -1.0, step_init=0.5, shrink=0.3,
-                                armijo_delta=0.1)
+        res = armijo_linesearch(evaluate, 1.0, -1.0)
         assert res.step < 0.1
         assert np.isfinite(res.value)
 
@@ -267,6 +269,28 @@ class TestCalibrate:
                            OptimizerParams(max_iters=2, tol=1e-14))
         assert not report.converged
 
+    def test_stop_and_converged_agree_at_the_iteration_cap(self):
+        setup = make_setup(n=32, n_steps=12, n_theta=2)
+        samples = synthetic_samples(setup, [0.8, 0.3], 500, seed=5)
+        free = calibrate(setup, samples)
+        n = free.iterations
+        assert free.diagnostics["stop"] == "tol" and n > 1
+
+        def outcome(params):
+            report = calibrate(setup, samples, params)
+            return (report.iterations, report.converged,
+                    report.diagnostics["stop"])
+
+        # the tolerance met on the last allowed iteration is a tol stop
+        assert outcome(OptimizerParams(max_iters=n)) == (n, True, "tol")
+        assert outcome(OptimizerParams(max_iters=n - 1)) == (
+            n - 1, False, "max_iters")
+        # and so is one met at the start, with no iteration allowed
+        assert outcome(OptimizerParams(max_iters=0, tol=1e9)) == (
+            0, True, "tol")
+        assert outcome(OptimizerParams(max_iters=0)) == (
+            0, False, "max_iters")
+
 
 class TestLineSearchRetry:
     """The search along the conjugate direction, then along steepest descent."""
@@ -278,12 +302,12 @@ class TestLineSearchRetry:
         real = optimizer.armijo_linesearch
         slopes = []
 
-        def search(evaluate, f_current, slope, **kwargs):
+        def search(evaluate, f_current, slope):
             slopes.append(slope)
             if fail(len(slopes) - 1):
-                evaluate(kwargs["step_init"])
+                evaluate(optimizer.STEP_INIT)
                 raise LineSearchError("refused by the test")
-            return real(evaluate, f_current, slope, **kwargs)
+            return real(evaluate, f_current, slope)
 
         monkeypatch.setattr(optimizer, "armijo_linesearch", search)
         return slopes
