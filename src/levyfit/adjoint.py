@@ -21,8 +21,8 @@ why the transposed structure is kept exact.
 Every operator is circulant with a real stencil, so its transpose has the
 conjugate rfft symbol: the sweep runs the recurrence mode by mode with the
 conjugated `euler_symbols` / `bdf2_symbols` of the forward march (whose
-implicit symbols each `CCOperator` builds once), writing every multiplier
-in place into its row of one preallocated spectra array.
+implicit symbols each `CCOperator` builds once) and the march's own loops,
+`march_two_term` and `march_one_term`, on its rows in reverse order.
 """
 
 from __future__ import annotations
@@ -32,14 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .forward import CCOperator, JumpKernel, bdf2_symbols, euler_symbols
+from .forward import (CCOperator, JumpKernel, bdf2_symbols, euler_symbols,
+                      march_one_term, march_two_term)
 from .forward import adjoint_jump_operator  # noqa: F401  (public here too)
+from .likelihood import DEFAULT_FLOOR
 from .samples import SampleSet
 from .torus import SplineBasis, TimeGrid
 
 
 def terminal_condition(f_terminal: np.ndarray, samples: SampleSet,
-                       eps: float = 1e-12) -> np.ndarray:
+                       eps: float = DEFAULT_FLOOR) -> np.ndarray:
     """Derivative data of the floored log-likelihood at the final level.
 
     Cell i holds -count_i / (L * f_i) when the floor is inactive there;
@@ -89,9 +91,7 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
     tau = dt / boot_substeps
     n = cc.grid.n
 
-    # spectra of r^1 .. r^K, then of p^0 .. p^{N_T} and the absent p^{N_T+1};
-    # each level is written into its own row as (explicit*x - y)/implicit,
-    # the order that fixes its rounding
+    # spectra of r^1 .. r^K, then of p^0 .. p^{N_T} and the absent p^{N_T+1}
     spectra = np.zeros((boot_substeps + n_steps + 2, n // 2 + 1), dtype=complex)
     rows = list(spectra)
     boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
@@ -99,20 +99,12 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
     np.divide(np.fft.rfft(np.asarray(terminal_data, dtype=float)), implicit,
               out=hat[n_steps])
     # p^m from p^{m+1} and p^{m+2}, m = N_T-1 .. 2
-    for p_m, p_next, p_after in zip(hat[n_steps - 1:1:-1], hat[n_steps:2:-1],
-                                    hat[n_steps + 1:3:-1]):
-        np.multiply(explicit, p_next, out=p_m)
-        np.subtract(p_m, p_after, out=p_m)
-        np.divide(p_m, implicit, out=p_m)
+    march_two_term(explicit, implicit, hat[:1:-1])
     # r^K from the right-hand side 4 p^2 - p^3 + 2*dt*Qt(p^2), then r^s
     # from r^{s+1}, s = K-1 .. 1
-    np.multiply(explicit, hat[2], out=boot_hat[-1])
-    np.subtract(boot_hat[-1], hat[3], out=boot_hat[-1])
-    explicit, implicit = np.conj(euler_symbols(cc, kernel, tau))
-    np.divide(boot_hat[-1], implicit, out=boot_hat[-1])
-    for r_s, r_next in zip(boot_hat[-2::-1], boot_hat[::-1]):
-        np.multiply(explicit, r_next, out=r_s)
-        np.divide(r_s, implicit, out=r_s)
+    euler_explicit, euler_implicit = np.conj(euler_symbols(cc, kernel, tau))
+    march_two_term(explicit, euler_implicit, [hat[3], hat[2], boot_hat[-1]])
+    march_one_term(euler_explicit, euler_implicit, boot_hat[::-1])
 
     if not np.all(np.isfinite(spectra)):
         raise SolverError("non-finite adjoint values")

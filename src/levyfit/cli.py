@@ -1,8 +1,8 @@
 """Command line entry points.
 
-Exit codes: 0 success, 1 usage/config/data error (a setting too large to
-allocate and a path that cannot be read or written included), 2 numerical
-failure.
+Exit codes: 0 success, 1 usage/config/data error (a command line argparse
+refuses, a setting too large to allocate and a path that cannot be read or
+written included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,8 +18,16 @@ from .preprocess import PreprocessSpec, preprocess_financial
 from .samples import ingest_samples, write_samples_csv
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, so that they
+    exit 1 like every other refused input, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levyfit",
         description="Nonparametric jump-measure calibration from terminal samples")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--fraction", type=float,
                      default=PreprocessSpec.diffusion_fraction,
                      help="share of empirical variance given to the diffusion")
-    pre.add_argument("--outside", choices=("wrap", "discard"),
-                     default=PreprocessSpec.outside)
+    pre.add_argument("--outside", default=PreprocessSpec.outside,
+                     help="wrap (default) or discard values outside the band")
     return parser
 
 

@@ -7,22 +7,22 @@ List-valued keys take comma-separated entries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
+from .likelihood import DEFAULT_FLOOR, aic_score
 from .optimizer import CalibrationSetup, OptimizerParams
 from .simulate import SimulationSpec
-from .torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
-                    band_centers, make_basis, tiling_centers,
+from .torus import (HALF_WIDTH, ModelCoefficients, SplineBasis, TimeGrid,
+                    TorusGrid, band_centers, make_basis, tiling_centers,
                     von_mises_density)
 
 
 @dataclass
 class RunConfig:
     # spatial / temporal discretization
-    domain_lower: float = -math.pi
-    domain_upper: float = math.pi
+    domain_lower: float = -HALF_WIDTH
+    domain_upper: float = HALF_WIDTH
     n_space: int = 420
     t_final: float = 1.0
     n_time: int = 250
@@ -46,7 +46,7 @@ class RunConfig:
     max_iters: int = 500
 
     # objective / scheme details
-    objective_floor: float = 1e-12
+    objective_floor: float = DEFAULT_FLOOR
     boot_substeps: int = 10
     bdf2_xi: float = 2.0
     force_dt: bool = False
@@ -73,20 +73,13 @@ class RunConfig:
         problems, one per entry of n_theta_list; a ValueError of the
         objects they are built from becomes a ConfigError.  The simulation
         is checked where it is built, by experiment.simulate_samples."""
-        if self.aic_penalty not in ("log", "classic"):
-            raise ConfigError("aic_penalty must be 'log' or 'classic'")
         if not self.n_theta_list:
             raise ConfigError("n_theta_list must not be empty")
-        if not self.objective_floor > 0:
-            raise ConfigError("objective_floor must be > 0")
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be >= 1")
-        if self.boot_substeps < 1:
-            raise ConfigError("boot_substeps must be >= 1")
-        if not 1.0 < self.bdf2_xi < 3.0:
-            raise ConfigError("bdf2_xi must lie in (1, 3)")
         try:
             self.optimizer_params()
+            aic_score(0.0, 1, 1, self.aic_penalty)  # checks the penalty name
             setups = [calibration_setup(self, n) for n in self.n_theta_list]
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

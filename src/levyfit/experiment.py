@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -70,9 +71,16 @@ def run_experiment(config: RunConfig, out_dir=None) -> ExperimentResult:
     # before the sweep, so that a bin count too large to allocate or an
     # output path that cannot be a directory fails first
     heights, edges = empirical_histogram(samples, config.hist_bins)
-    os.makedirs(out_dir, exist_ok=True)
-    sweep = aic_sweep(setups, samples, config.optimizer_params(),
-                      penalty=config.aic_penalty)
+    created = _make_dirs(out_dir)
+    try:
+        sweep = aic_sweep(setups, samples, config.optimizer_params(),
+                          penalty=config.aic_penalty)
+    except BaseException:
+        # a failed sweep removes the directories this call made, no other
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     reports = sweep.reports
     selected = next(r for r in reports if r.n_theta == sweep.selected_n_theta)
 
@@ -99,6 +107,17 @@ def run_experiment(config: RunConfig, out_dir=None) -> ExperimentResult:
     _write_csv(paths["aic"], "n_theta,j_eps,aic", [r.n_theta for r in reports],
                [r.j_star for r in reports], [r.aic for r in reports])
     return ExperimentResult(sweep=sweep, report=report, paths=paths)
+
+
+def _make_dirs(path: str) -> list[str]:
+    """os.makedirs(path), returning the directories it made, deepest first."""
+    created = []
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return created
 
 
 def _fit_entry(report) -> dict:

@@ -175,10 +175,17 @@ class StabilityBounds:
     xi: float
 
 
-def stability_bounds(cc: CCOperator, kernel: JumpKernel,
-                     xi: float = 2.0) -> StabilityBounds:
+def check_scheme(xi: float, boot_substeps: int = 1) -> None:
+    """Refuse a decay parameter outside (1, 3) or fewer than one substep."""
     if not 1.0 < xi < 3.0:
         raise ValueError(f"xi must lie in (1, 3), got {xi}")
+    if boot_substeps < 1:
+        raise ValueError("boot_substeps must be >= 1")
+
+
+def stability_bounds(cc: CCOperator, kernel: JumpKernel,
+                     xi: float = 2.0) -> StabilityBounds:
+    check_scheme(xi)
     a = kernel.total_rate
     damping = cc.damping
     dt_pos = math.inf if a == 0.0 else 1.0 / a
@@ -204,12 +211,12 @@ def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
                kernel: JumpKernel) -> np.ndarray:
     """One implicit Euler step: solve (I - dt*A) f = f_prev + dt*Q(f_prev).
 
-    Refuses dt_sub above 1/total_rate, the positivity bound.
+    Refuses dt_sub above the positivity bound of `stability_bounds`.
     """
-    a = kernel.total_rate
-    if a > 0.0 and dt_sub > 1.0 / a:
+    bound = stability_bounds(cc, kernel).dt_euler_positive
+    if dt_sub > bound:
         raise StabilityError(
-            f"Euler step {dt_sub:.3e} exceeds positivity bound {1.0 / a:.3e}")
+            f"Euler step {dt_sub:.3e} exceeds positivity bound {bound:.3e}")
     explicit, implicit = euler_symbols(cc, kernel, dt_sub)
     return np.fft.irfft(explicit * np.fft.rfft(f_prev) / implicit,
                         n=len(f_prev))
@@ -228,6 +235,22 @@ def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
     if not np.all(np.isfinite(out)):
         raise SolverError("non-finite values in BDF2 solve")
     return out
+
+
+def march_one_term(explicit, implicit, rows: list) -> None:
+    """rows[i+1] = explicit*rows[i]/implicit, in place, in row order."""
+    for x, x_next in zip(rows, rows[1:]):
+        np.multiply(explicit, x, out=x_next)
+        np.divide(x_next, implicit, out=x_next)
+
+
+def march_two_term(explicit, implicit, rows: list) -> None:
+    """rows[i+2] = (explicit*rows[i+1] - rows[i])/implicit, in place, in
+    row order; the order of the operations fixes every level's rounding."""
+    for y, x, x_next in zip(rows, rows[1:], rows[2:]):
+        np.multiply(explicit, x, out=x_next)
+        np.subtract(x_next, y, out=x_next)
+        np.divide(x_next, implicit, out=x_next)
 
 
 @dataclass
@@ -273,8 +296,7 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     mass0 = cc.grid.h * f0.sum()
     if not abs(mass0 - 1.0) <= 1e-8:
         raise ValueError(f"initial density mass {mass0} is not 1")
-    if boot_substeps < 1:
-        raise ValueError("boot_substeps must be >= 1")
+    check_scheme(xi, boot_substeps)
 
     kernel = JumpKernel.from_rates(rates, basis)
     bounds = stability_bounds(cc, kernel, xi)
@@ -286,26 +308,16 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
             "pass force=True (config key force_dt) to integrate anyway")
 
-    # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}; each level is
-    # written into its own row as (explicit*x - y)/implicit, the order that
-    # fixes its rounding
+    # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}
     n_steps = time_grid.n_steps
     spectra = np.empty((boot_substeps + n_steps + 1, n // 2 + 1), dtype=complex)
     rows = list(spectra)
     boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
     boot_hat[0][:] = np.fft.rfft(f0)
     # g^{s+1} from g^s; the last substep g^K is F^1
-    explicit, implicit = euler_symbols(cc, kernel, tau)
-    chain = boot_hat + hat[1:2]
-    for g, g_next in zip(chain, chain[1:]):
-        np.multiply(explicit, g, out=g_next)
-        np.divide(g_next, implicit, out=g_next)
+    march_one_term(*euler_symbols(cc, kernel, tau), boot_hat + hat[1:2])
     hat[0][:] = boot_hat[0]
-    explicit, implicit = bdf2_symbols(cc, kernel, dt)
-    for f_prev, f_m, f_next in zip(hat, hat[1:], hat[2:]):
-        np.multiply(explicit, f_m, out=f_next)
-        np.subtract(f_next, f_prev, out=f_next)
-        np.divide(f_next, implicit, out=f_next)
+    march_two_term(*bdf2_symbols(cc, kernel, dt), hat)
 
     states = np.fft.irfft(spectra, n=n, axis=1)
     if not np.all(np.isfinite(states)):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .adjoint import AdjointHistory, solve_adjoint, terminal_condition
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, history_diagnostics,
-                      solve_forward)
+from .forward import (CCOperator, DensityHistory, check_scheme,
+                      history_diagnostics, solve_forward)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
@@ -48,6 +48,9 @@ class CalibrationSetup:
     cc: CCOperator = field(init=False)
 
     def __post_init__(self):
+        if not self.eps > 0.0:
+            raise ValueError(f"the objective floor must be > 0, got {self.eps}")
+        check_scheme(self.xi, self.boot_substeps)
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
 
 

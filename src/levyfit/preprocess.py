@@ -8,11 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .torus import HALF_WIDTH, TorusGrid, project_to_torus
+
+_TORUS = TorusGrid(-HALF_WIDTH, HALF_WIDTH, 4)  # the wrap reads its edges only
 
 
 @dataclass(frozen=True)
 class PreprocessSpec:
-    """Band of raw values mapped onto the torus [-target, target).
+    """Band of raw values mapped onto the torus [-pi, pi).
 
     Values outside [band_lo, band_hi] are either wrapped around (default)
     or discarded; diffusion_fraction of the empirical variance is assigned
@@ -21,7 +24,6 @@ class PreprocessSpec:
 
     band_lo: float = -0.03
     band_hi: float = 0.03
-    target_halfwidth: float = math.pi
     diffusion_fraction: float = 0.25
     outside: str = "wrap"
 
@@ -43,7 +45,7 @@ class PreprocessSpec:
     @property
     def scale(self) -> float:
         """Stretch factor carrying the band onto the full torus width."""
-        return 2.0 * self.target_halfwidth / (self.band_hi - self.band_lo)
+        return _TORUS.length / (self.band_hi - self.band_lo)
 
     @property
     def center(self) -> float:
@@ -71,7 +73,7 @@ def torus_diffusion(raw_variance: float, spec: PreprocessSpec) -> float:
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    values: np.ndarray          # on [-target, target)
+    values: np.ndarray          # on [-pi, pi)
     drift: float                # torus drift for the model
     diffusion: float            # torus sigma^2 for the model
     raw_mean: float
@@ -106,8 +108,7 @@ def preprocess_financial(raw_values, spec: PreprocessSpec) -> PreprocessResult:
         raise ConfigError("the raw values are too large for float64: the "
                           + ", ".join(overflowed) + " overflow")
 
-    target = spec.target_halfwidth
-    outside = (x < -target) | (x >= target)
+    outside = (x < _TORUS.lower) | (x >= _TORUS.upper)
     n_outside = int(outside.sum())
     if spec.outside == "discard":
         x = x[~outside]
@@ -115,7 +116,7 @@ def preprocess_financial(raw_values, spec: PreprocessSpec) -> PreprocessResult:
         if x.size == 0:
             raise ConfigError("all values fell outside the band")
     else:
-        x = np.mod(x + target, 2.0 * target) - target
+        x = project_to_torus(x, _TORUS)
         n_wrapped, n_discarded = n_outside, 0
 
     return PreprocessResult(

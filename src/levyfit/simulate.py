@@ -69,12 +69,16 @@ class SimulationSpec:
 
 def _initial_positions(spec: SimulationSpec, grid: TorusGrid,
                        rng: np.random.Generator) -> np.ndarray | float:
-    """Starting values of the paths, on the real line before projection."""
+    """Starting values of the paths, on the real line before projection.
+
+    They start from init_center's point on the torus: a far representative
+    would round every draw and jump added to it away."""
+    center = project_to_torus(spec.init_center, grid)
     if spec.init_concentration is None:
-        return spec.init_center
+        return center
     # rng.vonmises lives on [-pi, pi); rescale its period to the torus length
     draw = rng.vonmises(0.0, spec.init_concentration, size=spec.n_samples)
-    return spec.init_center + draw * (grid.length / (2.0 * math.pi))
+    return center + draw * (grid.length / (2.0 * math.pi))
 
 
 def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,

@@ -13,6 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+HALF_WIDTH = math.pi  # the standard torus is [-HALF_WIDTH, HALF_WIDTH)
+# below half the spacing of floats at the largest one: an edge this small
+# added to any finite value rounds to a finite value, so no wrap onto the
+# torus overflows
+_EDGE_MAX = 1e290
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -30,9 +36,11 @@ class TorusGrid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need at least 4 grid cells, got {self.n}")
-        if not 0.0 < self.h < math.inf:
+        if not (abs(self.lower) <= _EDGE_MAX and abs(self.upper) <= _EDGE_MAX
+                and self.h > 0.0):
             raise ValueError(f"domain [{self.lower}, {self.upper}) must be "
-                             "finite and non-empty")
+                             f"non-empty, with finite edges within "
+                             f"+-{_EDGE_MAX:g}")
 
     @property
     def length(self) -> float:
@@ -146,7 +154,9 @@ def _hat_values(x: np.ndarray, centers: np.ndarray, delta: float,
                 grid: TorusGrid) -> np.ndarray:
     k = grid.length
     d = np.abs(np.mod(x[None, :] - centers[:, None] + k / 2.0, k) - k / 2.0)
-    return np.maximum(0.0, 1.0 - d / delta)
+    # d / delta overflows only far outside a hat, where its value is 0
+    with np.errstate(over="ignore"):
+        return np.maximum(0.0, 1.0 - d / delta)
 
 
 def make_basis(centers, grid: TorusGrid, delta: float | None = None) -> SplineBasis:
@@ -191,6 +201,8 @@ def band_centers(n_theta: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"band ({lo}, {hi}) must be finite and non-empty")
     spacing = (hi - lo) / (n_theta + 1)
+    if not spacing < math.inf:
+        raise ValueError(f"band ({lo}, {hi}) is too wide for float64")
     return lo + spacing * np.arange(1, n_theta + 1)
 
 
@@ -204,18 +216,22 @@ def tiling_centers(n_theta: int, grid: TorusGrid) -> np.ndarray:
 def von_mises_density(grid: TorusGrid, mu: float, kappa: float) -> np.ndarray:
     """Sharply peaked periodic bump centered at mu, normalized so h*sum == 1.
 
-    Evaluates exp(kappa*(cos(2*pi*(x - mu - lower)/K - pi) - 1)) on the grid
-    and renormalizes numerically; subtracting the peak value inside the
-    exponential keeps kappa of several hundred overflow-free, and the
-    discrete normalization removes the Bessel-function constant entirely.
+    Evaluates exp(kappa*(cos(2*pi*(x - mu - lower)/K - pi) - 1)) on the grid,
+    with mu first projected onto the torus, and renormalizes numerically;
+    subtracting the peak value inside the exponential keeps kappa of
+    several hundred overflow-free, a kappa whose exponent overflows gives
+    its limit exp(-inf) = 0, and the discrete normalization removes the
+    Bessel-function constant entirely.
     """
     if not math.isfinite(mu):
         raise ValueError("von Mises center mu must be finite")
     if not 0.0 < kappa < math.inf:
         raise ValueError("von Mises kappa must be finite and > 0")
     x = grid.points
+    mu = project_to_torus(mu, grid)
     ang = 2.0 * np.pi * (x - mu - grid.lower) / grid.length - np.pi
-    f = np.exp(kappa * (np.cos(ang) - 1.0))
+    with np.errstate(over="ignore"):
+        f = np.exp(kappa * (np.cos(ang) - 1.0))
     mass = grid.h * f.sum()
     if not mass > 0.0:
         raise ValueError(f"kappa = {kappa} is too sharp for the grid: "

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levyfit.experiment as experiment
@@ -177,6 +179,48 @@ class TestConfigProperties:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+ARTIFACTS = ["aic.csv", "density.csv", "histogram.csv", "report.json"]
+# finite values at the edges of float64 besides the ordinary ones
+RUN_VALUES = st.one_of(
+    st.integers(-5, 40).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e+308", "5e-324",
+                     "-5e-324", "0", "nan", "inf"]))
+
+
+class TestRunProperties:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(overrides=st.lists(st.tuples(st.sampled_from(NUMERIC_KEYS),
+                                        RUN_VALUES), min_size=1, max_size=3))
+    @example(overrides=[("sigma2", "50.0")])
+    @example(overrides=[("init_concentration", "1e308")])
+    def test_exit_code_contract(self, overrides):
+        # exit 0 writes the four artifacts and says nothing on stderr; exit
+        # 1 or 2 says one line why and leaves no output directory
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "o")
+            argv = ["run", "--out", out]
+            for line in (TINY.strip().splitlines()[1:]
+                         + [f"{k}={v}" for k, v in overrides]):
+                argv += ["--set", line]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue().splitlines()
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err == []
+            else:
+                prefix = "error: " if code == 1 else "numerical failure: "
+                assert len(err) == 1 and err[0].startswith(prefix)
+            assert os.path.isdir(out) == (code == 0)
+            made = [name for name in ARTIFACTS
+                    if os.path.exists(os.path.join(out, name))]
+            assert made == (ARTIFACTS if code == 0 else [])
+
+
 class TestRunExperiment:
     def test_artifacts_and_schema(self, tiny_cfg, tmp_path):
         cfg = load_config(tiny_cfg)
@@ -294,7 +338,8 @@ class TestCliEntry:
         "sim_rates=-1,2,1,0.5,0.25", "sim_rates=", "sim_rates=1",
         "objective_floor=0", "objective_floor=-1", "drift=nan", "drift=inf",
         "init_center=inf", "domain_lower=-inf", "init_concentration=inf",
-        "n_theta_list=80", "seed=-1", "hist_bins=100000000000"])
+        "n_theta_list=80", "seed=-1", "hist_bins=100000000000",
+        "aic_penalty=none", "objective_floor=nan", "domain_lower=-1e308"])
     def test_bad_setting_is_config_error(self, tiny_cfg, tmp_path, capsys,
                                          setting):
         out = tmp_path / "o"
@@ -348,6 +393,75 @@ class TestCliEntry:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "dt =" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("existing, out", [
+        (None, "a/b"), ("x", "x"), ("x", "x/b/c")])
+    def test_numerical_failure_removes_only_the_directories_it_made(
+            self, tiny_cfg, tmp_path, existing, out):
+        if existing:
+            (tmp_path / existing).mkdir()
+        assert main(["run", str(tiny_cfg), "--set", "sigma2=50.0",
+                     "--out", str(tmp_path / out)]) == 2
+        left = sorted(str(p.relative_to(tmp_path))
+                      for p in tmp_path.rglob("*") if p.is_dir())
+        assert left == ([existing] if existing else [])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"], ["frobnicate"], [],
+        ["preprocess", "raw.csv"],
+        ["preprocess", "raw.csv", "--out", "t.csv", "--fraction", "abc"],
+        ["preprocess", "raw.csv", "--out", "t.csv", "--outside", "ignore"]],
+        ids=" ".join)
+    def test_usage_error_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        # argparse would exit 2, the code of a numerical failure
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "raw.csv").write_text("0.01\n-0.02\n0.005\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_help_exits_0_and_names_the_outside_values(self, capsys):
+        for argv in (["--help"], ["preprocess", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+        assert "wrap (default) or discard" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_too_wide_for_float64_is_config_error(self, tiny_cfg,
+                                                       tmp_path, capsys):
+        # hi - lo overflows, and the hats' spacing with it
+        out = tmp_path / "o"
+        assert main(["run", str(tiny_cfg), "--set", "centers_lo=-1e308",
+                     "--set", "centers_hi=1e308", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "too wide for float64" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_initial_center_is_a_point_on_the_torus(self, tiny_cfg,
+                                                        tmp_path):
+        # both commands start at init_center projected onto the torus,
+        # however far out it is given; added to 1e308 itself, every draw
+        # and jump would round away and leave one distinct sample
+        assert main(["run", str(tiny_cfg), "--set", "init_center=1e308",
+                     "--out", str(tmp_path / "o")]) == 0
+        out = tmp_path / "s.csv"
+        assert main(["simulate", str(tiny_cfg), "--set", "init_center=1e308",
+                     "--out", str(out)]) == 0
+        assert len(np.unique(ingest_samples(out))) > 1000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_concentration_is_a_spike(self, tiny_cfg, tmp_path):
+        # kappa * (cos - 1) overflows to -inf off the peak: exp gives 0 there
+        cfg = load_config(tiny_cfg, ["init_concentration=1e308"])
+        f0 = cfg.calibration_setups()[0].f0
+        grid = build_grid(cfg)
+        assert np.count_nonzero(f0) == 1 and f0.max() == 1.0 / grid.h
+        assert main(["run", str(tiny_cfg), "--set", "init_concentration=1e308",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_simulate_writes_csv(self, tiny_cfg, tmp_path):
         out = tmp_path / "samples.csv"

@@ -244,6 +244,15 @@ class TestSteps:
         with pytest.raises(StabilityError):
             euler_step(f, 1.5 / kern.total_rate, cc, kern)
 
+    def test_euler_refuses_negative_total_rate(self, small_setup):
+        # its positivity bound 1/total_rate is negative, as in solve_forward
+        grid, basis = small_setup
+        cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
+        kern = JumpKernel.from_rates([-1.0, 0.5], basis)
+        assert kern.total_rate < 0
+        with pytest.raises(StabilityError, match="positivity"):
+            euler_step(np.full(8, 1.0), 1e-3, cc, kern)
+
     def test_bdf2_uniform_fixed_point(self):
         grid = TorusGrid(-np.pi, np.pi, 32)
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))

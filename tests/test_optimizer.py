@@ -39,6 +39,20 @@ def synthetic_samples(setup, rates, n_samples, seed):
     return sample_compound_poisson(spec, setup.basis, setup.grid)
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"eps": 0.0}, "floor"), ({"eps": float("nan")}, "floor"),
+    ({"xi": 3.0}, "xi"), ({"xi": 1.0}, "xi"),
+    ({"boot_substeps": 0}, "boot_substeps")])
+def test_setup_refuses_scheme_settings_out_of_range(setting, match):
+    # the fit's setup owns the ranges of its scheme settings; the config
+    # keeps no copy of them
+    setup = make_setup()
+    fields = {name: getattr(setup, name) for name in (
+        "grid", "time_grid", "coeffs", "basis", "f0")}
+    with pytest.raises(ValueError, match=match):
+        CalibrationSetup(**fields, **setting)
+
+
 class TestReducedGradient:
     def test_matches_central_differences(self):
         setup = make_setup(n=32, n_steps=20, n_theta=3)

@@ -109,6 +109,15 @@ class TestPreprocess:
         wrapped = result.values[-3:]
         assert np.all(wrapped > 0)
 
+    def test_wrap_lands_below_the_upper_edge(self):
+        # just below band_lo maps to a hair below -pi; wrapped by a plain
+        # modulus it rounds up to +pi, the same point as -pi but outside
+        # [-pi, pi)
+        raw = np.array([np.nextafter(-0.03, -1.0), 0.01, -0.01])
+        result = preprocess_financial(raw, PreprocessSpec())
+        assert result.n_wrapped == 1
+        assert result.values[0] == -np.pi
+
     def test_discard_mode(self, rng):
         spec = PreprocessSpec(outside="discard")
         inside = rng.uniform(-0.02, 0.02, 50)

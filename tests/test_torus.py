@@ -31,6 +31,16 @@ class TestTorusGrid:
             with pytest.raises(ValueError, match="finite"):
                 TorusGrid(lower, upper, 16)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lower, upper", [(-1e300, 1.0), (0.0, 1e300)])
+    def test_rejects_edges_whose_wrap_can_overflow(self, lower, upper):
+        # an edge of 1e290 or less added to any finite value stays finite
+        with pytest.raises(ValueError, match="within"):
+            TorusGrid(lower, upper, 16)
+        grid = TorusGrid(-1e290, 1e290, 16)
+        assert np.isfinite(project_to_torus(np.array(
+            [np.finfo(float).max, -np.finfo(float).max]), grid)).all()
+
     def test_translation_nodes_are_grid_points_when_aligned(self, grid):
         # lower = -pi = -(n/2)*h, so the node set equals the point set
         assert np.allclose(np.sort(grid.translation_nodes),
