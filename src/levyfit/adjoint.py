@@ -47,15 +47,12 @@ def terminal_condition(f_terminal: np.ndarray, samples: SampleSet,
     Cell i holds -count_i / (L * f_i) when the floor is inactive there;
     empty cells and floored cells (f_i <= eps, where the objective is
     locally flat) contribute zero.  Returned with the minimization sign, so
-    every entry is nonpositive.
+    every entry is nonpositive.  f_terminal has the shape of the cell
+    counts, as `evaluate_objective` checks on the same level.
     """
     f = np.asarray(f_terminal, dtype=float)
     counts = samples.cell_counts
-    if f.shape != counts.shape:
-        raise ValueError("terminal density and cell counts disagree in shape")
     n = len(samples)
-    if n != counts.sum():
-        raise ValueError(f"{n} samples but cell counts sum to {counts.sum()}")
     out = np.zeros_like(f)
     active = (counts > 0) & (f > eps)
     out[active] = -counts[active] / (n * f[active])

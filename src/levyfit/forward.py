@@ -238,19 +238,25 @@ def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
 
 
 def march_one_term(explicit, implicit, rows: list) -> None:
-    """rows[i+1] = explicit*rows[i]/implicit, in place, in row order."""
+    """rows[i+1] = explicit*rows[i]/implicit, in place, in row order.
+
+    The ufuncs are bound once and given their output positionally: on a
+    small grid, parsing `out=` is a sizable share of each call.
+    """
+    multiply, divide = np.multiply, np.divide
     for x, x_next in zip(rows, rows[1:]):
-        np.multiply(explicit, x, out=x_next)
-        np.divide(x_next, implicit, out=x_next)
+        multiply(explicit, x, x_next)
+        divide(x_next, implicit, x_next)
 
 
 def march_two_term(explicit, implicit, rows: list) -> None:
     """rows[i+2] = (explicit*rows[i+1] - rows[i])/implicit, in place, in
     row order; the order of the operations fixes every level's rounding."""
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     for y, x, x_next in zip(rows, rows[1:], rows[2:]):
-        np.multiply(explicit, x, out=x_next)
-        np.subtract(x_next, y, out=x_next)
-        np.divide(x_next, implicit, out=x_next)
+        multiply(explicit, x, x_next)
+        subtract(x_next, y, x_next)
+        divide(x_next, implicit, x_next)
 
 
 @dataclass

@@ -219,6 +219,62 @@ class TestRunProperties:
             made = [name for name in ARTIFACTS
                     if os.path.exists(os.path.join(out, name))]
             assert made == (ARTIFACTS if code == 0 else [])
+            if code == 0:
+                # criterion 9: a second run of the same config writes the
+                # same report.json, byte for byte
+                again = os.path.join(tmp, "again")
+                argv[argv.index(out)] = again
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                assert (Path(again, "report.json").read_bytes()
+                        == Path(out, "report.json").read_bytes())
+
+
+# a raw return file is ordinary returns with up to two stray lines among
+# them: blank and comment lines, any finite float (some overflow the torus
+# stretch), the non-finite spellings and bytes that are not UTF-8
+RETURNS = st.lists(st.floats(-0.1, 0.1).map(repr).map(str.encode),
+                   max_size=10)
+STRAY_LINES = st.lists(st.one_of(
+    st.sampled_from([b"", b"  ", b"# note", b"1e308", b"-1e308", b"nan",
+                     b"inf", b"-inf", b"\xff", b"0.01\xfe"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr).map(str.encode)),
+    max_size=2)
+FLOAT_ARGS = st.none() | st.floats(-0.2, 1.2).map(repr) | st.sampled_from(
+    ["0", "-1e308", "nan", "-inf"])
+
+
+class TestPreprocessProperties:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(returns=RETURNS, stray=STRAY_LINES, at=st.integers(0, 10),
+           band_lo=FLOAT_ARGS, fraction=FLOAT_ARGS,
+           outside=st.none() | st.sampled_from(["wrap", "discard", "clip"]))
+    def test_exit_code_contract(self, returns, stray, at, band_lo, fraction,
+                                outside):
+        # exit 0 writes the torus CSV and says nothing on stderr; exit 1
+        # says one line why and writes no CSV
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = Path(tmp, "raw.csv")
+            raw.write_bytes(b"\n".join(returns[:at] + stray + returns[at:]))
+            out = Path(tmp, "torus.csv")
+            argv = ["preprocess", str(raw), "--out", str(out)]
+            for flag, value in (("--band-lo", band_lo),
+                                ("--fraction", fraction),
+                                ("--outside", outside)):
+                if value is not None:
+                    argv.append(f"{flag}={value}")
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue().splitlines()
+            assert code in (0, 1)
+            if code == 0:
+                assert err == []
+            else:
+                assert len(err) == 1 and err[0].startswith("error: ")
+            assert out.exists() == (code == 0)
 
 
 class TestRunExperiment:
