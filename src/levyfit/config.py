@@ -1,8 +1,9 @@
 """Flat key=value run configuration, with defaults for the standard experiments.
 
-A config file is plain text, one `key = value` per line, '#' comments and
-blank lines ignored.  Command-line overrides use the same key=value form.
-List-valued keys take comma-separated entries.
+A config file is UTF-8 text, one `key = value` per line, '#' comments and
+blank lines ignored.  Command-line overrides use the same key=value form,
+with no comments: a '#' there is part of the value.  List-valued keys take
+comma-separated entries.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ConfigError
 from .likelihood import DEFAULT_FLOOR, aic_score
 from .optimizer import CalibrationSetup, OptimizerParams
+from .samples import open_text
 from .simulate import SimulationSpec
 from .torus import (HALF_WIDTH, ModelCoefficients, SplineBasis, TimeGrid,
                     TorusGrid, band_centers, make_basis, tiling_centers,
@@ -159,7 +161,7 @@ def _coerce(key: str, text: str):
 def parse_assignments(lines, source: str = "<config>") -> dict:
     out = {}
     for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
+        text = line.strip()
         if not text:
             continue
         if "=" not in text:
@@ -171,12 +173,14 @@ def parse_assignments(lines, source: str = "<config>") -> dict:
 
 def load_config(path=None, overrides=()) -> RunConfig:
     """Defaults, then file assignments, then key=value overrides, each
-    value only parsed as its key's type.  The command that runs the config
-    checks it, by building what it runs."""
+    value only parsed as its key's type; a file open_text cannot read is
+    an IngestError.  The command that runs the config checks it, by
+    building what it runs."""
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_assignments(fh, source=str(path)))
+        with open_text(path) as fh:
+            values.update(parse_assignments(
+                (line.split("#", 1)[0] for line in fh), source=str(path)))
     values.update(parse_assignments(list(overrides), source="<override>"))
     return RunConfig(**values)
 

@@ -10,7 +10,7 @@ class ConfigError(LevyfitError):
 
 
 class IngestError(LevyfitError):
-    """Malformed or empty sample input file."""
+    """Malformed, empty or unreadable input file."""
 
 
 class StabilityError(LevyfitError):

@@ -52,8 +52,8 @@ def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:
     if config.sim_kind:
         return simulate_samples(config)
     if config.samples_csv:
-        raw = ingest_samples(config.samples_csv)
-        return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw)
+        return SampleSet.from_values(
+            project_to_torus(ingest_samples(config.samples_csv), grid), grid)
     raise ConfigError("no data source: set sim_kind or samples_csv")
 
 

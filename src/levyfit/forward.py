@@ -164,13 +164,11 @@ class StabilityBounds:
     """Admissible time steps for the two schemes at decay parameter xi.
 
     dt_euler_positive: implicit Euler keeps nonnegative data nonnegative.
-    dt_euler_decay:    Euler additionally satisfies f_new >= f_old / xi.
     dt_bdf2:           the two-step scheme propagates xi*f_new - f_old >= 0
                        (hence positivity, given a compliant starting pair).
     """
 
     dt_euler_positive: float
-    dt_euler_decay: float
     dt_bdf2: float
     xi: float
 
@@ -189,10 +187,9 @@ def stability_bounds(cc: CCOperator, kernel: JumpKernel,
     a = kernel.total_rate
     damping = cc.damping
     dt_pos = math.inf if a == 0.0 else 1.0 / a
-    dt_decay = (xi - 1.0) / (a * xi + damping)
     # the jump term enters the two-step update with weight 2*dt, hence 2*a*xi
     dt_bdf2 = (xi - 1.0) * (3.0 - xi) / (2.0 * a * xi + 2.0 * damping)
-    return StabilityBounds(dt_pos, dt_decay, dt_bdf2, xi)
+    return StabilityBounds(dt_pos, dt_bdf2, xi)
 
 
 def euler_symbols(cc: CCOperator, kernel: JumpKernel,

@@ -149,18 +149,9 @@ def projected_direction(d: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return out
 
 
-def projected_gradient(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """First-order optimality residual under the nonnegativity bounds."""
-    out = g.copy()
-    active = alpha <= 0.0
-    out[active] = np.minimum(g[active], 0.0)
-    return out
-
-
 @dataclass(frozen=True)
 class LineSearchResult:
     step: float
-    value: float
     n_evals: int
 
 
@@ -177,9 +168,8 @@ def armijo_linesearch(evaluate, f_current: float,
         raise LineSearchError(f"not a descent direction (slope {slope:.3e})")
     step = STEP_INIT
     for n_evals in range(1, MAX_SHRINKS + 1):
-        value = evaluate(step)
-        if value <= f_current + ARMIJO_DELTA * step * slope:
-            return LineSearchResult(step, value, n_evals)
+        if evaluate(step) <= f_current + ARMIJO_DELTA * step * slope:
+            return LineSearchResult(step, n_evals)
         step *= STEP_SHRINK
     raise LineSearchError(
         f"no sufficient decrease within {MAX_SHRINKS} shrinks")
@@ -211,11 +201,16 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     obj, fwd = objective(alpha, setup, samples)
     f_val = -obj.value
     grad = reduced_gradient(alpha, setup, samples, history=fwd)
-    direction = projected_direction(-grad, alpha)
+    direction = np.zeros(n_theta)   # none yet: the first search is steepest
 
-    pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
     trace = []
     for k in range(params.max_iters + 1):
+        # -(projected gradient): its norm is the first-order residual
+        steepest = projected_direction(-grad, alpha)
+        pg_norm = float(np.linalg.norm(steepest))
+        if k:
+            trace.append({"iter": k - 1, "j": -f_val, "pg_norm": pg_norm,
+                          "step": ls.step, "beta": beta, "evals": ls.n_evals})
         if pg_norm <= params.tol:
             stop_note = "tol"
             break
@@ -225,7 +220,6 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
         # the conjugate direction if it descends, then steepest descent;
         # a direction equal to steepest descent is searched only once
-        steepest = projected_direction(-grad, alpha)
         candidates = [steepest]
         if (float(grad @ direction) < 0.0
                 and not np.array_equal(direction, steepest)):
@@ -258,9 +252,6 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         direction = projected_direction(-grad_next + beta * direction,
                                         alpha_next)
         alpha, f_val, grad = alpha_next, f_next, grad_next
-        pg_norm = float(np.linalg.norm(projected_gradient(grad, alpha)))
-        trace.append({"iter": k, "j": -f_val, "pg_norm": pg_norm,
-                      "step": ls.step, "beta": beta, "evals": ls.n_evals})
 
     diagnostics = {
         "stop": stop_note,

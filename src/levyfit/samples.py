@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -56,6 +57,21 @@ class SampleSet:
                    jump_counts=jump_counts)
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """A user's text file, open for reading as UTF-8.  An OSError or a
+    decoding error raised by the open or inside the block becomes an
+    IngestError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise IngestError(
+            f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def ingest_samples(path) -> np.ndarray:
     """Read raw sample values from a CSV file: one decimal per line, '#' comments.
 
@@ -65,15 +81,11 @@ def ingest_samples(path) -> np.ndarray:
     per line); a file it refuses is read again line by line, which accepts
     whatever float() accepts and names the first bad line.
     """
-    try:
-        values = _read_column(path)
+    with open_text(path) as fh:
+        values = _read_column(fh, path)
         if values is None:
-            values = _read_lines(path)
-    except OSError as exc:
-        raise IngestError(
-            f"{path}: cannot read ({exc.strerror or exc})") from None
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            fh.seek(0)
+            values = _read_lines(fh, path)
     return values
 
 
@@ -83,21 +95,20 @@ def ingest_samples(path) -> np.ndarray:
 _NUMPY_OPENER_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _read_column(path) -> np.ndarray | None:
+def _read_column(fh, path) -> np.ndarray | None:
     """The finite values of one number per line after the leading blank and
-    '#' lines, or None where the line reader must decide."""
+    '#' lines of `fh`, or None where the line reader must decide."""
     name = os.path.abspath(path)
     if name.endswith(_NUMPY_OPENER_SUFFIXES):
         return None
     skip = 0
-    with open(name, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if text and not text.startswith("#"):
-                break
-            skip += 1
-        else:
-            return None
+    for line in fh:
+        text = line.strip()
+        if text and not text.startswith("#"):
+            break
+        skip += 1
+    else:
+        return None
     try:
         # ndmin=2 keeps a single line "1 2" a row of two values, refused below
         table = np.loadtxt(name, comments=None, skiprows=skip, ndmin=2,
@@ -109,24 +120,23 @@ def _read_column(path) -> np.ndarray | None:
     return table.ravel()
 
 
-def _read_lines(path) -> np.ndarray:
-    """float() of each line that is not blank or '#'; an IngestError names
-    the first line it refuses."""
+def _read_lines(fh, path) -> np.ndarray:
+    """float() of each line of `fh` that is not blank or '#'; an
+    IngestError names `path` and the first line it refuses."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: malformed value {text!r} at line {lineno}") from None
-            if not math.isfinite(value):
-                raise IngestError(
-                    f"{path}: non-finite value {text!r} at line {lineno}")
-            values.append(value)
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise IngestError(
+                f"{path}: malformed value {text!r} at line {lineno}") from None
+        if not math.isfinite(value):
+            raise IngestError(
+                f"{path}: non-finite value {text!r} at line {lineno}")
+        values.append(value)
     if not values:
         raise IngestError(f"{path}: no sample values found")
     return np.asarray(values, dtype=float)

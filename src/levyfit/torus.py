@@ -159,31 +159,23 @@ def _hat_values(x: np.ndarray, centers: np.ndarray, delta: float,
         return np.maximum(0.0, 1.0 - d / delta)
 
 
-def make_basis(centers, grid: TorusGrid, delta: float | None = None) -> SplineBasis:
-    """Build the hat basis for equally spaced centers.
+def make_basis(centers, grid: TorusGrid) -> SplineBasis:
+    """Build the hat basis for at least 2 equally spaced centers.
 
-    The half-support width equals the center spacing; a single center needs
-    `delta` passed explicitly.  Non-uniform spacing is rejected because one
-    common width enters every hat formula.
+    The half-support width equals the center spacing.  Non-uniform spacing
+    is rejected because one common width enters every hat formula.
     """
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
-    if centers.size == 0:
-        raise ValueError("need at least one center")
-    if centers.size > 1:
-        gaps = np.diff(centers)
-        if np.any(gaps <= 0):
-            raise ValueError("centers must be strictly increasing")
-        if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12 * grid.length):
-            raise ValueError(f"centers must be equally spaced, got gaps {gaps}")
-        spacing = float(gaps[0])
-        if delta is not None and not np.isclose(delta, spacing, rtol=1e-9):
-            raise ValueError("delta must equal the center spacing")
-        delta = spacing
-    elif delta is None:
-        raise ValueError("a single-hat basis needs delta; give >= 2 centers")
-    delta = float(delta)
-    if not 0.0 < delta <= grid.length / 2.0:
-        raise ValueError("delta must lie in (0, K/2]")
+    if centers.size < 2:
+        raise ValueError(f"need at least 2 centers, got {centers.size}")
+    gaps = np.diff(centers)
+    if np.any(gaps <= 0):
+        raise ValueError("centers must be strictly increasing")
+    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12 * grid.length):
+        raise ValueError(f"centers must be equally spaced, got gaps {gaps}")
+    delta = float(gaps[0])
+    if not delta <= grid.length / 2.0:
+        raise ValueError("delta, the center spacing, must be at most K/2")
 
     samples = _hat_values(grid.translation_nodes, centers, delta, grid)
     dead = np.flatnonzero(~np.any(samples > 0.0, axis=1))
@@ -196,8 +188,8 @@ def make_basis(centers, grid: TorusGrid, delta: float | None = None) -> SplineBa
 
 def band_centers(n_theta: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     """n_theta equally spaced interior centers of (lo, hi), spacing (hi-lo)/(n_theta+1)."""
-    if n_theta < 1:
-        raise ValueError("n_theta must be >= 1")
+    if n_theta < 2:
+        raise ValueError("n_theta must be >= 2")
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"band ({lo}, {hi}) must be finite and non-empty")
     spacing = (hi - lo) / (n_theta + 1)
@@ -216,7 +208,7 @@ def tiling_centers(n_theta: int, grid: TorusGrid) -> np.ndarray:
 def von_mises_density(grid: TorusGrid, mu: float, kappa: float) -> np.ndarray:
     """Sharply peaked periodic bump centered at mu, normalized so h*sum == 1.
 
-    Evaluates exp(kappa*(cos(2*pi*(x - mu - lower)/K - pi) - 1)) on the grid,
+    Evaluates exp(kappa*(cos(2*pi*(x - mu + K/2)/K - pi) - 1)) on the grid,
     with mu first projected onto the torus, and renormalizes numerically;
     subtracting the peak value inside the exponential keeps kappa of
     several hundred overflow-free, a kappa whose exponent overflows gives
@@ -229,7 +221,7 @@ def von_mises_density(grid: TorusGrid, mu: float, kappa: float) -> np.ndarray:
         raise ValueError("von Mises kappa must be finite and > 0")
     x = grid.points
     mu = project_to_torus(mu, grid)
-    ang = 2.0 * np.pi * (x - mu - grid.lower) / grid.length - np.pi
+    ang = 2.0 * np.pi * (x - mu + grid.length / 2.0) / grid.length - np.pi
     with np.errstate(over="ignore"):
         f = np.exp(kappa * (np.cos(ang) - 1.0))
     mass = grid.h * f.sum()

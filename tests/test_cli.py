@@ -20,7 +20,7 @@ from levyfit.config import (RunConfig, calibration_setup, config_from_dict,
 from levyfit.errors import ConfigError
 from levyfit.experiment import acquire_samples, build_grid, run_experiment
 from levyfit.likelihood import aic_score
-from levyfit.optimizer import CalibrationSetup, run_forward
+from levyfit.optimizer import CalibrationSetup, aic_sweep, run_forward
 from levyfit.samples import ingest_samples
 from levyfit.simulate import SimulationSpec
 from levyfit.torus import TorusGrid, tiling_centers
@@ -88,9 +88,12 @@ class TestConfig:
         assert cfg.hist_bins == 40
 
     def test_file_and_overrides(self, tiny_cfg):
-        cfg = load_config(tiny_cfg, overrides=["seed=9", "n_space = 32"])
+        cfg = load_config(tiny_cfg, overrides=["seed=9", "n_space = 32",
+                                               "samples_csv=run#1.csv"])
         assert cfg.seed == 9
         assert cfg.n_space == 32
+        # '#' starts a comment in a file only
+        assert cfg.samples_csv == "run#1.csv"
         assert cfg.sim_rates == (1.0, 0.5)
         assert cfg.n_theta_list == (2, 3)
 
@@ -140,7 +143,7 @@ BASES = st.sampled_from(["compound_poisson", "bigamma"])
 
 
 def _load(kind, overrides):
-    lines = TINY.strip().splitlines() + [f"sim_kind={kind}"]
+    lines = TINY.strip().splitlines()[1:] + [f"sim_kind={kind}"]
     return load_config(None, lines + [f"{k}={v}" for k, v in overrides])
 
 
@@ -341,6 +344,24 @@ class TestRunExperiment:
         for r1, r2 in zip(first.report["fits"], second.report["fits"]):
             assert r1["alpha_star"] == r2["alpha_star"]
 
+    def test_relabelling_the_torus_leaves_the_fit(self, tiny_cfg):
+        # [0, 2pi) and [-pi, pi) are one torus, and the start law is
+        # centred at init_center on both
+        def sweep(*overrides):
+            cfg = load_config(tiny_cfg, ["init_center=0.5", *overrides])
+            setups = cfg.calibration_setups()
+            return aic_sweep(setups, acquire_samples(cfg, setups[0].grid),
+                             cfg.optimizer_params())
+
+        a = sweep()
+        b = sweep("domain_lower=0", f"domain_upper={2 * np.pi!r}")
+        assert a.selected_n_theta == b.selected_n_theta
+        for fit_a, fit_b in zip(a.reports, b.reports, strict=True):
+            assert fit_a.iterations == fit_b.iterations
+            assert fit_b.j_star == pytest.approx(fit_a.j_star, rel=1e-12)
+            assert np.allclose(fit_b.alpha_star, fit_a.alpha_star,
+                               rtol=1e-6, atol=0.0)
+
     def test_builds_each_setup_once_and_prints_nothing(self, tiny_cfg,
                                                        tmp_path, monkeypatch,
                                                        capsys):
@@ -395,7 +416,8 @@ class TestCliEntry:
         "objective_floor=0", "objective_floor=-1", "drift=nan", "drift=inf",
         "init_center=inf", "domain_lower=-inf", "init_concentration=inf",
         "n_theta_list=80", "seed=-1", "hist_bins=100000000000",
-        "aic_penalty=none", "objective_floor=nan", "domain_lower=-1e308"])
+        "aic_penalty=none", "objective_floor=nan", "domain_lower=-1e308",
+        "sim_rates=1,2#3", "n_space=64#1"])
     def test_bad_setting_is_config_error(self, tiny_cfg, tmp_path, capsys,
                                          setting):
         out = tmp_path / "o"
@@ -612,24 +634,30 @@ class TestCliEntry:
         assert main(["preprocess", str(path),
                      "--out", str(tmp_path / "t.csv")]) == 1
 
-    @pytest.mark.parametrize("command", ["preprocess", "run"])
+    @pytest.mark.parametrize("command", ["preprocess", "run", "run-config",
+                                         "simulate-config"])
     @pytest.mark.parametrize("kind", ["directory", "latin-1"])
     def test_unreadable_sample_file_is_data_error(self, tmp_path, capsys,
                                                   command, kind):
+        # the sample file, or for *-config the config file, is unreadable
         path = tmp_path / "in.csv"
         if kind == "directory":
             path.mkdir()
         else:
             path.write_bytes("0.1\n# caf\xe9\n0.2\n".encode("latin-1"))
+        out = tmp_path / "o"
         if command == "preprocess":
-            argv = ["preprocess", str(path), "--out", str(tmp_path / "t.csv")]
-        else:
+            argv = ["preprocess", str(path), "--out", str(out)]
+        elif command == "run":
             argv = ["run", "--set", f"samples_csv={path}", "--set",
-                    "n_space=32", "--set", "n_time=10",
-                    "--out", str(tmp_path / "o")]
+                    "n_space=32", "--set", "n_time=10", "--out", str(out)]
+        else:
+            argv = [command.split("-")[0], str(path), "--out", str(out)]
         assert main(argv) == 1
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("band", [
         ["--band-hi=inf"], ["--band-lo=-inf"],

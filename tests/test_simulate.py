@@ -72,9 +72,10 @@ class TestCompoundPoisson:
         assert abs(ss.jump_counts.mean() - lam * spec.t_final) < 5 * se
 
     def test_single_hat_jump_moments(self, grid):
-        # symmetric triangular sizes: mean 0, variance delta^2 / 6
-        basis = make_basis([0.0], grid, delta=0.4)
-        spec = SimulationSpec(kind="compound_poisson", rates=(5.0,),
+        # symmetric triangular sizes: mean 0, variance delta^2 / 6; the
+        # second hat has rate 0, so every jump is drawn from the first
+        basis = make_basis([0.0, 0.4], grid)
+        spec = SimulationSpec(kind="compound_poisson", rates=(5.0, 0.0),
                               sigma2=1e-12, t_final=1.0, n_samples=30_000,
                               seed=8)
         ss = sample_compound_poisson(spec, basis, grid)

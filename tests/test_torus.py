@@ -118,15 +118,18 @@ class TestBasis:
         with pytest.raises(ValueError, match="equally spaced"):
             make_basis([0.0, 0.5, 1.2], grid)
 
-    def test_single_hat_needs_delta(self, grid):
-        with pytest.raises(ValueError):
-            make_basis([0.0], grid)
-        basis = make_basis([0.0], grid, delta=0.4)
-        assert basis.delta == 0.4
+    def test_refuses_fewer_than_two_centers(self, grid):
+        # the half-width is the center spacing, so it needs two centers
+        for centers in ([], [0.0]):
+            with pytest.raises(ValueError, match="at least 2 centers"):
+                make_basis(centers, grid)
+        with pytest.raises(ValueError, match=">= 2"):
+            band_centers(1)
+        assert make_basis([0.0, 0.4], grid).delta == 0.4
 
     def test_rejects_oversized_support(self, grid):
-        with pytest.raises(ValueError):
-            make_basis([0.0], grid, delta=grid.length)
+        with pytest.raises(ValueError, match="K/2"):
+            make_basis([0.0, grid.length], grid)
 
     def test_rejects_hats_that_cover_no_grid_node(self):
         # 40 band hats on 32 cells: half-width 2/41 is below h/2, so some
@@ -187,6 +190,17 @@ class TestVonMises:
         f = von_mises_density(grid, mu, 50.0)
         nearest = grid.points[np.argmin(np.abs(grid.points - mu))]
         assert grid.points[np.argmax(f)] == pytest.approx(nearest)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lower=st.floats(-100.0, 100.0), length=st.floats(1e-2, 100.0),
+           n=st.integers(4, 64), mu=st.floats(-1e3, 1e3))
+    def test_mode_at_nearest_node_on_any_domain(self, lower, length, n, mu):
+        # the labelling of the torus' edges does not move the start law
+        grid = TorusGrid(lower, lower + length, n)
+        f = von_mises_density(grid, mu, 50.0)
+        gap = np.abs(grid.points - project_to_torus(mu, grid))
+        dist = np.minimum(gap, grid.length - gap)
+        assert dist[np.argmax(f)] <= dist.min() + 1e-9 * grid.length
 
     def test_rejects_nonpositive_kappa(self, grid):
         with pytest.raises(ValueError):
