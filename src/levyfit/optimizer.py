@@ -109,12 +109,20 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
     """
     dt = fwd.time_grid.dt
     tau = dt / fwd.bootstrap.shape[0]
-    levels = np.fft.rfft(fwd.values[1:-1], axis=1)
-    substeps = np.fft.rfft(fwd.bootstrap, axis=1)
-    modes = (2.0 * dt * (np.conj(levels) * adj.levels).sum(axis=0)
-             + tau * (np.conj(substeps) * adj.bootstrap).sum(axis=0))
+    modes = (2.0 * dt * _paired_modes(fwd.values[1:-1], adj.levels)
+             + tau * _paired_modes(fwd.bootstrap, adj.bootstrap))
     lags = np.fft.irfft(modes, n=fwd.grid.n)
     return fwd.grid.h * (basis.samples @ (lags - lags[0]))
+
+
+def _paired_modes(states: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """sum over rows of conj(rfft(states)) * multipliers, conjugated and
+    multiplied in place in the rfft output: the only history-sized array
+    a gradient makes."""
+    pairs = np.fft.rfft(states, axis=1)
+    np.conj(pairs, out=pairs)
+    pairs *= multipliers
+    return pairs.sum(axis=0)
 
 
 def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,
@@ -229,6 +237,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
             def evaluate(step):
                 nonlocal trial
+                trial = None    # the last trial's history goes before this march
                 point = np.maximum(alpha + step * direction, 0.0)
                 trial = (point, *safe_objective(point))
                 return trial[1]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,16 @@ def snap_index(values, grid: TorusGrid) -> np.ndarray:
     A value exactly between two nodes is assigned the lower index (the
     wrap pair upper-most/0 counts the upper-most node as lower).
     """
-    u = (np.asarray(values, dtype=float) - grid.lower) / grid.h
-    return (np.ceil(u - 0.5).astype(int)) % grid.n
+    # one float and one int array, worked in place
+    u = np.array(values, dtype=float)
+    u -= grid.lower
+    u /= grid.h
+    u -= 0.5
+    np.ceil(u, out=u)
+    index = u.astype(int)
+    index %= grid.n
+    # a scalar or 0-d input gives a numpy integer, not a 0-d array
+    return index if index.ndim else index[()]
 
 
 @dataclass
@@ -28,23 +36,18 @@ class SampleSet:
     """Samples on the torus together with their snapped grid cells.
 
     cell_counts[i] is the number of samples whose nearest node is x_i, so
-    cell_counts.sum() == len(values).  `raw` optionally keeps the pre-wrap
-    real-line values and `jump_counts` the per-path jump totals when the
-    set came from a simulator.
+    cell_counts.sum() == len(values).
     """
 
     values: np.ndarray
     cell_counts: np.ndarray
     grid: TorusGrid
-    raw: np.ndarray | None = field(default=None, repr=False)
-    jump_counts: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
 
     @classmethod
-    def from_values(cls, values, grid: TorusGrid, raw=None,
-                    jump_counts=None) -> "SampleSet":
+    def from_values(cls, values, grid: TorusGrid) -> "SampleSet":
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("need a non-empty 1-d array of samples")
@@ -53,8 +56,7 @@ class SampleSet:
             raise ValueError("samples must be finite and lie in "
                              "[lower, upper); wrap first")
         counts = np.bincount(snap_index(values, grid), minlength=grid.n)
-        return cls(values=values, cell_counts=counts, grid=grid, raw=raw,
-                   jump_counts=jump_counts)
+        return cls(values=values, cell_counts=counts, grid=grid)
 
 
 @contextlib.contextmanager

@@ -78,7 +78,19 @@ def _initial_positions(spec: SimulationSpec, grid: TorusGrid,
         return center
     # rng.vonmises lives on [-pi, pi); rescale its period to the torus length
     draw = rng.vonmises(0.0, spec.init_concentration, size=spec.n_samples)
-    return center + draw * (grid.length / (2.0 * math.pi))
+    draw *= grid.length / (2.0 * math.pi)
+    draw += center
+    return draw
+
+
+def _diffusion_part(spec: SimulationSpec,
+                    rng: np.random.Generator) -> np.ndarray:
+    """drift * t + sqrt(sigma2 * t) * Z for standard normal Z."""
+    t = spec.t_final
+    gauss = rng.standard_normal(spec.n_samples)
+    gauss *= math.sqrt(spec.sigma2 * t)
+    gauss += spec.drift * t
+    return gauss
 
 
 def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
@@ -96,35 +108,47 @@ def sample_compound_poisson(spec: SimulationSpec, basis: SplineBasis,
     if rates.shape != (basis.n_theta,):
         raise ValueError("rates length must match the basis size")
     rng = np.random.default_rng(spec.seed)
-    n, t = spec.n_samples, spec.t_final
+    n = spec.n_samples
 
-    mean = basis.delta * rates.sum() * t
+    mean = basis.delta * rates.sum() * spec.t_final
     expected = (f"the paths expect {mean * n:.3g} jumps in all (delta * "
                 f"sum(rates) * t_final * n_samples)")
     if not mean * n <= _POISSON_MEAN_MAX:
         raise ValueError(f"{expected}, more than the "
                          f"{_POISSON_MEAN_MAX:.3g} that can be drawn")
-    jump_sum = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
     if mean > 0:
-        counts = rng.poisson(mean, size=n)
-        total = int(counts.sum())
-        if total > 0:
-            # one entry per jump: numpy refuses a total beyond memory
-            try:
-                component = rng.choice(basis.n_theta, size=total,
-                                       p=rates / rates.sum())
-                sizes = (basis.centers[component] + basis.delta
-                         * (rng.random(total) + rng.random(total) - 1.0))
-                owner = np.repeat(np.arange(n), counts)
-            except (MemoryError, ValueError) as exc:
-                raise ValueError(f"{expected}, too many to hold in memory: "
-                                 f"{exc}") from None
-            jump_sum = np.bincount(owner, weights=sizes, minlength=n)
+        # one entry per jump: numpy refuses a total beyond memory
+        try:
+            jump_sum = _jump_sums(rng, mean, rates, basis, n)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"{expected}, too many to hold in memory: "
+                             f"{exc}") from None
+    else:
+        jump_sum = np.zeros(n)
+    jump_sum += _diffusion_part(spec, rng)
+    jump_sum += _initial_positions(spec, grid, rng)
+    return _terminal_set(jump_sum, grid)
 
-    gauss = spec.drift * t + math.sqrt(spec.sigma2 * t) * rng.standard_normal(n)
-    raw = jump_sum + gauss + _initial_positions(spec, grid, rng)
-    return _terminal_set(raw, grid, jump_counts=counts)
+
+def _jump_sums(rng: np.random.Generator, mean: float, rates: np.ndarray,
+               basis: SplineBasis, n: int) -> np.ndarray:
+    """The sum of each of n paths' jumps: a Poisson(mean) count of sizes,
+    each from hat j with probability rates_j / sum(rates), as
+    center_j + delta * (U1 + U2 - 1).  The arrays of one entry per jump die
+    with this call."""
+    counts = rng.poisson(mean, size=n)
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(n)
+    component = rng.choice(basis.n_theta, size=total, p=rates / rates.sum())
+    sizes = rng.random(total)
+    sizes += rng.random(total)
+    sizes -= 1.0
+    sizes *= basis.delta
+    sizes += basis.centers[component]
+    del component
+    owner = np.repeat(np.arange(n), counts)
+    return np.bincount(owner, weights=sizes, minlength=n)
 
 
 def sample_bigamma(spec: SimulationSpec, grid: TorusGrid) -> SampleSet:
@@ -133,23 +157,21 @@ def sample_bigamma(spec: SimulationSpec, grid: TorusGrid) -> SampleSet:
     if spec.kind != "bigamma":
         raise ValueError("spec.kind must be 'bigamma'")
     rng = np.random.default_rng(spec.seed)
-    n, t = spec.n_samples, spec.t_final
-    shape = spec.gamma_shape * t
+    n = spec.n_samples
+    shape = spec.gamma_shape * spec.t_final
     scale = 1.0 / spec.gamma_rate
 
-    up = rng.gamma(shape, scale, size=n)
-    down = rng.gamma(shape, scale, size=n)
-    gauss = spec.drift * t + math.sqrt(spec.sigma2 * t) * rng.standard_normal(n)
-    raw = up - down + gauss + _initial_positions(spec, grid, rng)
-    return _terminal_set(raw, grid)
+    terminal = rng.gamma(shape, scale, size=n)
+    terminal -= rng.gamma(shape, scale, size=n)
+    terminal += _diffusion_part(spec, rng)
+    terminal += _initial_positions(spec, grid, rng)
+    return _terminal_set(terminal, grid)
 
 
-def _terminal_set(raw: np.ndarray, grid: TorusGrid,
-                  jump_counts=None) -> SampleSet:
-    """The samples of the terminal values `raw`, which must be finite: a
-    scale derived from finite settings (1/gamma_rate, drift * t_final, a
+def _terminal_set(terminal: np.ndarray, grid: TorusGrid) -> SampleSet:
+    """The samples of the real-line terminal values, which must be finite:
+    a scale derived from finite settings (1/gamma_rate, drift * t_final, a
     sum of draws) can still overflow."""
-    if not np.isfinite(raw).all():
+    if not np.isfinite(terminal).all():
         raise ValueError("simulated terminal values overflow to inf or nan")
-    return SampleSet.from_values(project_to_torus(raw, grid), grid, raw=raw,
-                                 jump_counts=jump_counts)
+    return SampleSet.from_values(project_to_torus(terminal, grid), grid)

@@ -116,13 +116,19 @@ def project_to_torus(y, grid: TorusGrid):
     map restricted to sums of grid values is a group homomorphism.
     """
     k = grid.length
-    r = np.mod(np.asarray(y, dtype=float) - grid.lower, k)
+    # one new float array, worked in place: the caller's `y` is only read
+    r = np.array(y, dtype=float)
+    r -= grid.lower
+    np.mod(r, k, out=r)
     # mod(...) == K, or a sum lower + r that rounds up, would land on
-    # `upper`, which is `lower` on the torus
-    r = np.where(r >= k, r - k, r)
-    out = grid.lower + r
-    out = np.where(out >= grid.upper, grid.lower, out)
-    return float(out) if np.isscalar(y) else out
+    # `upper`, which is `lower` on the torus; out= keeps a 0-d input's mask
+    # an array
+    edge = np.greater_equal(r, k, out=np.empty(r.shape, dtype=bool))
+    np.subtract(r, k, out=r, where=edge)
+    r += grid.lower
+    np.greater_equal(r, grid.upper, out=edge)
+    np.copyto(r, grid.lower, where=edge)
+    return float(r) if np.isscalar(y) else r
 
 
 @dataclass(frozen=True)
