@@ -67,6 +67,8 @@ class AdjointHistory:
     m, m = 2..n_steps; bootstrap[s-1] is that of the substep multiplier
     r^s, s = 1..boot_substeps.  The rate gradient pairs them with the
     forward spectra mode by mode, so they are never turned into real space.
+    Both are views of the sweep's spectra array, so a history swept into a
+    caller's `out` is valid until the next sweep into it.
     """
 
     levels: np.ndarray      # (n_steps - 1, n // 2 + 1), complex
@@ -75,35 +77,45 @@ class AdjointHistory:
 
 def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
                   cc: CCOperator, time_grid: TimeGrid, *,
-                  boot_substeps: int = 10) -> AdjointHistory:
+                  boot_substeps: int = 10,
+                  out: np.ndarray | None = None) -> AdjointHistory:
     """Backward sweep of the transposed scheme from the terminal data.
 
     `boot_substeps` must match the forward solve for the transposition to
     be exact.  Stability is inherited from the forward operators (same
     eigenvalues), and no positivity is required of the multipliers.
+
+    `out`, a complex array of shape (boot_substeps + n_steps,
+    n // 2 + 1), receives the spectra of r^1 .. r^K, then of p^2 .. p^{N_T}
+    and the absent p^{N_T+1}, which the sweep zeroes; every other row is
+    overwritten, so `out` may hold anything before the call.
     """
     kernel = JumpKernel.from_rates(rates, basis)
     n_steps = time_grid.n_steps
     dt = time_grid.dt
     tau = dt / boot_substeps
     n = cc.grid.n
+    shape = (boot_substeps + n_steps, n // 2 + 1)
+    if out is not None and (out.shape != shape or out.dtype != complex):
+        raise ValueError(f"out must be a complex array of shape {shape}")
 
-    # spectra of r^1 .. r^K, then of p^0 .. p^{N_T} and the absent p^{N_T+1}
-    spectra = np.zeros((boot_substeps + n_steps + 2, n // 2 + 1), dtype=complex)
+    spectra = np.empty(shape, dtype=complex) if out is None else out
     rows = list(spectra)
+    # boot_hat[s-1] = r^s; hat[m-2] = p^m, m = 2 .. N_T + 1
     boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
+    hat[-1][:] = 0.0
     explicit, implicit = np.conj(bdf2_symbols(cc, kernel, dt))
     np.divide(np.fft.rfft(np.asarray(terminal_data, dtype=float)), implicit,
-              out=hat[n_steps])
+              out=hat[-2])
     # p^m from p^{m+1} and p^{m+2}, m = N_T-1 .. 2
-    march_two_term(explicit, implicit, hat[:1:-1])
+    march_two_term(explicit, implicit, hat[::-1])
     # r^K from the right-hand side 4 p^2 - p^3 + 2*dt*Qt(p^2), then r^s
     # from r^{s+1}, s = K-1 .. 1
     euler_explicit, euler_implicit = np.conj(euler_symbols(cc, kernel, tau))
-    march_two_term(explicit, euler_implicit, [hat[3], hat[2], boot_hat[-1]])
+    march_two_term(explicit, euler_implicit, [hat[1], hat[0], boot_hat[-1]])
     march_one_term(euler_explicit, euler_implicit, boot_hat[::-1])
 
-    if not np.all(np.isfinite(spectra)):
+    if not np.all(np.isfinite(spectra[:-1])):
         raise SolverError("non-finite adjoint values")
-    return AdjointHistory(levels=spectra[boot_substeps + 2:-1],
+    return AdjointHistory(levels=spectra[boot_substeps:-1],
                           bootstrap=spectra[:boot_substeps])

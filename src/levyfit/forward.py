@@ -15,11 +15,14 @@ Both operators are circulant, so every Fourier mode evolves on its own:
 with a and q their rfft symbols, `solve_forward` marches each mode through
 g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2), from one rfft of
-f0 to one batched irfft of all levels.  Every level is written in place
-into its row of one preallocated spectra array, with the operations in
-the order shown, and each `CCOperator` builds its implicit symbols
-1 - tau*a and 3 - 2dt*a once, so the march allocates nothing per level
-and rebuilds nothing that does not depend on the rates.
+f0 to batched irffts of the levels.  The spectra pass through one block
+of at most BLOCK_BYTES of rows: every level is written in place into its
+row, with the operations in the order shown, each full block is irfft'd
+straight into its rows of the states array, and the next block starts
+from the last two levels of the one before.  Each `CCOperator` builds its
+implicit symbols 1 - tau*a and 3 - 2dt*a once, so the march allocates
+nothing per level, holds no spectra the size of the history and rebuilds
+nothing that does not depend on the rates.
 
 The march checks its step against `stability_bounds` and its values for
 finiteness only; `history_diagnostics` measures mass conservation and
@@ -38,6 +41,13 @@ from .errors import SolverError, StabilityError
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
+BLOCK_BYTES = 1 << 20  # spectra held at once by the march and the pairing
+
+
+def block_rows(n: int, least: int = 2) -> int:
+    """Rows of n // 2 + 1 complex modes that fit in BLOCK_BYTES, at least
+    `least`."""
+    return max(least, BLOCK_BYTES // (16 * (n // 2 + 1)))
 
 
 def _expm1(w: float) -> float:
@@ -263,7 +273,9 @@ class DensityHistory:
     values[m] approximates the density at t_m for m = 0..n_steps; bootstrap
     holds the Euler substep states preceding values[1] (needed to assemble
     exact rate sensitivities); bounds are the step bounds the march was
-    checked against.
+    checked against.  Both are views of the march's states array, so a
+    history marched into a caller's `out` is valid until the next march
+    into it.
     """
 
     values: np.ndarray          # (n_steps + 1, n)
@@ -279,7 +291,8 @@ class DensityHistory:
 
 def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
                   time_grid: TimeGrid, *, xi: float = 2.0,
-                  boot_substeps: int = 10, force: bool = False) -> DensityHistory:
+                  boot_substeps: int = 10, force: bool = False,
+                  out: np.ndarray | None = None) -> DensityHistory:
     """March the density from f0 to t_final.
 
     The first level is produced by `boot_substeps` implicit Euler substeps
@@ -288,6 +301,10 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     against the two-step bound and the solve refuses when it is violated,
     unless `force` is passed.  The march only checks its values for
     finiteness; `history_diagnostics` measures mass and positivity.
+
+    `out`, a float array of shape (boot_substeps + n_steps + 1, n),
+    receives the substeps and then the levels; the returned history views
+    it.  A refused march leaves it untouched.
     """
     f0 = np.asarray(f0, dtype=float)
     n = cc.grid.n
@@ -300,6 +317,10 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     if not abs(mass0 - 1.0) <= 1e-8:
         raise ValueError(f"initial density mass {mass0} is not 1")
     check_scheme(xi, boot_substeps)
+    n_steps = time_grid.n_steps
+    shape = (boot_substeps + n_steps + 1, n)
+    if out is not None and (out.shape != shape or out.dtype != float):
+        raise ValueError(f"out must be a float array of shape {shape}")
 
     kernel = JumpKernel.from_rates(rates, basis)
     bounds = stability_bounds(cc, kernel, xi)
@@ -311,24 +332,38 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
             "pass force=True (config key force_dt) to integrate anyway")
 
-    # spectra of g^0 .. g^{K-1}, then of F^0 .. F^{n_steps}
-    n_steps = time_grid.n_steps
-    spectra = np.empty((boot_substeps + n_steps + 1, n // 2 + 1), dtype=complex)
-    rows = list(spectra)
+    states = np.empty(shape) if out is None else out
+    # the first block holds the spectra of g^0 .. g^{K-1}, then of F^0, F^1, ...
+    block = np.empty((min(block_rows(n, boot_substeps + 2), len(states)),
+                      n // 2 + 1), dtype=complex)
+    rows = list(block)
     boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
     boot_hat[0][:] = np.fft.rfft(f0)
     # g^{s+1} from g^s; the last substep g^K is F^1
     march_one_term(*euler_symbols(cc, kernel, tau), boot_hat + hat[1:2])
     hat[0][:] = boot_hat[0]
-    march_two_term(*bdf2_symbols(cc, kernel, dt), hat)
-
-    states = np.fft.irfft(spectra, n=n, axis=1)
-    if not np.all(np.isfinite(states)):
-        raise SolverError("non-finite values in the forward march")
+    explicit, implicit = bdf2_symbols(cc, kernel, dt)
+    march_two_term(explicit, implicit, hat)
+    done = len(block)
+    _to_states(block, states[:done])
     boot, values = states[:boot_substeps], states[boot_substeps:]
     boot[0] = values[0] = f0
+    # each later block continues from the last two levels of the one before
+    while done < len(states):
+        block[:2] = block[-2:]
+        fresh = min(len(block) - 2, len(states) - done)
+        march_two_term(explicit, implicit, rows[:fresh + 2])
+        _to_states(block[2:fresh + 2], states[done:done + fresh])
+        done += fresh
     return DensityHistory(values=values, bootstrap=boot, grid=cc.grid,
                           time_grid=time_grid, bounds=bounds)
+
+
+def _to_states(spectra: np.ndarray, states: np.ndarray) -> None:
+    """irfft the spectra rows into the states rows and check them."""
+    np.fft.irfft(spectra, n=states.shape[1], axis=1, out=states)
+    if not np.all(np.isfinite(states)):
+        raise SolverError("non-finite values in the forward march")
 
 
 def history_diagnostics(history: DensityHistory) -> dict:

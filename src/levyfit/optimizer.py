@@ -19,7 +19,7 @@ import numpy as np
 
 from .adjoint import AdjointHistory, solve_adjoint, terminal_condition
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, check_scheme,
+from .forward import (CCOperator, DensityHistory, block_rows, check_scheme,
                       history_diagnostics, solve_forward)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
@@ -83,16 +83,18 @@ class FitReport:
     trace: list = field(default_factory=list, repr=False)
 
 
-def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
+def run_forward(alpha, setup: CalibrationSetup, out=None) -> DensityHistory:
     return solve_forward(setup.f0, alpha, setup.basis, setup.cc,
                          setup.time_grid, xi=setup.xi,
-                         boot_substeps=setup.boot_substeps, force=setup.force)
+                         boot_substeps=setup.boot_substeps, force=setup.force,
+                         out=out)
 
 
-def objective(alpha, setup: CalibrationSetup,
-              samples: SampleSet) -> tuple[ObjectiveValue, DensityHistory]:
-    """Minimized-objective building block: J_eps and the forward history."""
-    fwd = run_forward(alpha, setup)
+def objective(alpha, setup: CalibrationSetup, samples: SampleSet,
+              out=None) -> tuple[ObjectiveValue, DensityHistory]:
+    """Minimized-objective building block: J_eps and the forward history
+    (marched into `out` if given, as `solve_forward` takes it)."""
+    fwd = run_forward(alpha, setup, out)
     return evaluate_objective(fwd.terminal, samples, setup.eps), fwd
 
 
@@ -116,22 +118,38 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
 
 
 def _paired_modes(states: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """sum over rows of conj(rfft(states)) * multipliers, conjugated and
-    multiplied in place in the rfft output: the only history-sized array
-    a gradient makes."""
-    pairs = np.fft.rfft(states, axis=1)
-    np.conj(pairs, out=pairs)
-    pairs *= multipliers
-    return pairs.sum(axis=0)
+    """sum over rows of conj(rfft(states)) * multipliers.
+
+    The rows pass through one block of at most BLOCK_BYTES, rfft'd into
+    it and conjugated and multiplied in place.  Row 0 of each later block
+    holds the running sum, so the rows are added one by one in order, as
+    one sum over all of them would add them.
+    """
+    count, n = states.shape
+    block = np.empty((min(block_rows(n), count), n // 2 + 1), dtype=complex)
+    done = lead = 0     # lead: 1 once row 0 carries the running sum
+    while done < count:
+        fresh = min(len(block) - lead, count - done)
+        pairs = block[lead:lead + fresh]
+        np.fft.rfft(states[done:done + fresh], axis=1, out=pairs)
+        np.conj(pairs, out=pairs)
+        pairs *= multipliers[done:done + fresh]
+        total = block[:lead + fresh].sum(axis=0)
+        block[0] = total
+        done += fresh
+        lead = 1
+    return total
 
 
 def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,
-                     history: DensityHistory | None = None) -> np.ndarray:
-    """Gradient of F = -J_eps with respect to the rates, via one adjoint sweep."""
+                     history: DensityHistory | None = None,
+                     out=None) -> np.ndarray:
+    """Gradient of F = -J_eps with respect to the rates, via one adjoint
+    sweep (into `out` if given, as `solve_adjoint` takes it)."""
     fwd = history if history is not None else run_forward(alpha, setup)
     data = terminal_condition(fwd.terminal, samples, eps=setup.eps)
     adj = solve_adjoint(data, alpha, setup.basis, setup.cc, setup.time_grid,
-                        boot_substeps=setup.boot_substeps)
+                        boot_substeps=setup.boot_substeps, out=out)
     return gradient_from_histories(fwd, adj, setup.basis)
 
 
@@ -194,21 +212,28 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     point raises solve_forward's StabilityError.  When the search
     along the conjugate direction fails, it is retried once along steepest
     descent; when that fails too, the fit stops with stop="linesearch".
+
+    Every march goes into one forward history and every sweep into one
+    multiplier history, both allocated here.
     """
     n_theta = setup.basis.n_theta
     restart_every = 10 * n_theta
+    rows = setup.boot_substeps + setup.time_grid.n_steps
+    states = np.empty((rows + 1, setup.grid.n))
+    multipliers = np.empty((rows, setup.grid.n // 2 + 1), dtype=complex)
 
     def safe_objective(a):
         try:
-            obj, fwd = objective(a, setup, samples)
+            obj, fwd = objective(a, setup, samples, out=states)
             return -obj.value, obj, fwd
         except StabilityError:
             return math.inf, None, None
 
     alpha = np.full(n_theta, ALPHA0)
-    obj, fwd = objective(alpha, setup, samples)
+    obj, fwd = objective(alpha, setup, samples, out=states)
     f_val = -obj.value
-    grad = reduced_gradient(alpha, setup, samples, history=fwd)
+    grad = reduced_gradient(alpha, setup, samples, history=fwd,
+                            out=multipliers)
     direction = np.zeros(n_theta)   # none yet: the first search is steepest
 
     trace = []
@@ -237,7 +262,6 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
             def evaluate(step):
                 nonlocal trial
-                trial = None    # the last trial's history goes before this march
                 point = np.maximum(alpha + step * direction, 0.0)
                 trial = (point, *safe_objective(point))
                 return trial[1]
@@ -253,7 +277,8 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
         # Armijo accepts the last step it evaluated
         alpha_next, f_next, obj, fwd = trial
-        grad_next = reduced_gradient(alpha_next, setup, samples, history=fwd)
+        grad_next = reduced_gradient(alpha_next, setup, samples, history=fwd,
+                                     out=multipliers)
 
         beta = dai_yuan_beta(grad_next, grad, direction)
         if (k + 1) % restart_every == 0:
@@ -262,6 +287,9 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
                                         alpha_next)
         alpha, f_val, grad = alpha_next, f_next, grad_next
 
+    if stop_note == "linesearch":
+        # the failed searches marched over alpha's history
+        fwd = run_forward(alpha, setup, states)
     diagnostics = {
         "stop": stop_note,
         "floored_count": obj.floored_count,

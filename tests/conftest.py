@@ -1,11 +1,13 @@
 """Shared dense/brute-force oracles, deliberately independent of the fast paths."""
 
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import levyfit.forward as forward
 from levyfit.forward import CCOperator, JumpKernel
 from levyfit.torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
                            make_basis, project_to_torus, tiling_centers)
@@ -85,6 +87,16 @@ def dense_adjoint_march(data, rates, basis: SplineBasis, cc: CCOperator,
     for s in range(boot_substeps - 2, -1, -1):
         r[s] = np.linalg.solve(euler_t, (eye + tau * q).T @ r[s + 1])
     return p[2:-1], r
+
+
+@contextmanager
+def smallest_blocks():
+    """The march and the gradient pairing in blocks of the fewest rows they
+    allow, so that even a small problem crosses several block boundaries
+    (the march's first one right after the bootstrap)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forward, "BLOCK_BYTES", 1)
+        yield
 
 
 @pytest.fixture

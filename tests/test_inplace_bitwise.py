@@ -15,15 +15,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, small_problems
+import levyfit.forward as forward
+from conftest import random_density, small_problems, smallest_blocks
 from levyfit.adjoint import AdjointHistory, solve_adjoint
 from levyfit.forward import DensityHistory, solve_forward
-from levyfit.optimizer import gradient_from_histories
+from levyfit.optimizer import (CalibrationSetup, OptimizerParams, calibrate,
+                               gradient_from_histories)
 from levyfit.samples import SampleSet, snap_index
 from levyfit.simulate import (SimulationSpec, sample_bigamma,
                               sample_compound_poisson)
-from levyfit.torus import (TimeGrid, TorusGrid, make_basis, project_to_torus,
-                           tiling_centers)
+from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
+                           project_to_torus, tiling_centers, von_mises_density)
 
 
 def allocating_project(y, grid):
@@ -228,9 +230,7 @@ def test_bigamma_equals_allocating_sampler(case, shape, rate):
                             allocating_bigamma(spec, grid), grid)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(problem=small_problems())
-def test_gradient_equals_allocating_pairing(problem):
+def assert_gradient_equals_allocating_pairing(problem):
     cc, basis, rates, tg, boot, rng = problem
     fwd = solve_forward(random_density(rng, cc.grid), rates, basis, cc, tg,
                         boot_substeps=boot, force=True)
@@ -238,6 +238,19 @@ def test_gradient_equals_allocating_pairing(problem):
                         boot_substeps=boot)
     assert np.array_equal(gradient_from_histories(fwd, adj, basis),
                           allocating_gradient(fwd, adj, basis))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_gradient_equals_allocating_pairing(problem):
+    assert_gradient_equals_allocating_pairing(problem)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_gradient_in_smallest_blocks_equals_allocating_pairing(problem):
+    with smallest_blocks():
+        assert_gradient_equals_allocating_pairing(problem)
 
 
 def traced_peak(fn, *args):
@@ -282,3 +295,43 @@ def test_wrap_and_snap_hold_one_array_each():
     assert traced_peak(project_to_torus, y, grid) <= 9 * n + slack
     x = project_to_torus(y, grid)
     assert traced_peak(snap_index, x, grid) <= 16 * n + slack
+
+
+def fit_setup(n=512, n_steps=200, boot=10):
+    grid = TorusGrid(-math.pi, math.pi, n)
+    return CalibrationSetup(grid=grid, time_grid=TimeGrid(0.2, n_steps),
+                            coeffs=ModelCoefficients(0.0, 0.05),
+                            basis=make_basis(tiling_centers(3, grid), grid),
+                            f0=von_mises_density(grid, 0.0, 20.0),
+                            boot_substeps=boot)
+
+
+def test_march_into_out_holds_one_block(monkeypatch):
+    """A march into a caller's buffer holds one block of spectra, and its
+    finiteness check one block of states at most, however many blocks the
+    history spans (17 here)."""
+    monkeypatch.setattr(forward, "BLOCK_BYTES", 1 << 16)
+    setup = fit_setup()
+    n, boot = setup.grid.n, setup.boot_substeps
+    out = np.empty((boot + setup.time_grid.n_steps + 1, n))
+
+    def march():
+        solve_forward(setup.f0, [0.5, 0.3, 0.2], setup.basis, setup.cc,
+                      setup.time_grid, boot_substeps=boot, out=out)
+
+    rows = forward.block_rows(n, boot + 2)
+    block = rows * (n // 2 + 1) * 16
+    assert traced_peak(march) <= block + rows * n * 8 + 4096
+
+
+def test_fit_holds_its_two_histories(monkeypatch):
+    """calibrate peaks at its forward history and its multiplier history,
+    plus 1/8 of them for the blocks and the per-mode vectors."""
+    monkeypatch.setattr(forward, "BLOCK_BYTES", 1 << 16)
+    setup = fit_setup()
+    n, rows = setup.grid.n, setup.boot_substeps + setup.time_grid.n_steps
+    draws = np.random.default_rng(0).vonmises(0.0, 5.0, size=2000)
+    samples = SampleSet.from_values(draws, setup.grid)
+    histories = (rows + 1) * n * 8 + rows * (n // 2 + 1) * 16
+    peak = traced_peak(calibrate, setup, samples, OptimizerParams(max_iters=3))
+    assert peak <= histories + histories // 8

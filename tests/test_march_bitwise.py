@@ -1,11 +1,15 @@
 """The in-place spectral march and sweep against the allocating recurrences
 they replaced.  Both run the same operations in the same order on the same
-symbols, so they must agree bit for bit, not just to a tolerance."""
+symbols, so they must agree bit for bit, not just to a tolerance: across
+the march's block boundaries too, and into reused buffers."""
+
+from contextlib import nullcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from conftest import random_density, small_problems
+from conftest import random_density, small_problems, smallest_blocks
 from levyfit.adjoint import solve_adjoint
 from levyfit.forward import CCOperator, JumpKernel, solve_forward
 from levyfit.torus import TimeGrid
@@ -76,9 +80,7 @@ def inputs(problem):
     return random_density(problem.rng, grid), problem.rng.normal(size=grid.n)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(problem=small_problems())
-def test_forward_march_equals_allocating_march(problem):
+def assert_march_equals_allocating_march(problem):
     cc, basis, rates, tg, boot, _ = problem
     f0, data = inputs(problem)
     hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
@@ -86,6 +88,51 @@ def test_forward_march_equals_allocating_march(problem):
     values, bootstrap = allocating_forward(f0, rates, basis, cc, tg, boot)
     assert np.array_equal(hist.values, values)
     assert np.array_equal(hist.bootstrap, bootstrap)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_forward_march_equals_allocating_march(problem):
+    assert_march_equals_allocating_march(problem)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_forward_march_in_smallest_blocks_equals_allocating_march(problem):
+    with smallest_blocks():
+        assert_march_equals_allocating_march(problem)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_reused_buffers_give_the_bytes_of_fresh_ones(problem):
+    """A march into a buffer that holds another rate vector's march, and a
+    sweep into a buffer of NaNs, equal a march and a sweep into new arrays."""
+    cc, basis, rates, tg, boot, _ = problem
+    f0, data = inputs(problem)
+    states = np.empty((boot + tg.n_steps + 1, cc.grid.n))
+    spectra = np.empty((boot + tg.n_steps, cc.grid.n // 2 + 1), dtype=complex)
+    for blocks in (nullcontext, smallest_blocks):
+        with blocks():
+            fresh = march_and_sweep(problem, cc, tg, boot, f0, data)
+            solve_forward(f0, rates[::-1] + 1.0, basis, cc, tg,
+                          boot_substeps=boot, force=True, out=states)
+            hist = solve_forward(f0, rates, basis, cc, tg,
+                                 boot_substeps=boot, force=True, out=states)
+            spectra.fill(complex(np.nan, np.nan))
+            adj = solve_adjoint(data, rates, basis, cc, tg,
+                                boot_substeps=boot, out=spectra)
+        reused = hist.values, hist.bootstrap, adj.levels, adj.bootstrap
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b)
+        assert np.shares_memory(hist.values, states)
+        assert np.shares_memory(adj.levels, spectra)
+    with pytest.raises(ValueError, match="out must be"):
+        solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
+                      force=True, out=states[1:])
+    with pytest.raises(ValueError, match="out must be"):
+        solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot,
+                      out=spectra.real.copy())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
