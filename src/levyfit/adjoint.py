@@ -65,8 +65,9 @@ class AdjointHistory:
 
     levels[m-2] is the multiplier spectrum of the step that produced level
     m, m = 2..n_steps; bootstrap[s-1] is that of the substep multiplier
-    r^s, s = 1..boot_substeps.  The rate gradient pairs them with the
-    forward spectra mode by mode, so they are never turned into real space.
+    r^s, s = 1..boot_substeps.  The rate gradient pairs them mode by mode
+    with the spectra of the forward history, so neither is turned into
+    real space.
     Both are views of the sweep's spectra array, so a history swept into a
     caller's `out` is valid until the next sweep into it.
     """
@@ -100,10 +101,9 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
         raise ValueError(f"out must be a complex array of shape {shape}")
 
     spectra = np.empty(shape, dtype=complex) if out is None else out
-    rows = list(spectra)
     # boot_hat[s-1] = r^s; hat[m-2] = p^m, m = 2 .. N_T + 1
-    boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
-    hat[-1][:] = 0.0
+    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    hat[-1] = 0.0
     explicit, implicit = np.conj(bdf2_symbols(cc, kernel, dt))
     np.divide(np.fft.rfft(np.asarray(terminal_data, dtype=float)), implicit,
               out=hat[-2])
@@ -115,7 +115,9 @@ def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
     march_two_term(explicit, euler_implicit, [hat[1], hat[0], boot_hat[-1]])
     march_one_term(euler_explicit, euler_implicit, boot_hat[::-1])
 
-    if not np.all(np.isfinite(spectra[:-1])):
+    # r^1 is the last row written, and every written row feeds it as each
+    # level feeds the forward march's terminal one
+    if not np.all(np.isfinite(boot_hat[0])):
         raise SolverError("non-finite adjoint values")
     return AdjointHistory(levels=spectra[boot_substeps:-1],
                           bootstrap=spectra[:boot_substeps])

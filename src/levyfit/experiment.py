@@ -53,7 +53,8 @@ def acquire_samples(config: RunConfig, grid: TorusGrid) -> SampleSet:
         return simulate_samples(config)
     if config.samples_csv:
         return SampleSet.from_values(
-            project_to_torus(ingest_samples(config.samples_csv), grid), grid)
+            project_to_torus(ingest_samples(config.samples_csv), grid.lower,
+                             grid.upper), grid)
     raise ConfigError("no data source: set sim_kind or samples_csv")
 
 

@@ -15,14 +15,12 @@ Both operators are circulant, so every Fourier mode evolves on its own:
 with a and q their rfft symbols, `solve_forward` marches each mode through
 g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2), from one rfft of
-f0 to batched irffts of the levels.  The spectra pass through one block
-of at most BLOCK_BYTES of rows: every level is written in place into its
-row, with the operations in the order shown, each full block is irfft'd
-straight into its rows of the states array, and the next block starts
-from the last two levels of the one before.  Each `CCOperator` builds its
+f0, writing every level in place into its row of one spectra array, with
+the operations in the order shown.  That array is the history: only the
+terminal level is irfft'd by the march, and the rate gradient pairs the
+spectra with the adjoint's as they are.  Each `CCOperator` builds its
 implicit symbols 1 - tau*a and 3 - 2dt*a once, so the march allocates
-nothing per level, holds no spectra the size of the history and rebuilds
-nothing that does not depend on the rates.
+nothing per level and rebuilds nothing that does not depend on the rates.
 
 The march checks its step against `stability_bounds` and its values for
 finiteness only; `history_diagnostics` measures mass conservation and
@@ -41,13 +39,6 @@ from .errors import SolverError, StabilityError
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
-BLOCK_BYTES = 1 << 20  # spectra held at once by the march and the pairing
-
-
-def block_rows(n: int, least: int = 2) -> int:
-    """Rows of n // 2 + 1 complex modes that fit in BLOCK_BYTES, at least
-    `least`."""
-    return max(least, BLOCK_BYTES // (16 * (n // 2 + 1)))
 
 
 def _expm1(w: float) -> float:
@@ -244,49 +235,77 @@ def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
     return out
 
 
-def march_one_term(explicit, implicit, rows: list) -> None:
+def march_one_term(explicit, implicit, rows) -> None:
     """rows[i+1] = explicit*rows[i]/implicit, in place, in row order.
 
-    The ufuncs are bound once and given their output positionally: on a
-    small grid, parsing `out=` is a sizable share of each call.
+    `rows` is any iterable of rows, such as a 2-d array, which yields one
+    row view at a time, so the march holds no per-row objects.  The ufuncs
+    are bound once and given their output positionally: on a small grid,
+    parsing `out=` is a sizable share of each call.
     """
     multiply, divide = np.multiply, np.divide
-    for x, x_next in zip(rows, rows[1:]):
+    rows = iter(rows)
+    x = next(rows)
+    for x_next in rows:
         multiply(explicit, x, x_next)
         divide(x_next, implicit, x_next)
+        x = x_next
 
 
-def march_two_term(explicit, implicit, rows: list) -> None:
+def march_two_term(explicit, implicit, rows) -> None:
     """rows[i+2] = (explicit*rows[i+1] - rows[i])/implicit, in place, in
-    row order; the order of the operations fixes every level's rounding."""
+    row order, over any iterable of rows as `march_one_term` takes it; the
+    order of the operations fixes every level's rounding."""
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
-    for y, x, x_next in zip(rows, rows[1:], rows[2:]):
+    rows = iter(rows)
+    y, x = next(rows), next(rows)
+    for x_next in rows:
         multiply(explicit, x, x_next)
         subtract(x_next, y, x_next)
         divide(x_next, implicit, x_next)
+        y, x = x, x_next
 
 
 @dataclass
 class DensityHistory:
-    """Space-time table of the solved density.
+    """Space-time table of the solved density, kept as the march's spectra.
 
-    values[m] approximates the density at t_m for m = 0..n_steps; bootstrap
-    holds the Euler substep states preceding values[1] (needed to assemble
-    exact rate sensitivities); bounds are the step bounds the march was
-    checked against.  Both are views of the march's states array, so a
-    history marched into a caller's `out` is valid until the next march
-    into it.
+    spectra holds the rfft modes of the Euler substep states g^0 .. g^{K-1}
+    (needed to assemble exact rate sensitivities) and then of the levels
+    F^0 .. F^{n_steps}.  It is the march's array, so a history marched
+    into a caller's `out` is valid until the next march into it.  terminal
+    is the density at t_final; `values` and `bootstrap` irfft the rest on
+    each read.  bounds are the step bounds the march was checked against.
     """
 
-    values: np.ndarray          # (n_steps + 1, n)
-    bootstrap: np.ndarray       # (boot_substeps, n): states g^0 .. g^{K-1}
+    spectra: np.ndarray         # (boot_substeps + n_steps + 1, n // 2 + 1)
+    f0: np.ndarray              # (n,): g^0 = F^0, kept exactly
+    terminal: np.ndarray        # (n,): F^{n_steps} in real space
     grid: TorusGrid
     time_grid: TimeGrid
     bounds: StabilityBounds
 
     @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
+    def boot_substeps(self) -> int:
+        """K, the Euler substeps that precede F^1."""
+        return len(self.spectra) - self.time_grid.n_steps - 1
+
+    @property
+    def values(self) -> np.ndarray:
+        """(n_steps + 1, n): the density at t_m, m = 0 .. n_steps."""
+        return self._states(self.spectra[self.boot_substeps:])
+
+    @property
+    def bootstrap(self) -> np.ndarray:
+        """(boot_substeps, n): the substep states g^0 .. g^{K-1} that
+        precede values[1]."""
+        return self._states(self.spectra[:self.boot_substeps])
+
+    def _states(self, spectra: np.ndarray) -> np.ndarray:
+        states = np.fft.irfft(spectra, n=self.grid.n, axis=1)
+        # f0 itself, not its round trip through the rfft
+        states[0] = self.f0
+        return states
 
 
 def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
@@ -302,9 +321,10 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     unless `force` is passed.  The march only checks its values for
     finiteness; `history_diagnostics` measures mass and positivity.
 
-    `out`, a float array of shape (boot_substeps + n_steps + 1, n),
-    receives the substeps and then the levels; the returned history views
-    it.  A refused march leaves it untouched.
+    `out`, a complex array of shape (boot_substeps + n_steps + 1,
+    n // 2 + 1), receives the spectra of the substeps and then of the
+    levels; the returned history views it.  A refused march leaves it
+    untouched.
     """
     f0 = np.asarray(f0, dtype=float)
     n = cc.grid.n
@@ -318,9 +338,9 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
         raise ValueError(f"initial density mass {mass0} is not 1")
     check_scheme(xi, boot_substeps)
     n_steps = time_grid.n_steps
-    shape = (boot_substeps + n_steps + 1, n)
-    if out is not None and (out.shape != shape or out.dtype != float):
-        raise ValueError(f"out must be a float array of shape {shape}")
+    shape = (boot_substeps + n_steps + 1, n // 2 + 1)
+    if out is not None and (out.shape != shape or out.dtype != complex):
+        raise ValueError(f"out must be a complex array of shape {shape}")
 
     kernel = JumpKernel.from_rates(rates, basis)
     bounds = stability_bounds(cc, kernel, xi)
@@ -332,38 +352,22 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
             "pass force=True (config key force_dt) to integrate anyway")
 
-    states = np.empty(shape) if out is None else out
-    # the first block holds the spectra of g^0 .. g^{K-1}, then of F^0, F^1, ...
-    block = np.empty((min(block_rows(n, boot_substeps + 2), len(states)),
-                      n // 2 + 1), dtype=complex)
-    rows = list(block)
-    boot_hat, hat = rows[:boot_substeps], rows[boot_substeps:]
-    boot_hat[0][:] = np.fft.rfft(f0)
+    spectra = np.empty(shape, dtype=complex) if out is None else out
+    # boot_hat[s] = g^s, s = 0 .. K-1; hat[m] = F^m, m = 0 .. N_T
+    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
+    boot_hat[0] = np.fft.rfft(f0)
     # g^{s+1} from g^s; the last substep g^K is F^1
-    march_one_term(*euler_symbols(cc, kernel, tau), boot_hat + hat[1:2])
-    hat[0][:] = boot_hat[0]
-    explicit, implicit = bdf2_symbols(cc, kernel, dt)
-    march_two_term(explicit, implicit, hat)
-    done = len(block)
-    _to_states(block, states[:done])
-    boot, values = states[:boot_substeps], states[boot_substeps:]
-    boot[0] = values[0] = f0
-    # each later block continues from the last two levels of the one before
-    while done < len(states):
-        block[:2] = block[-2:]
-        fresh = min(len(block) - 2, len(states) - done)
-        march_two_term(explicit, implicit, rows[:fresh + 2])
-        _to_states(block[2:fresh + 2], states[done:done + fresh])
-        done += fresh
-    return DensityHistory(values=values, bootstrap=boot, grid=cc.grid,
-                          time_grid=time_grid, bounds=bounds)
-
-
-def _to_states(spectra: np.ndarray, states: np.ndarray) -> None:
-    """irfft the spectra rows into the states rows and check them."""
-    np.fft.irfft(spectra, n=states.shape[1], axis=1, out=states)
-    if not np.all(np.isfinite(states)):
+    march_one_term(*euler_symbols(cc, kernel, tau), [*boot_hat, hat[1]])
+    hat[0] = boot_hat[0]
+    march_two_term(*bdf2_symbols(cc, kernel, dt), hat)
+    terminal = np.fft.irfft(hat[-1], n=n)
+    # every row feeds the last one through the recurrence, and a NaN or an
+    # inf stays non-finite under (e*x - y)/c, 0*inf included, and under
+    # the irfft: this one check catches a non-finite value at any level
+    if not np.all(np.isfinite(terminal)):
         raise SolverError("non-finite values in the forward march")
+    return DensityHistory(spectra=spectra, f0=f0, terminal=terminal,
+                          grid=cc.grid, time_grid=time_grid, bounds=bounds)
 
 
 def history_diagnostics(history: DensityHistory) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .adjoint import AdjointHistory, solve_adjoint, terminal_condition
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, block_rows, check_scheme,
+from .forward import (CCOperator, DensityHistory, check_scheme,
                       history_diagnostics, solve_forward)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
@@ -106,39 +106,18 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
     correlations sum_i u_i v_{i-k} of each multiplier row u with the state
     row v it acts on: weight 2*dt for a two-step level (the jump term's
     weight in that recurrence), tau for an Euler substep.  Every pairing is
-    a product of rfft modes, so c is one irfft of their weighted sum, and
-    c_0 is the dot-product term by Parseval.
+    a product of the rows' rfft modes, which both histories keep, so c is
+    one irfft of their weighted sum, and c_0 is the dot-product term by
+    Parseval.
     """
+    boot = fwd.boot_substeps
     dt = fwd.time_grid.dt
-    tau = dt / fwd.bootstrap.shape[0]
-    modes = (2.0 * dt * _paired_modes(fwd.values[1:-1], adj.levels)
-             + tau * _paired_modes(fwd.bootstrap, adj.bootstrap))
+    tau = dt / boot
+    levels, substeps = fwd.spectra[boot:], fwd.spectra[:boot]
+    modes = (2.0 * dt * np.vecdot(levels[1:-1], adj.levels, axis=0)
+             + tau * np.vecdot(substeps, adj.bootstrap, axis=0))
     lags = np.fft.irfft(modes, n=fwd.grid.n)
     return fwd.grid.h * (basis.samples @ (lags - lags[0]))
-
-
-def _paired_modes(states: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """sum over rows of conj(rfft(states)) * multipliers.
-
-    The rows pass through one block of at most BLOCK_BYTES, rfft'd into
-    it and conjugated and multiplied in place.  Row 0 of each later block
-    holds the running sum, so the rows are added one by one in order, as
-    one sum over all of them would add them.
-    """
-    count, n = states.shape
-    block = np.empty((min(block_rows(n), count), n // 2 + 1), dtype=complex)
-    done = lead = 0     # lead: 1 once row 0 carries the running sum
-    while done < count:
-        fresh = min(len(block) - lead, count - done)
-        pairs = block[lead:lead + fresh]
-        np.fft.rfft(states[done:done + fresh], axis=1, out=pairs)
-        np.conj(pairs, out=pairs)
-        pairs *= multipliers[done:done + fresh]
-        total = block[:lead + fresh].sum(axis=0)
-        block[0] = total
-        done += fresh
-        lead = 1
-    return total
 
 
 def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,
@@ -219,18 +198,19 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     n_theta = setup.basis.n_theta
     restart_every = 10 * n_theta
     rows = setup.boot_substeps + setup.time_grid.n_steps
-    states = np.empty((rows + 1, setup.grid.n))
-    multipliers = np.empty((rows, setup.grid.n // 2 + 1), dtype=complex)
+    modes = setup.grid.n // 2 + 1
+    spectra = np.empty((rows + 1, modes), dtype=complex)
+    multipliers = np.empty((rows, modes), dtype=complex)
 
     def safe_objective(a):
         try:
-            obj, fwd = objective(a, setup, samples, out=states)
+            obj, fwd = objective(a, setup, samples, out=spectra)
             return -obj.value, obj, fwd
         except StabilityError:
             return math.inf, None, None
 
     alpha = np.full(n_theta, ALPHA0)
-    obj, fwd = objective(alpha, setup, samples, out=states)
+    obj, fwd = objective(alpha, setup, samples, out=spectra)
     f_val = -obj.value
     grad = reduced_gradient(alpha, setup, samples, history=fwd,
                             out=multipliers)
@@ -289,7 +269,9 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
     if stop_note == "linesearch":
         # the failed searches marched over alpha's history
-        fwd = run_forward(alpha, setup, states)
+        fwd = run_forward(alpha, setup, spectra)
+    # released first: history_diagnostics holds a real copy of the history
+    del multipliers
     diagnostics = {
         "stop": stop_note,
         "floored_count": obj.floored_count,
@@ -306,7 +288,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         iterations=k,
         converged=stop_note == "tol",
         diagnostics=diagnostics,
-        terminal=fwd.terminal.copy(),
+        terminal=fwd.terminal,
         trace=trace,
     )
 

@@ -8,9 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .torus import HALF_WIDTH, TorusGrid, project_to_torus
-
-_TORUS = TorusGrid(-HALF_WIDTH, HALF_WIDTH, 4)  # the wrap reads its edges only
+from .torus import HALF_WIDTH, project_to_torus
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class PreprocessSpec:
     @property
     def scale(self) -> float:
         """Stretch factor carrying the band onto the full torus width."""
-        return _TORUS.length / (self.band_hi - self.band_lo)
+        return 2.0 * HALF_WIDTH / (self.band_hi - self.band_lo)
 
     @property
     def center(self) -> float:
@@ -108,7 +106,7 @@ def preprocess_financial(raw_values, spec: PreprocessSpec) -> PreprocessResult:
         raise ConfigError("the raw values are too large for float64: the "
                           + ", ".join(overflowed) + " overflow")
 
-    outside = (x < _TORUS.lower) | (x >= _TORUS.upper)
+    outside = (x < -HALF_WIDTH) | (x >= HALF_WIDTH)
     n_outside = int(outside.sum())
     if spec.outside == "discard":
         x = x[~outside]
@@ -116,7 +114,7 @@ def preprocess_financial(raw_values, spec: PreprocessSpec) -> PreprocessResult:
         if x.size == 0:
             raise ConfigError("all values fell outside the band")
     else:
-        x = project_to_torus(x, _TORUS)
+        x = project_to_torus(x, -HALF_WIDTH, HALF_WIDTH)
         n_wrapped, n_discarded = n_outside, 0
 
     return PreprocessResult(

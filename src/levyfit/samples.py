@@ -146,8 +146,9 @@ def _read_lines(fh, path) -> np.ndarray:
 
 def write_samples_csv(path, values, metadata: dict | None = None) -> None:
     """Write one value per line with '#'-prefixed metadata header lines."""
+    text = "\n".join(map(repr, np.asarray(values, dtype=float).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         for key, val in (metadata or {}).items():
             fh.write(f"# {key} = {val}\n")
-        for v in np.asarray(values, dtype=float):
-            fh.write(f"{float(v)!r}\n")
+        if text:
+            fh.write(text + "\n")

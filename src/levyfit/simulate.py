@@ -73,7 +73,7 @@ def _initial_positions(spec: SimulationSpec, grid: TorusGrid,
 
     They start from init_center's point on the torus: a far representative
     would round every draw and jump added to it away."""
-    center = project_to_torus(spec.init_center, grid)
+    center = project_to_torus(spec.init_center, grid.lower, grid.upper)
     if spec.init_concentration is None:
         return center
     # rng.vonmises lives on [-pi, pi); rescale its period to the torus length
@@ -174,4 +174,5 @@ def _terminal_set(terminal: np.ndarray, grid: TorusGrid) -> SampleSet:
     sum of draws) can still overflow."""
     if not np.isfinite(terminal).all():
         raise ValueError("simulated terminal values overflow to inf or nan")
-    return SampleSet.from_values(project_to_torus(terminal, grid), grid)
+    return SampleSet.from_values(
+        project_to_torus(terminal, grid.lower, grid.upper), grid)

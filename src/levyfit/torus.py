@@ -62,7 +62,8 @@ class TorusGrid:
         cells.  Whenever lower is an integer multiple of h (every symmetric
         domain with even n) these are the grid points themselves, reordered.
         """
-        return project_to_torus(self.h * np.arange(self.n), self)
+        return project_to_torus(self.h * np.arange(self.n), self.lower,
+                                self.upper)
 
 
 @dataclass(frozen=True)
@@ -109,25 +110,27 @@ class ModelCoefficients:
         return self.sigma2 / 2.0
 
 
-def project_to_torus(y, grid: TorusGrid):
+def project_to_torus(y, lower: float, upper: float):
     """Wrap real values onto [lower, upper) by the modulus homomorphism.
 
-    project_to_torus(y + K) == project_to_torus(y) for the period K; the
-    map restricted to sums of grid values is a group homomorphism.
+    project_to_torus(y + K) == project_to_torus(y) for the period
+    K = upper - lower; the map restricted to sums of grid values is a group
+    homomorphism.  The edges are those of a `TorusGrid`, or any pair it
+    accepts.
     """
-    k = grid.length
+    k = upper - lower
     # one new float array, worked in place: the caller's `y` is only read
     r = np.array(y, dtype=float)
-    r -= grid.lower
+    r -= lower
     np.mod(r, k, out=r)
     # mod(...) == K, or a sum lower + r that rounds up, would land on
     # `upper`, which is `lower` on the torus; out= keeps a 0-d input's mask
     # an array
     edge = np.greater_equal(r, k, out=np.empty(r.shape, dtype=bool))
     np.subtract(r, k, out=r, where=edge)
-    r += grid.lower
-    np.greater_equal(r, grid.upper, out=edge)
-    np.copyto(r, grid.lower, where=edge)
+    r += lower
+    np.greater_equal(r, upper, out=edge)
+    np.copyto(r, lower, where=edge)
     return float(r) if np.isscalar(y) else r
 
 
@@ -226,7 +229,7 @@ def von_mises_density(grid: TorusGrid, mu: float, kappa: float) -> np.ndarray:
     if not 0.0 < kappa < math.inf:
         raise ValueError("von Mises kappa must be finite and > 0")
     x = grid.points
-    mu = project_to_torus(mu, grid)
+    mu = project_to_torus(mu, grid.lower, grid.upper)
     ang = 2.0 * np.pi * (x - mu + grid.length / 2.0) / grid.length - np.pi
     with np.errstate(over="ignore"):
         f = np.exp(kappa * (np.cos(ang) - 1.0))

@@ -1,13 +1,11 @@
 """Shared dense/brute-force oracles, deliberately independent of the fast paths."""
 
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-import levyfit.forward as forward
 from levyfit.forward import CCOperator, JumpKernel
 from levyfit.torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
                            make_basis, project_to_torus, tiling_centers)
@@ -37,7 +35,8 @@ def brute_jump_apply(f: np.ndarray, rates, basis: SplineBasis,
     """
     pts = grid.points
     weights = grid.h * np.asarray(rates, dtype=float) @ basis.evaluate(pts)
-    y = project_to_torus(pts[:, None] - pts[None, :], grid)
+    y = project_to_torus(pts[:, None] - pts[None, :], grid.lower,
+                         grid.upper)
     index = np.rint((y - grid.lower) / grid.h).astype(int) % grid.n
     gathered = np.asarray(f)[index]     # (n, n, ...): f at x_i - s_k
     return np.tensordot(weights, gathered, axes=(0, 1)) - weights.sum() * f
@@ -87,16 +86,6 @@ def dense_adjoint_march(data, rates, basis: SplineBasis, cc: CCOperator,
     for s in range(boot_substeps - 2, -1, -1):
         r[s] = np.linalg.solve(euler_t, (eye + tau * q).T @ r[s + 1])
     return p[2:-1], r
-
-
-@contextmanager
-def smallest_blocks():
-    """The march and the gradient pairing in blocks of the fewest rows they
-    allow, so that even a small problem crosses several block boundaries
-    (the march's first one right after the bootstrap)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(forward, "BLOCK_BYTES", 1)
-        yield
 
 
 @pytest.fixture

@@ -411,6 +411,20 @@ class TestSolveForward:
         np.testing.assert_allclose(hist.bootstrap, bootstrap, rtol=1e-12,
                                    atol=atol)
 
+    def test_first_rows_are_f0_bit_for_bit(self):
+        """values[0] and bootstrap[0] are f0 itself, not its round trip
+        through the rfft, which is off where f0 underflows to 0."""
+        grid = TorusGrid(-np.pi, np.pi, 64)
+        cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
+        basis = make_basis(band_centers(3), grid)
+        f0 = von_mises_density(grid, 0.0, 4000.0)
+        hist = solve_forward(f0, [0.5, 0.2, 0.1], basis, cc,
+                             TimeGrid(1.0, 100), boot_substeps=4)
+        round_trip = np.fft.irfft(hist.spectra[0], n=grid.n)
+        assert round_trip.tobytes() != f0.tobytes()
+        assert hist.values[0].tobytes() == f0.tobytes()
+        assert hist.bootstrap[0].tobytes() == f0.tobytes()
+
     def test_xi_condition_reported(self):
         grid = TorusGrid(-np.pi, np.pi, 64)
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))

@@ -122,6 +122,28 @@ def test_bytes_that_are_not_utf8_are_refused(tmp_path, tail, lines):
         ingest_samples(path)
 
 
+def per_line_write(path, values, metadata=None):
+    """The writer as it was: one write per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, val in (metadata or {}).items():
+            fh.write(f"# {key} = {val}\n")
+        for v in np.asarray(values, dtype=float):
+            fh.write(f"{float(v)!r}\n")
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+     1.7976931348623157e308, 0.1, 1 / 3, -np.pi, 1e16, 123456789.0],
+    np.random.default_rng(7).normal(scale=1e-3, size=1000),
+    np.float32([0.1, -2.5]), [3], []])
+def test_writer_equals_per_line_writer(tmp_path, values):
+    metadata = {"source": "raw.csv", "n": len(values)}
+    write_samples_csv(tmp_path / "new.csv", values, metadata=metadata)
+    per_line_write(tmp_path / "old.csv", values, metadata=metadata)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
+
+
 def test_round_trip_of_200k_values_is_bit_exact(tmp_path, rng, monkeypatch):
     values = np.concatenate([
         rng.standard_t(4, 199_990) * 6e-3,

@@ -1,10 +1,13 @@
 """The in-place sample path and gradient pairing against the allocating
-forms they replaced, bit for bit, and the memory they were written to save.
+forms they replaced, and the memory they were written to save.
 
 Each reference below is the expression the package used before it worked
-in place.  Both run the same IEEE operations in the same order (at most an
-addition or a multiplication swaps its operands, which is exact), so they
-must agree bit for bit, not just to a tolerance.
+in place.  The sample path runs the same IEEE operations in the same order
+(at most an addition or a multiplication swaps its operands, which is
+exact), so it must agree bit for bit, not just to a tolerance.  The
+pairing now reads the forward history's spectra instead of the rfft of
+its levels and adds in another order, so it agrees to the roundoff of the
+terms it adds.
 """
 
 import dataclasses
@@ -15,10 +18,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import levyfit.forward as forward
-from conftest import random_density, small_problems, smallest_blocks
-from levyfit.adjoint import AdjointHistory, solve_adjoint
-from levyfit.forward import DensityHistory, solve_forward
+from conftest import random_density, small_problems
+from levyfit.adjoint import solve_adjoint
+from levyfit.forward import solve_forward
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams, calibrate,
                                gradient_from_histories)
 from levyfit.samples import SampleSet, snap_index
@@ -142,9 +144,9 @@ def input_forms(values):
         yield np.float64(x)
 
 
-def unchanged_call(fn, y, grid):
+def unchanged_call(fn, y, *args):
     before = np.array(y, dtype=float).tobytes()
-    out = fn(y, grid)
+    out = fn(y, *args)
     assert np.array(y, dtype=float).tobytes() == before
     if isinstance(y, np.ndarray):
         assert not np.shares_memory(out, y)
@@ -156,7 +158,8 @@ def unchanged_call(fn, y, grid):
 def test_projection_equals_allocating_projection(case):
     grid, values = case
     for y in input_forms(values):
-        assert same_bits(unchanged_call(project_to_torus, y, grid),
+        assert same_bits(unchanged_call(project_to_torus, y, grid.lower,
+                                        grid.upper),
                          allocating_project(y, grid))
 
 
@@ -230,27 +233,39 @@ def test_bigamma_equals_allocating_sampler(case, shape, rate):
                             allocating_bigamma(spec, grid), grid)
 
 
-def assert_gradient_equals_allocating_pairing(problem):
-    cc, basis, rates, tg, boot, rng = problem
-    fwd = solve_forward(random_density(rng, cc.grid), rates, basis, cc, tg,
-                        boot_substeps=boot, force=True)
-    adj = solve_adjoint(rng.normal(size=cc.grid.n), rates, basis, cc, tg,
-                        boot_substeps=boot)
-    assert np.array_equal(gradient_from_histories(fwd, adj, basis),
-                          allocating_gradient(fwd, adj, basis))
+def assembly_bound(fwd, adj, basis):
+    """A bound on every |gradient_j|, from the absolute values of all the
+    products the assembly adds: the roundoff of two assemblies that differ
+    in their summation order or round trip is a few eps times it per
+    term."""
+    dt = fwd.time_grid.dt
+    tau = dt / fwd.boot_substeps
+    boot = fwd.spectra[:fwd.boot_substeps]
+    levels = fwd.spectra[fwd.boot_substeps:][1:-1]
+    modes = (2.0 * dt * (np.abs(levels) * np.abs(adj.levels)).sum(axis=0)
+             + tau * (np.abs(boot) * np.abs(adj.bootstrap)).sum(axis=0))
+    # each lag is an irfft of the modes, and enters a component twice
+    lag = 2.0 * modes.sum() / fwd.grid.n
+    return fwd.grid.h * np.abs(basis.samples).sum(axis=1) * 2.0 * lag
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(problem=small_problems())
 def test_gradient_equals_allocating_pairing(problem):
-    assert_gradient_equals_allocating_pairing(problem)
-
-
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(problem=small_problems())
-def test_gradient_in_smallest_blocks_equals_allocating_pairing(problem):
-    with smallest_blocks():
-        assert_gradient_equals_allocating_pairing(problem)
+    """The kept spectra paired as they are, against the real history's rows
+    rfft'd back and paired in row order: equal to the roundoff of the
+    terms they add."""
+    cc, basis, rates, tg, boot, rng = problem
+    fwd = solve_forward(random_density(rng, cc.grid), rates, basis, cc, tg,
+                        boot_substeps=boot, force=True)
+    adj = solve_adjoint(rng.normal(size=cc.grid.n), rates, basis, cc, tg,
+                        boot_substeps=boot)
+    # eps per term of the longest sum: the pairing's rows, then the modes
+    terms = boot + tg.n_steps + cc.grid.n
+    error = np.abs(gradient_from_histories(fwd, adj, basis)
+                   - allocating_gradient(fwd, adj, basis))
+    assert np.all(error <= terms * np.finfo(float).eps
+                  * assembly_bound(fwd, adj, basis))
 
 
 def traced_peak(fn, *args):
@@ -267,24 +282,6 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_gradient_holds_one_history_spectrum():
-    """At most the rfft of the levels, plus a little for the substeps and
-    the per-mode vectors."""
-    n, n_steps, boot = 512, 200, 10
-    grid, rng = TorusGrid(-math.pi, math.pi, n), np.random.default_rng(0)
-    basis = make_basis(tiling_centers(5, grid), grid)
-    fwd = DensityHistory(values=rng.random((n_steps + 1, n)),
-                         bootstrap=rng.random((boot, n)), grid=grid,
-                         time_grid=TimeGrid(1.0, n_steps), bounds=None)
-    modes = n // 2 + 1
-    adj = AdjointHistory(
-        levels=rng.random((n_steps - 1, modes)) + 1j,
-        bootstrap=rng.random((boot, modes)) + 1j)
-    spectrum = adj.levels.nbytes
-    peak = traced_peak(gradient_from_histories, fwd, adj, basis)
-    assert peak <= spectrum + spectrum // 8
-
-
 def test_wrap_and_snap_hold_one_array_each():
     """project_to_torus: one float array and a mask; snap_index: one float
     and one int array."""
@@ -292,8 +289,9 @@ def test_wrap_and_snap_hold_one_array_each():
     grid = TorusGrid(-math.pi, math.pi, 64)
     y = np.random.default_rng(0).normal(scale=10.0, size=n)
     slack = 4096
-    assert traced_peak(project_to_torus, y, grid) <= 9 * n + slack
-    x = project_to_torus(y, grid)
+    edges = grid.lower, grid.upper
+    assert traced_peak(project_to_torus, y, *edges) <= 9 * n + slack
+    x = project_to_torus(y, *edges)
     assert traced_peak(snap_index, x, grid) <= 16 * n + slack
 
 
@@ -306,32 +304,30 @@ def fit_setup(n=512, n_steps=200, boot=10):
                             boot_substeps=boot)
 
 
-def test_march_into_out_holds_one_block(monkeypatch):
-    """A march into a caller's buffer holds one block of spectra, and its
-    finiteness check one block of states at most, however many blocks the
-    history spans (17 here)."""
-    monkeypatch.setattr(forward, "BLOCK_BYTES", 1 << 16)
-    setup = fit_setup()
-    n, boot = setup.grid.n, setup.boot_substeps
-    out = np.empty((boot + setup.time_grid.n_steps + 1, n))
+def test_march_into_out_does_not_grow_with_the_steps():
+    """A march into a caller's buffer allocates the same whatever the
+    number of levels: 200 and 2000 steps peak within one row of spectra."""
+    peaks = []
+    for n_steps in (200, 2000):
+        setup = fit_setup(n_steps=n_steps)
+        n, boot = setup.grid.n, setup.boot_substeps
+        out = np.empty((boot + n_steps + 1, n // 2 + 1), dtype=complex)
 
-    def march():
-        solve_forward(setup.f0, [0.5, 0.3, 0.2], setup.basis, setup.cc,
-                      setup.time_grid, boot_substeps=boot, out=out)
+        def march():
+            solve_forward(setup.f0, [0.5, 0.3, 0.2], setup.basis, setup.cc,
+                          setup.time_grid, boot_substeps=boot, out=out)
 
-    rows = forward.block_rows(n, boot + 2)
-    block = rows * (n // 2 + 1) * 16
-    assert traced_peak(march) <= block + rows * n * 8 + 4096
+        peaks.append(traced_peak(march))
+    assert abs(peaks[1] - peaks[0]) <= (n // 2 + 1) * 16
 
 
-def test_fit_holds_its_two_histories(monkeypatch):
+def test_fit_holds_its_two_histories():
     """calibrate peaks at its forward history and its multiplier history,
-    plus 1/8 of them for the blocks and the per-mode vectors."""
-    monkeypatch.setattr(forward, "BLOCK_BYTES", 1 << 16)
+    plus 1/8 of them for the per-mode vectors."""
     setup = fit_setup()
     n, rows = setup.grid.n, setup.boot_substeps + setup.time_grid.n_steps
     draws = np.random.default_rng(0).vonmises(0.0, 5.0, size=2000)
     samples = SampleSet.from_values(draws, setup.grid)
-    histories = (rows + 1) * n * 8 + rows * (n // 2 + 1) * 16
+    histories = (2 * rows + 1) * (n // 2 + 1) * 16
     peak = traced_peak(calibrate, setup, samples, OptimizerParams(max_iters=3))
     assert peak <= histories + histories // 8

@@ -1,18 +1,18 @@
 """The in-place spectral march and sweep against the allocating recurrences
 they replaced.  Both run the same operations in the same order on the same
-symbols, so they must agree bit for bit, not just to a tolerance: across
-the march's block boundaries too, and into reused buffers."""
-
-from contextlib import nullcontext
+symbols, so they must agree bit for bit, not just to a tolerance: into
+reused buffers too."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_density, small_problems, smallest_blocks
+from conftest import random_density, small_problems
 from levyfit.adjoint import solve_adjoint
+from levyfit.errors import SolverError
 from levyfit.forward import CCOperator, JumpKernel, solve_forward
-from levyfit.torus import TimeGrid
+from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
+                           tiling_centers)
 
 
 def allocating_forward(f0, rates, basis, cc, time_grid, boot_substeps):
@@ -66,13 +66,13 @@ def allocating_adjoint(data, rates, basis, cc, time_grid, boot_substeps):
 
 def march_and_sweep(problem, cc, time_grid, boot_substeps, f0, data):
     """solve_forward (forced past the step bounds, so every random problem
-    runs) and solve_adjoint, as four arrays."""
+    runs) and solve_adjoint, as five arrays."""
     basis, rates = problem.basis, problem.rates
     hist = solve_forward(f0, rates, basis, cc, time_grid,
                          boot_substeps=boot_substeps, force=True)
     adj = solve_adjoint(data, rates, basis, cc, time_grid,
                         boot_substeps=boot_substeps)
-    return hist.values, hist.bootstrap, adj.levels, adj.bootstrap
+    return hist.spectra, hist.terminal, hist.values, adj.levels, adj.bootstrap
 
 
 def inputs(problem):
@@ -80,27 +80,17 @@ def inputs(problem):
     return random_density(problem.rng, grid), problem.rng.normal(size=grid.n)
 
 
-def assert_march_equals_allocating_march(problem):
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_forward_march_equals_allocating_march(problem):
     cc, basis, rates, tg, boot, _ = problem
-    f0, data = inputs(problem)
+    f0, _ = inputs(problem)
     hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
                          force=True)
     values, bootstrap = allocating_forward(f0, rates, basis, cc, tg, boot)
     assert np.array_equal(hist.values, values)
     assert np.array_equal(hist.bootstrap, bootstrap)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(problem=small_problems())
-def test_forward_march_equals_allocating_march(problem):
-    assert_march_equals_allocating_march(problem)
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(problem=small_problems())
-def test_forward_march_in_smallest_blocks_equals_allocating_march(problem):
-    with smallest_blocks():
-        assert_march_equals_allocating_march(problem)
+    assert np.array_equal(hist.terminal, values[-1])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -110,26 +100,29 @@ def test_reused_buffers_give_the_bytes_of_fresh_ones(problem):
     sweep into a buffer of NaNs, equal a march and a sweep into new arrays."""
     cc, basis, rates, tg, boot, _ = problem
     f0, data = inputs(problem)
-    states = np.empty((boot + tg.n_steps + 1, cc.grid.n))
-    spectra = np.empty((boot + tg.n_steps, cc.grid.n // 2 + 1), dtype=complex)
-    for blocks in (nullcontext, smallest_blocks):
-        with blocks():
-            fresh = march_and_sweep(problem, cc, tg, boot, f0, data)
-            solve_forward(f0, rates[::-1] + 1.0, basis, cc, tg,
-                          boot_substeps=boot, force=True, out=states)
-            hist = solve_forward(f0, rates, basis, cc, tg,
-                                 boot_substeps=boot, force=True, out=states)
-            spectra.fill(complex(np.nan, np.nan))
-            adj = solve_adjoint(data, rates, basis, cc, tg,
-                                boot_substeps=boot, out=spectra)
-        reused = hist.values, hist.bootstrap, adj.levels, adj.bootstrap
-        for a, b in zip(reused, fresh):
-            assert np.array_equal(a, b)
-        assert np.shares_memory(hist.values, states)
-        assert np.shares_memory(adj.levels, spectra)
+    modes = cc.grid.n // 2 + 1
+    states = np.empty((boot + tg.n_steps + 1, modes), dtype=complex)
+    spectra = np.empty((boot + tg.n_steps, modes), dtype=complex)
+    fresh = march_and_sweep(problem, cc, tg, boot, f0, data)
+    solve_forward(f0, rates[::-1] + 1.0, basis, cc, tg, boot_substeps=boot,
+                  force=True, out=states)
+    hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
+                         force=True, out=states)
+    spectra.fill(complex(np.nan, np.nan))
+    adj = solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot,
+                        out=spectra)
+    reused = (hist.spectra, hist.terminal, hist.values, adj.levels,
+              adj.bootstrap)
+    for a, b in zip(reused, fresh):
+        assert np.array_equal(a, b)
+    assert hist.spectra is states
+    assert np.shares_memory(adj.levels, spectra)
     with pytest.raises(ValueError, match="out must be"):
         solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
                       force=True, out=states[1:])
+    with pytest.raises(ValueError, match="out must be"):
+        solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
+                      force=True, out=states.real.copy())
     with pytest.raises(ValueError, match="out must be"):
         solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot,
                       out=spectra.real.copy())
@@ -171,3 +164,35 @@ def test_kept_symbols_are_the_solver_symbols(problem):
         kept = cc.implicit_symbol(shift, scale)
         assert np.array_equal(kept, cc.system_solver(shift, scale).symbol)
         assert not kept.flags.writeable
+
+
+@pytest.mark.parametrize("n", [16, 33])
+def test_overflow_at_an_early_level_is_refused(n):
+    """Rates near the float range overflow the march within its first
+    substeps and the sweep within its first levels.  Each checks only the
+    last row it writes, and both still raise."""
+    grid = TorusGrid(0.0, 2 * np.pi, n)
+    cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
+    basis = make_basis(tiling_centers(3, grid), grid)
+    rates, tg, boot = np.full(3, 1e150), TimeGrid(1.0, 40), 10
+    modes = n // 2 + 1
+    rng = np.random.default_rng(n)
+    f0, data = random_density(rng, grid), rng.normal(size=n)
+    states = np.zeros((boot + tg.n_steps + 1, modes), dtype=complex)
+    with pytest.raises(SolverError), np.errstate(over="ignore",
+                                                 invalid="ignore"):
+        solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
+                      force=True, out=states)
+    # every row from the third substep on is not finite, but F^0 = g^0
+    finite = np.isfinite(states).all(axis=1).tolist()
+    assert finite == ([True] * 3 + [False] * (boot - 3) + [True]
+                      + [False] * tg.n_steps)
+
+    spectra = np.zeros((boot + tg.n_steps, modes), dtype=complex)
+    with pytest.raises(SolverError), np.errstate(over="ignore",
+                                                 invalid="ignore"):
+        solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot,
+                      out=spectra)
+    # the sweep writes from the last rows back to the first
+    finite = np.isfinite(spectra).all(axis=1)
+    assert finite[-4:].all() and not finite[:-4].any()

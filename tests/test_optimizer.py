@@ -131,8 +131,10 @@ class TestReducedGradient:
                                  * (v[(i - k) % n] - v[i]))
         expected *= grid.h
 
-        fwd = DensityHistory(values=values, bootstrap=substates, grid=grid,
-                             time_grid=tg, bounds=None)
+        spectra = np.fft.rfft(np.concatenate([substates, values]), axis=1)
+        fwd = DensityHistory(spectra=spectra, f0=values[0],
+                             terminal=values[-1], grid=grid, time_grid=tg,
+                             bounds=None)
         adj = AdjointHistory(levels=np.fft.rfft(levels, axis=1),
                              bootstrap=np.fft.rfft(multipliers, axis=1))
         np.testing.assert_allclose(gradient_from_histories(fwd, adj, basis),
