@@ -3,8 +3,8 @@
 The probability density of the process is evolved by a conservative,
 positivity-preserving periodic finite-difference scheme; the spline-
 discretized jump measure is fitted by maximizing the sample log-likelihood
-with an adjoint-based conjugate gradient loop, and the basis size is picked
-by an information criterion.
+with a conjugate gradient loop on its exact gradient, and the basis size is
+picked by an information criterion.
 """
 
 from .adjoint import AdjointHistory, solve_adjoint, terminal_condition

@@ -12,19 +12,16 @@ cells, so the integral reduces to a circular convolution with a fixed
 nonnegative kernel.
 
 Both operators are circulant, so every Fourier mode evolves on its own:
-with a and q their rfft symbols, `solve_forward` marches each mode through
-g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
-F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2), from one rfft of
-f0, writing every level in place into its row of one spectra array, with
-the operations in the order shown.  That array is the history: only the
-terminal level is irfft'd by the march, and the rate gradient pairs the
-spectra with the adjoint's as they are.  Each `CCOperator` builds its
-implicit symbols 1 - tau*a and 3 - 2dt*a once, so the march allocates
-nothing per level and rebuilds nothing that does not depend on the rates.
-
-The march checks its step against `stability_bounds` and its values for
-finiteness only; `history_diagnostics` measures mass conservation and
-positivity on a finished history, so a fit pays for them once.
+with a and q their rfft symbols, g <- g*(1 + tau*q)/(1 - tau*a) (Euler)
+and F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).
+`solve_forward` marches every mode from one rfft of f0, writing every
+level in place into its row of one spectra array, with the operations in
+the order shown: the history that the adjoint gradient pairs and
+`history_diagnostics` reads.  `solve_terminal` reaches the terminal level
+alone, and its derivative in q, by binary powers of each mode's companion
+matrix, about 2*log2(N_T) products of mode vectors; the fit evaluates its
+trials and gradients so.  Both refuse the same steps (`admissible_bounds`),
+irfft only the terminal level and check only it for finiteness.
 """
 
 from __future__ import annotations
@@ -205,6 +202,36 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
     return 4.0 + 2.0 * dt * kernel.symbol, cc.implicit_symbol(3.0, 2.0 * dt)
 
 
+def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
+                      xi: float, boot_substeps: int,
+                      force: bool) -> StabilityBounds:
+    """`stability_bounds`; a step above them is refused unless `force`."""
+    check_scheme(xi, boot_substeps)
+    bounds = stability_bounds(cc, kernel, xi)
+    dt = time_grid.dt
+    if not force and (dt > bounds.dt_bdf2
+                      or dt / boot_substeps > bounds.dt_euler_positive):
+        raise StabilityError(
+            f"dt = {dt:.4e} violates the admissible steps "
+            f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
+            "pass force=True (config key force_dt) to integrate anyway")
+    return bounds
+
+
+def check_initial_density(f0, grid: TorusGrid) -> np.ndarray:
+    """f0 as floats, refused unless a nonnegative density of mass 1."""
+    f0 = np.asarray(f0, dtype=float)
+    if f0.shape != (grid.n,):
+        raise ValueError(f"f0 must have shape ({grid.n},)")
+    # written so that a NaN anywhere in f0 fails both checks
+    if not np.min(f0) >= -1e-12:
+        raise ValueError("initial density must be nonnegative")
+    mass0 = grid.h * f0.sum()
+    if not abs(mass0 - 1.0) <= 1e-8:
+        raise ValueError(f"initial density mass {mass0} is not 1")
+    return f0
+
+
 def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
                kernel: JumpKernel) -> np.ndarray:
     """One implicit Euler step: solve (I - dt*A) f = f_prev + dt*Q(f_prev).
@@ -326,31 +353,17 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
     levels; the returned history views it.  A refused march leaves it
     untouched.
     """
-    f0 = np.asarray(f0, dtype=float)
+    f0 = check_initial_density(f0, cc.grid)
     n = cc.grid.n
-    if f0.shape != (n,):
-        raise ValueError(f"f0 must have shape ({n},)")
-    # written so that a NaN anywhere in f0 fails both checks
-    if not np.min(f0) >= -1e-12:
-        raise ValueError("initial density must be nonnegative")
-    mass0 = cc.grid.h * f0.sum()
-    if not abs(mass0 - 1.0) <= 1e-8:
-        raise ValueError(f"initial density mass {mass0} is not 1")
-    check_scheme(xi, boot_substeps)
     n_steps = time_grid.n_steps
     shape = (boot_substeps + n_steps + 1, n // 2 + 1)
     if out is not None and (out.shape != shape or out.dtype != complex):
         raise ValueError(f"out must be a complex array of shape {shape}")
 
     kernel = JumpKernel.from_rates(rates, basis)
-    bounds = stability_bounds(cc, kernel, xi)
+    bounds = admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
     dt = time_grid.dt
     tau = dt / boot_substeps
-    if (dt > bounds.dt_bdf2 or tau > bounds.dt_euler_positive) and not force:
-        raise StabilityError(
-            f"dt = {dt:.4e} violates the admissible steps "
-            f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
-            "pass force=True (config key force_dt) to integrate anyway")
 
     spectra = np.empty(shape, dtype=complex) if out is None else out
     # boot_hat[s] = g^s, s = 0 .. K-1; hat[m] = F^m, m = 0 .. N_T
@@ -368,6 +381,64 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
         raise SolverError("non-finite values in the forward march")
     return DensityHistory(spectra=spectra, f0=f0, terminal=terminal,
                           grid=cc.grid, time_grid=time_grid, bounds=bounds)
+
+
+def _times(x, y, t, d, slope):
+    """The product of two powers u*M + v*I of M (see solve_terminal) as
+    (u, v, u', v'), ' the derivative in q; slope is t', or None for none."""
+    (u, v, du, dv), (p, r, dp, dr) = x, y
+    s = u * p
+    product = s * t + (u * r + v * p), v * r - s * d
+    if slope is None:
+        return *product, None, None
+    ds = du * p + u * dp
+    return (*product, ds * t + s * slope + (du * r + u * dr + dv * p + v * dp),
+            dv * r + v * dr - ds * d)
+
+
+def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
+                   cc: CCOperator, time_grid: TimeGrid, *, xi: float = 2.0,
+                   boot_substeps: int = 10, force: bool = False,
+                   derivative: bool = False) -> tuple:
+    """`solve_forward`'s terminal density from f0_hat = rfft(f0), and with
+    `derivative` its spectrum's q-derivative per mode (else None).
+
+    Per mode, (F^{m+1}, F^m) = M (F^m, F^{m-1}) with M = [[t, -d], [1, 0]],
+    t = (4 + 2dt*q)/(3 - 2dt*a) and d = 1/(3 - 2dt*a); F^1 = e^K F^0 with
+    e = (1 + tau*q)/(1 - tau*a).  M^{N_T-1} = u*M + v*I is the product of
+    the squares M^(2^i) at the set bits of N_T - 1, so F^{N_T} = u*F^2 +
+    v*F^1.  The derivative adds to that product rule the substeps' term
+    K*e^(K-1)*tau/(1 - tau*a)*F^0; the value's operations do not change.
+    """
+    kernel = JumpKernel.from_rates(rates, basis)
+    admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
+    dt, k = time_grid.dt, boot_substeps
+    tau = dt / k
+    euler_explicit, euler_implicit = euler_symbols(cc, kernel, tau)
+    explicit, implicit = bdf2_symbols(cc, kernel, dt)
+    growth = euler_explicit / euler_implicit
+    x1 = growth ** k * f0_hat
+    x2 = (explicit * x1 - f0_hat) / implicit
+    t, d = explicit / implicit, 1.0 / implicit
+    slope = 2.0 * dt / implicit if derivative else None
+    # M^(2^i), and the product of those at the bits of N_T - 1 seen so far
+    power, result = (1.0, 0.0, 0.0, 0.0), None
+    bits = time_grid.n_steps - 1
+    while bits:
+        if bits & 1:
+            result = power if result is None else _times(result, power, t,
+                                                         d, slope)
+        bits >>= 1
+        if bits:
+            power = _times(power, power, t, d, slope)
+    u, v, du, dv = result
+    terminal = np.fft.irfft(u * x2 + v * x1, n=cc.grid.n)
+    if not np.all(np.isfinite(terminal)):     # as in solve_forward
+        raise SolverError("non-finite values in the terminal density")
+    if not derivative:
+        return terminal, None
+    dx1 = k * growth ** (k - 1) * tau / euler_implicit * f0_hat
+    return terminal, du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
 
 
 def history_diagnostics(history: DensityHistory) -> dict:

@@ -4,6 +4,10 @@ Convention: the loop minimizes F = -J_eps (negated mean log-likelihood).
 All gradients returned here are gradients of F; its orientation is pinned
 by the finite-difference tests, not by any sign lore.
 
+`objective` and `reduced_gradient` take the terminal level, and its
+derivative in q, from `solve_terminal`'s powers; `gradient_from_histories`
+gets the same gradient by the paper's route, a march and the adjoint sweep.
+
 Feasibility alpha_j >= 0 is kept by clamping trial points at 0 and by
 zeroing search-direction components that push an active coordinate
 negative; the stopping test uses the projected gradient, whose norm is the
@@ -17,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import AdjointHistory, solve_adjoint, terminal_condition
+from .adjoint import AdjointHistory, terminal_condition
+from .adjoint import solve_adjoint  # noqa: F401  (the sweep the pairing reads)
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, check_scheme,
-                      history_diagnostics, solve_forward)
+from .forward import (CCOperator, DensityHistory, check_initial_density,
+                      check_scheme, history_diagnostics, solve_forward,
+                      solve_terminal)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
@@ -34,7 +40,8 @@ MAX_SHRINKS = 30        # trial steps per line search
 
 @dataclass(frozen=True)
 class CalibrationSetup:
-    """Everything fixed during one fit: geometry, model, basis, initial density."""
+    """Everything fixed during one fit, and from it `cc`, f0_hat = rfft(f0)
+    and the basis' symbol rows h*rfft(samples[j]) - h*sum(samples[j])."""
 
     grid: TorusGrid
     time_grid: TimeGrid
@@ -46,12 +53,19 @@ class CalibrationSetup:
     xi: float = 2.0
     force: bool = False
     cc: CCOperator = field(init=False)
+    f0_hat: np.ndarray = field(init=False, repr=False)
+    theta_hat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError(f"the objective floor must be > 0, got {self.eps}")
         check_scheme(self.xi, self.boot_substeps)
+        f0 = check_initial_density(self.f0, self.grid)
+        samples, h = self.basis.samples, self.grid.h
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
+        object.__setattr__(self, "f0_hat", np.fft.rfft(f0))
+        object.__setattr__(self, "theta_hat", h * np.fft.rfft(samples)
+                           - h * samples.sum(axis=1)[:, None])
 
 
 @dataclass(frozen=True)
@@ -83,19 +97,21 @@ class FitReport:
     trace: list = field(default_factory=list, repr=False)
 
 
-def run_forward(alpha, setup: CalibrationSetup, out=None) -> DensityHistory:
+def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
     return solve_forward(setup.f0, alpha, setup.basis, setup.cc,
                          setup.time_grid, xi=setup.xi,
-                         boot_substeps=setup.boot_substeps, force=setup.force,
-                         out=out)
+                         boot_substeps=setup.boot_substeps, force=setup.force)
 
 
-def objective(alpha, setup: CalibrationSetup, samples: SampleSet,
-              out=None) -> tuple[ObjectiveValue, DensityHistory]:
-    """Minimized-objective building block: J_eps and the forward history
-    (marched into `out` if given, as `solve_forward` takes it)."""
-    fwd = run_forward(alpha, setup, out)
-    return evaluate_objective(fwd.terminal, samples, setup.eps), fwd
+def objective(alpha, setup: CalibrationSetup,
+              samples: SampleSet) -> tuple[ObjectiveValue, np.ndarray]:
+    """Minimized-objective building block: J_eps and the terminal density
+    it scores, from companion-matrix powers."""
+    terminal, _ = solve_terminal(setup.f0_hat, alpha, setup.basis, setup.cc,
+                                 setup.time_grid, xi=setup.xi,
+                                 boot_substeps=setup.boot_substeps,
+                                 force=setup.force)
+    return evaluate_objective(terminal, samples, setup.eps), terminal
 
 
 def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
@@ -120,16 +136,19 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
     return fwd.grid.h * (basis.samples @ (lags - lags[0]))
 
 
-def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,
-                     history: DensityHistory | None = None,
-                     out=None) -> np.ndarray:
-    """Gradient of F = -J_eps with respect to the rates, via one adjoint
-    sweep (into `out` if given, as `solve_adjoint` takes it)."""
-    fwd = history if history is not None else run_forward(alpha, setup)
-    data = terminal_condition(fwd.terminal, samples, eps=setup.eps)
-    adj = solve_adjoint(data, alpha, setup.basis, setup.cc, setup.time_grid,
-                        boot_substeps=setup.boot_substeps, out=out)
-    return gradient_from_histories(fwd, adj, setup.basis)
+def reduced_gradient(alpha, setup: CalibrationSetup,
+                     samples: SampleSet) -> np.ndarray:
+    """Gradient of F = -J_eps in the rates: terminal data d paired with the
+    terminal spectrum's q-derivative x' times theta_hat, as Re(sum_k w_k
+    conj(rfft(d)_k) x'_k theta_hat_jk)/N, w_k = 1 at 0 and Nyquist, else 2."""
+    terminal, slope = solve_terminal(
+        setup.f0_hat, alpha, setup.basis, setup.cc, setup.time_grid,
+        xi=setup.xi, boot_substeps=setup.boot_substeps, force=setup.force,
+        derivative=True)
+    data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
+    n = setup.grid.n
+    weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
+    return (setup.theta_hat @ (weights * np.conj(data) * slope)).real / n
 
 
 def dai_yuan_beta(g_next: np.ndarray, g_prev: np.ndarray,
@@ -188,32 +207,27 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     Never raises on non-convergence: the report carries converged=False
     and the trace instead.  Trial points that violate the step-size bounds
     evaluate to +inf and are simply backtracked past; a refused starting
-    point raises solve_forward's StabilityError.  When the search
+    point raises the StabilityError of `admissible_bounds`.  When the search
     along the conjugate direction fails, it is retried once along steepest
     descent; when that fails too, the fit stops with stop="linesearch".
 
-    Every march goes into one forward history and every sweep into one
-    multiplier history, both allocated here.
+    The history is marched once, at alpha_star, for the diagnostics and
+    the terminal density.
     """
     n_theta = setup.basis.n_theta
     restart_every = 10 * n_theta
-    rows = setup.boot_substeps + setup.time_grid.n_steps
-    modes = setup.grid.n // 2 + 1
-    spectra = np.empty((rows + 1, modes), dtype=complex)
-    multipliers = np.empty((rows, modes), dtype=complex)
 
     def safe_objective(a):
         try:
-            obj, fwd = objective(a, setup, samples, out=spectra)
-            return -obj.value, obj, fwd
+            obj = objective(a, setup, samples)[0]
+            return -obj.value, obj
         except StabilityError:
-            return math.inf, None, None
+            return math.inf, None
 
     alpha = np.full(n_theta, ALPHA0)
-    obj, fwd = objective(alpha, setup, samples, out=spectra)
+    obj = objective(alpha, setup, samples)[0]
     f_val = -obj.value
-    grad = reduced_gradient(alpha, setup, samples, history=fwd,
-                            out=multipliers)
+    grad = reduced_gradient(alpha, setup, samples)
     direction = np.zeros(n_theta)   # none yet: the first search is steepest
 
     trace = []
@@ -237,7 +251,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         if (float(grad @ direction) < 0.0
                 and not np.array_equal(direction, steepest)):
             candidates.insert(0, direction)
-        trial = None    # (point, value, objective, history) of the last trial
+        trial = None    # (point, value, objective) of the last trial
         for direction in candidates:
 
             def evaluate(step):
@@ -256,9 +270,8 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
             break
 
         # Armijo accepts the last step it evaluated
-        alpha_next, f_next, obj, fwd = trial
-        grad_next = reduced_gradient(alpha_next, setup, samples, history=fwd,
-                                     out=multipliers)
+        alpha_next, f_next, obj = trial
+        grad_next = reduced_gradient(alpha_next, setup, samples)
 
         beta = dai_yuan_beta(grad_next, grad, direction)
         if (k + 1) % restart_every == 0:
@@ -267,11 +280,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
                                         alpha_next)
         alpha, f_val, grad = alpha_next, f_next, grad_next
 
-    if stop_note == "linesearch":
-        # the failed searches marched over alpha's history
-        fwd = run_forward(alpha, setup, spectra)
-    # released first: history_diagnostics holds a real copy of the history
-    del multipliers
+    fwd = run_forward(alpha, setup)
     diagnostics = {
         "stop": stop_note,
         "floored_count": obj.floored_count,

@@ -98,6 +98,12 @@ def random_density(rng, grid: TorusGrid) -> np.ndarray:
     return f / (grid.h * f.sum())
 
 
+# N_T for the companion-matrix powers, whose exponent is N_T - 1: 2 and 3,
+# then powers of two and their neighbours, with one, every or the lowest
+# bits of the exponent set
+STEP_COUNTS = [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
 class SmallProblem(NamedTuple):
     cc: CCOperator
     basis: SplineBasis
@@ -127,3 +133,19 @@ def small_problems(draw):
                            draw(st.integers(2, 8))),
         boot_substeps=draw(st.integers(1, 5)),
         rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def assembly_bound(fwd, adj, basis):
+    """A bound on every |gradient_j|, from the absolute values of all the
+    products the assembly adds: the roundoff of two assemblies that differ
+    in their summation order or round trip is a few eps times it per
+    term."""
+    dt = fwd.time_grid.dt
+    tau = dt / fwd.boot_substeps
+    boot = fwd.spectra[:fwd.boot_substeps]
+    levels = fwd.spectra[fwd.boot_substeps:][1:-1]
+    modes = (2.0 * dt * (np.abs(levels) * np.abs(adj.levels)).sum(axis=0)
+             + tau * (np.abs(boot) * np.abs(adj.bootstrap)).sum(axis=0))
+    # each lag is an irfft of the modes, and enters a component twice
+    lag = 2.0 * modes.sum() / fwd.grid.n
+    return fwd.grid.h * np.abs(basis.samples).sum(axis=1) * 2.0 * lag

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, small_problems
+from conftest import assembly_bound, random_density, small_problems
 from levyfit.adjoint import solve_adjoint
 from levyfit.forward import solve_forward
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams, calibrate,
@@ -233,22 +233,6 @@ def test_bigamma_equals_allocating_sampler(case, shape, rate):
                             allocating_bigamma(spec, grid), grid)
 
 
-def assembly_bound(fwd, adj, basis):
-    """A bound on every |gradient_j|, from the absolute values of all the
-    products the assembly adds: the roundoff of two assemblies that differ
-    in their summation order or round trip is a few eps times it per
-    term."""
-    dt = fwd.time_grid.dt
-    tau = dt / fwd.boot_substeps
-    boot = fwd.spectra[:fwd.boot_substeps]
-    levels = fwd.spectra[fwd.boot_substeps:][1:-1]
-    modes = (2.0 * dt * (np.abs(levels) * np.abs(adj.levels)).sum(axis=0)
-             + tau * (np.abs(boot) * np.abs(adj.bootstrap)).sum(axis=0))
-    # each lag is an irfft of the modes, and enters a component twice
-    lag = 2.0 * modes.sum() / fwd.grid.n
-    return fwd.grid.h * np.abs(basis.samples).sum(axis=1) * 2.0 * lag
-
-
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(problem=small_problems())
 def test_gradient_equals_allocating_pairing(problem):
@@ -321,13 +305,16 @@ def test_march_into_out_does_not_grow_with_the_steps():
     assert abs(peaks[1] - peaks[0]) <= (n // 2 + 1) * 16
 
 
-def test_fit_holds_its_two_histories():
-    """calibrate peaks at its forward history and its multiplier history,
-    plus 1/8 of them for the per-mode vectors."""
+def test_fit_holds_one_diagnostics_history():
+    """Trials and gradients keep no history, so calibrate peaks at the one
+    march at alpha_star: its spectra and the real levels that
+    history_diagnostics reads, plus 16 vectors of modes."""
     setup = fit_setup()
-    n, rows = setup.grid.n, setup.boot_substeps + setup.time_grid.n_steps
+    n, n_steps = setup.grid.n, setup.time_grid.n_steps
+    modes = n // 2 + 1
     draws = np.random.default_rng(0).vonmises(0.0, 5.0, size=2000)
     samples = SampleSet.from_values(draws, setup.grid)
-    histories = (2 * rows + 1) * (n // 2 + 1) * 16
+    spectra = (setup.boot_substeps + n_steps + 1) * modes * 16
+    values = (n_steps + 1) * n * 8
     peak = traced_peak(calibrate, setup, samples, OptimizerParams(max_iters=3))
-    assert peak <= histories + histories // 8
+    assert peak <= spectra + values + 16 * modes * 16

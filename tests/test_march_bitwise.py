@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from conftest import random_density, small_problems
 from levyfit.adjoint import solve_adjoint
 from levyfit.errors import SolverError
-from levyfit.forward import CCOperator, JumpKernel, solve_forward
+from levyfit.forward import (CCOperator, JumpKernel, solve_forward,
+                             solve_terminal)
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
                            tiling_centers)
 
@@ -170,7 +171,8 @@ def test_kept_symbols_are_the_solver_symbols(problem):
 def test_overflow_at_an_early_level_is_refused(n):
     """Rates near the float range overflow the march within its first
     substeps and the sweep within its first levels.  Each checks only the
-    last row it writes, and both still raise."""
+    last row it writes, and both still raise; so do the companion-matrix
+    powers, with and without the derivative."""
     grid = TorusGrid(0.0, 2 * np.pi, n)
     cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
     basis = make_basis(tiling_centers(3, grid), grid)
@@ -196,3 +198,10 @@ def test_overflow_at_an_early_level_is_refused(n):
     # the sweep writes from the last rows back to the first
     finite = np.isfinite(spectra).all(axis=1)
     assert finite[-4:].all() and not finite[:-4].any()
+
+    for derivative in (False, True):
+        with pytest.raises(SolverError), np.errstate(over="ignore",
+                                                     invalid="ignore"):
+            solve_terminal(np.fft.rfft(f0), rates, basis, cc, tg,
+                           boot_substeps=boot, force=True,
+                           derivative=derivative)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levyfit.optimizer as optimizer
-from conftest import (dense_adjoint_march, dense_forward_march, random_density,
-                      small_problems)
+from conftest import (STEP_COUNTS, dense_adjoint_march, dense_forward_march,
+                      random_density, small_problems)
 from levyfit.adjoint import AdjointHistory
 from levyfit.errors import LineSearchError
 from levyfit.forward import (CCOperator, DensityHistory, JumpKernel,
@@ -69,9 +69,10 @@ class TestReducedGradient:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(problem=small_problems(), kappa=st.floats(1.0, 30.0),
-           n_samples=st.integers(5, 40))
-    def test_matches_central_differences_on_random_problems(self, problem,
-                                                            kappa, n_samples):
+           n_samples=st.integers(5, 40),
+           n_steps=st.sampled_from(STEP_COUNTS))
+    def test_matches_central_differences_on_random_problems(
+            self, problem, kappa, n_samples, n_steps):
         # samples only in cells above a tenth of the peak, far from the
         # floor; force admits a rate stepped below 0 and a step above the
         # bounds, where the march is the same smooth map of the rates.
@@ -80,7 +81,8 @@ class TestReducedGradient:
         cc, basis, rates, tg, boot, rng = problem
         grid = cc.grid
         setup = CalibrationSetup(
-            grid=grid, time_grid=tg, coeffs=cc.coeffs, basis=basis,
+            grid=grid, time_grid=TimeGrid(tg.t_final, n_steps),
+            coeffs=cc.coeffs, basis=basis,
             f0=von_mises_density(grid, float(rng.uniform(0, 2 * np.pi)),
                                  kappa),
             boot_substeps=boot, force=True)
