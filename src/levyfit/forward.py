@@ -17,11 +17,12 @@ and F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).
 `solve_forward` marches every mode from one rfft of f0, writing every
 level in place into its row of one spectra array, with the operations in
 the order shown: the history that the adjoint gradient pairs and
-`history_diagnostics` reads.  `solve_terminal` reaches the terminal level
-alone, and its derivative in q, by binary powers of each mode's companion
-matrix, about 2*log2(N_T) products of mode vectors; the fit evaluates its
-trials and gradients so.  Both refuse the same steps (`admissible_bounds`),
-irfft only the terminal level and check only it for finiteness.
+`history_diagnostics` reads.  `solve_terminal`, with which the fit
+evaluates its trials and gradients, reaches the terminal level alone, and
+its derivative in q, by binary powers of each mode's companion matrix in
+long double, whose roundoff then stays below the march's.  Both refuse
+the same steps (`admissible_bounds`) and irfft and check for finiteness
+only the terminal level.
 """
 
 from __future__ import annotations
@@ -139,6 +140,13 @@ class JumpKernel:
         if self._symbol is None:
             self._symbol = np.fft.rfft(self.weights) - self.total_rate
         return self._symbol
+
+
+def basis_symbols(basis: SplineBasis) -> np.ndarray:
+    """Row j is `JumpKernel.symbol` for a unit rate on hat j alone, so a
+    kernel's symbol is rates @ basis_symbols(basis), up to rounding."""
+    h, samples = basis.grid.h, basis.samples
+    return h * np.fft.rfft(samples) - h * samples.sum(axis=1)[:, None]
 
 
 def apply_jump_operator(f: np.ndarray, kernel: JumpKernel) -> np.ndarray:
@@ -383,19 +391,6 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
                           grid=cc.grid, time_grid=time_grid, bounds=bounds)
 
 
-def _times(x, y, t, d, slope):
-    """The product of two powers u*M + v*I of M (see solve_terminal) as
-    (u, v, u', v'), ' the derivative in q; slope is t', or None for none."""
-    (u, v, du, dv), (p, r, dp, dr) = x, y
-    s = u * p
-    product = s * t + (u * r + v * p), v * r - s * d
-    if slope is None:
-        return *product, None, None
-    ds = du * p + u * dp
-    return (*product, ds * t + s * slope + (du * r + u * dr + dv * p + v * dp),
-            dv * r + v * dr - ds * d)
-
-
 def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
                    cc: CCOperator, time_grid: TimeGrid, *, xi: float = 2.0,
                    boot_substeps: int = 10, force: bool = False,
@@ -403,42 +398,53 @@ def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
     """`solve_forward`'s terminal density from f0_hat = rfft(f0), and with
     `derivative` its spectrum's q-derivative per mode (else None).
 
-    Per mode, (F^{m+1}, F^m) = M (F^m, F^{m-1}) with M = [[t, -d], [1, 0]],
-    t = (4 + 2dt*q)/(3 - 2dt*a) and d = 1/(3 - 2dt*a); F^1 = e^K F^0 with
-    e = (1 + tau*q)/(1 - tau*a).  M^{N_T-1} = u*M + v*I is the product of
-    the squares M^(2^i) at the set bits of N_T - 1, so F^{N_T} = u*F^2 +
-    v*F^1.  The derivative adds to that product rule the substeps' term
-    K*e^(K-1)*tau/(1 - tau*a)*F^0; the value's operations do not change.
+    Per mode, (F^{m+1}, F^m) = M (F^m, F^{m-1}) with M = [[t, r], [1, 0]],
+    t = (4 + 2dt*q)/(3 - 2dt*a) and r = -1/(3 - 2dt*a); F^1 = e^K F^0 with
+    e = (1 + tau*q)/(1 - tau*a).  M^{N_T-1} = u*M + v*I (M^2 = t*M + r*I)
+    is built from the highest bit of N_T - 1 down, by a square per bit and
+    a product with M per set bit, so F^{N_T} = u*F^2 + v*F^1.  The
+    derivative follows each product by the product rule and adds the
+    substeps' term dt*e^(K-1)/(1 - tau*a)*F^0; the value's operations do
+    not change.
     """
     kernel = JumpKernel.from_rates(rates, basis)
     admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
     dt, k = time_grid.dt, boot_substeps
-    tau = dt / k
-    euler_explicit, euler_implicit = euler_symbols(cc, kernel, tau)
-    explicit, implicit = bdf2_symbols(cc, kernel, dt)
+    # long double from the march's symbols on: each squaring doubles the
+    # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
+    euler_explicit, euler_implicit, explicit, implicit, x0 = (
+        np.asarray(x, dtype=np.clongdouble) for x in (
+            *euler_symbols(cc, kernel, dt / k), *bdf2_symbols(cc, kernel, dt),
+            f0_hat))
     growth = euler_explicit / euler_implicit
-    x1 = growth ** k * f0_hat
-    x2 = (explicit * x1 - f0_hat) / implicit
-    t, d = explicit / implicit, 1.0 / implicit
+    grown = growth ** (k - 1)
+    x1 = grown * growth * x0
+    x2 = (explicit * x1 - x0) / implicit
+    t, r = explicit / implicit, -1.0 / implicit
     slope = 2.0 * dt / implicit if derivative else None
-    # M^(2^i), and the product of those at the bits of N_T - 1 seen so far
-    power, result = (1.0, 0.0, 0.0, 0.0), None
-    bits = time_grid.n_steps - 1
-    while bits:
-        if bits & 1:
-            result = power if result is None else _times(result, power, t,
-                                                         d, slope)
-        bits >>= 1
-        if bits:
-            power = _times(power, power, t, d, slope)
-    u, v, du, dv = result
-    terminal = np.fft.irfft(u * x2 + v * x1, n=cc.grid.n)
+    # (u, v) of M^j, and their q-derivatives, for j the bits read so far
+    u, v, du, dv = 1.0, 0.0, 0.0, 0.0
+    for bit in f"{time_grid.n_steps - 1:b}"[1:]:
+        s, w = u * u, u * v
+        if derivative:
+            ds, cross, dw = 2.0 * (u * du), du * v + u * dv, v * dv
+            du, dv = ds * t + s * slope + (cross + cross), (dw + dw) + ds * r
+        u, v = s * t + (w + w), v * v + s * r
+        if bit == "1":
+            if derivative:
+                du, dv = du * t + u * slope + dv, du * r
+            u, v = u * t + v, u * r
+    terminal = np.fft.irfft((u * x2 + v * x1).astype(complex), n=cc.grid.n)
     if not np.all(np.isfinite(terminal)):     # as in solve_forward
         raise SolverError("non-finite values in the terminal density")
     if not derivative:
         return terminal, None
-    dx1 = k * growth ** (k - 1) * tau / euler_implicit * f0_hat
-    return terminal, du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
+    dx1 = dt * grown / euler_implicit * x0
+    dx = (du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1).astype(
+        complex)
+    if not np.all(np.isfinite(dx)):
+        raise SolverError("non-finite values in the terminal derivative")
+    return terminal, dx
 
 
 def history_diagnostics(history: DensityHistory) -> dict:

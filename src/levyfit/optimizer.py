@@ -2,11 +2,10 @@
 
 Convention: the loop minimizes F = -J_eps (negated mean log-likelihood).
 All gradients returned here are gradients of F; its orientation is pinned
-by the finite-difference tests, not by any sign lore.
-
-`objective` and `reduced_gradient` take the terminal level, and its
-derivative in q, from `solve_terminal`'s powers; `gradient_from_histories`
-gets the same gradient by the paper's route, a march and the adjoint sweep.
+by the finite-difference tests, not by any sign lore.  `objective` and
+`reduced_gradient` take the terminal level, and its derivative in q, from
+`solve_terminal`'s powers; `gradient_from_histories` gets the same
+gradient by the paper's route, a march and the adjoint sweep.
 
 Feasibility alpha_j >= 0 is kept by clamping trial points at 0 and by
 zeroing search-direction components that push an active coordinate
@@ -24,9 +23,9 @@ import numpy as np
 from .adjoint import AdjointHistory, terminal_condition
 from .adjoint import solve_adjoint  # noqa: F401  (the sweep the pairing reads)
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, check_initial_density,
-                      check_scheme, history_diagnostics, solve_forward,
-                      solve_terminal)
+from .forward import (CCOperator, DensityHistory, basis_symbols,
+                      check_initial_density, check_scheme,
+                      history_diagnostics, solve_forward, solve_terminal)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
@@ -40,8 +39,8 @@ MAX_SHRINKS = 30        # trial steps per line search
 
 @dataclass(frozen=True)
 class CalibrationSetup:
-    """Everything fixed during one fit, and from it `cc`, f0_hat = rfft(f0)
-    and the basis' symbol rows h*rfft(samples[j]) - h*sum(samples[j])."""
+    """Everything fixed during one fit, with `cc`, rfft(f0) and the basis'
+    jump symbols theta_hat (`basis_symbols`) built from it once."""
 
     grid: TorusGrid
     time_grid: TimeGrid
@@ -61,11 +60,9 @@ class CalibrationSetup:
             raise ValueError(f"the objective floor must be > 0, got {self.eps}")
         check_scheme(self.xi, self.boot_substeps)
         f0 = check_initial_density(self.f0, self.grid)
-        samples, h = self.basis.samples, self.grid.h
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
         object.__setattr__(self, "f0_hat", np.fft.rfft(f0))
-        object.__setattr__(self, "theta_hat", h * np.fft.rfft(samples)
-                           - h * samples.sum(axis=1)[:, None])
+        object.__setattr__(self, "theta_hat", basis_symbols(self.basis))
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,10 @@ def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
 
 def objective(alpha, setup: CalibrationSetup,
               samples: SampleSet) -> tuple[ObjectiveValue, np.ndarray]:
-    """Minimized-objective building block: J_eps and the terminal density
-    it scores, from companion-matrix powers."""
-    terminal, _ = solve_terminal(setup.f0_hat, alpha, setup.basis, setup.cc,
-                                 setup.time_grid, xi=setup.xi,
-                                 boot_substeps=setup.boot_substeps,
-                                 force=setup.force)
+    """J_eps and the terminal density it scores, from `solve_terminal`."""
+    terminal, _ = solve_terminal(
+        setup.f0_hat, alpha, setup.basis, setup.cc, setup.time_grid,
+        xi=setup.xi, boot_substeps=setup.boot_substeps, force=setup.force)
     return evaluate_objective(terminal, samples, setup.eps), terminal
 
 
@@ -211,22 +206,21 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     along the conjugate direction fails, it is retried once along steepest
     descent; when that fails too, the fit stops with stop="linesearch".
 
-    The history is marched once, at alpha_star, for the diagnostics and
-    the terminal density.
+    The history is marched once, at alpha_star: the report's terminal
+    density, j_star, its score, floored_count and the history diagnostics
+    all read that march; the trace holds the search's own values.
     """
     n_theta = setup.basis.n_theta
     restart_every = 10 * n_theta
 
     def safe_objective(a):
         try:
-            obj = objective(a, setup, samples)[0]
-            return -obj.value, obj
+            return -objective(a, setup, samples)[0].value
         except StabilityError:
-            return math.inf, None
+            return math.inf
 
     alpha = np.full(n_theta, ALPHA0)
-    obj = objective(alpha, setup, samples)[0]
-    f_val = -obj.value
+    f_val = -objective(alpha, setup, samples)[0].value
     grad = reduced_gradient(alpha, setup, samples)
     direction = np.zeros(n_theta)   # none yet: the first search is steepest
 
@@ -251,13 +245,13 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         if (float(grad @ direction) < 0.0
                 and not np.array_equal(direction, steepest)):
             candidates.insert(0, direction)
-        trial = None    # (point, value, objective) of the last trial
+        trial = None    # (point, value) of the last trial
         for direction in candidates:
 
             def evaluate(step):
                 nonlocal trial
                 point = np.maximum(alpha + step * direction, 0.0)
-                trial = (point, *safe_objective(point))
+                trial = (point, safe_objective(point))
                 return trial[1]
 
             try:
@@ -270,7 +264,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
             break
 
         # Armijo accepts the last step it evaluated
-        alpha_next, f_next, obj = trial
+        alpha_next, f_next = trial
         grad_next = reduced_gradient(alpha_next, setup, samples)
 
         beta = dai_yuan_beta(grad_next, grad, direction)
@@ -281,19 +275,19 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         alpha, f_val, grad = alpha_next, f_next, grad_next
 
     fwd = run_forward(alpha, setup)
+    final = evaluate_objective(fwd.terminal, samples, setup.eps)
     diagnostics = {
         "stop": stop_note,
-        "floored_count": obj.floored_count,
+        "floored_count": final.floored_count,
         "grad_norm": pg_norm,
         "raw_grad_norm": float(np.linalg.norm(grad)),
         **history_diagnostics(fwd),
     }
-    j_star = -f_val
     return FitReport(
         n_theta=n_theta,
         alpha_star=alpha,
-        j_star=j_star,
-        aic=aic_score(j_star, len(samples), n_theta, penalty),
+        j_star=final.value,
+        aic=aic_score(final.value, len(samples), n_theta, penalty),
         iterations=k,
         converged=stop_note == "tol",
         diagnostics=diagnostics,

@@ -172,7 +172,8 @@ def test_overflow_at_an_early_level_is_refused(n):
     """Rates near the float range overflow the march within its first
     substeps and the sweep within its first levels.  Each checks only the
     last row it writes, and both still raise; so do the companion-matrix
-    powers, with and without the derivative."""
+    powers, with and without the derivative, and on a derivative that
+    overflows alone."""
     grid = TorusGrid(0.0, 2 * np.pi, n)
     cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
     basis = make_basis(tiling_centers(3, grid), grid)
@@ -205,3 +206,21 @@ def test_overflow_at_an_early_level_is_refused(n):
             solve_terminal(np.fft.rfft(f0), rates, basis, cc, tg,
                            boot_substeps=boot, force=True,
                            derivative=derivative)
+
+    # a derivative may overflow where the density does not: over a horizon
+    # of 1e4 the mass mode's derivative is 1e4 times the mode, so data a
+    # thousandth below the float range keep the density finite and not it
+    slow, long = np.full(3, 1e-3), TimeGrid(1e4, 40)
+    f0_hat = np.fft.rfft(f0)
+    terminal, slope = solve_terminal(f0_hat, slow, basis, cc, long,
+                                     boot_substeps=boot, force=True,
+                                     derivative=True)
+    size = np.abs(np.fft.rfft(terminal)).max()
+    assert np.abs(slope).max() > 1e3 * size
+    huge = 1e-3 * np.finfo(float).max / size * f0_hat
+    assert np.isfinite(solve_terminal(huge, slow, basis, cc, long,
+                                      boot_substeps=boot, force=True)[0]).all()
+    with pytest.raises(SolverError, match="derivative"), np.errstate(
+            over="ignore", invalid="ignore"):
+        solve_terminal(huge, slow, basis, cc, long, boot_substeps=boot,
+                       force=True, derivative=True)

@@ -10,6 +10,7 @@ values of those terms, not by a fixed tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +18,17 @@ from conftest import (STEP_COUNTS, assembly_bound, random_density,
                       small_problems)
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.errors import SolverError, StabilityError
-from levyfit.forward import (JumpKernel, bdf2_symbols, euler_symbols,
-                             solve_forward, solve_terminal, stability_bounds)
+from levyfit.forward import (JumpKernel, basis_symbols, bdf2_symbols,
+                             euler_symbols, solve_forward, solve_terminal,
+                             stability_bounds)
 from levyfit.likelihood import evaluate_objective
 from levyfit.optimizer import (CalibrationSetup, gradient_from_histories,
                                objective, reduced_gradient, run_forward)
 from levyfit.samples import SampleSet
-from levyfit.torus import TimeGrid
+from levyfit.torus import TimeGrid, TorusGrid, make_basis, tiling_centers
 
 EPS = np.finfo(float).eps
+EPS_LONG = np.finfo(np.longdouble).eps
 
 
 def problem_setup(problem, n_steps):
@@ -45,21 +48,32 @@ def samples_above(terminal, grid, rng, count=30):
     return SampleSet.from_values(grid.points[cells], grid)
 
 
-def recurrence_magnitude(setup, rates):
-    """Per mode, the sum of the absolute values of every term that the
-    scheme adds into F^{N_T}: the substeps and the two-step recurrence run
-    on magnitudes.  Either route's roundoff is a few eps per step times
-    it."""
+def march_by_modes(setup, rates, magnitude=False):
+    """Per mode, F^{N_T} and its q-derivative by the march's recurrences in
+    long double, from the double symbols both routes share.  With
+    `magnitude`, the same recurrences run on the absolute values of their
+    symbols and terms: the size of every term that either route adds into
+    F^{N_T}, of which each rounding is a few eps."""
     kernel = JumpKernel.from_rates(rates, setup.basis)
     dt, boot = setup.time_grid.dt, setup.boot_substeps
-    euler_explicit, euler_implicit = map(np.abs, euler_symbols(
-        setup.cc, kernel, dt / boot))
-    explicit, implicit = map(np.abs, bdf2_symbols(setup.cc, kernel, dt))
-    before = np.abs(setup.f0_hat)
-    level = (euler_explicit / euler_implicit) ** boot * before
+    tau = dt / boot
+    sign, prepare = ((1.0, np.abs) if magnitude else
+                     (-1.0, lambda x: np.asarray(x, dtype=np.clongdouble)))
+    euler_explicit, euler_implicit, explicit, implicit, first = map(
+        prepare, (*euler_symbols(setup.cc, kernel, tau),
+                  *bdf2_symbols(setup.cc, kernel, dt), setup.f0_hat))
+    level, slope = first, 0.0 * first
+    for _ in range(boot):
+        level, slope = (
+            euler_explicit * level / euler_implicit,
+            (euler_explicit * slope + tau * level) / euler_implicit)
+    before, slope_before = first, 0.0 * first
     for _ in range(setup.time_grid.n_steps - 1):
-        before, level = level, (explicit * level + before) / implicit
-    return level
+        before, level, slope_before, slope = (
+            level, (explicit * level + sign * before) / implicit, slope,
+            (explicit * slope + 2.0 * dt * level + sign * slope_before)
+            / implicit)
+    return level, slope
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -80,7 +94,7 @@ def test_powers_equal_the_march_and_the_adjoint(problem, n_steps):
     # eps per term of the longest sum: the steps, then the irfft's modes
     terms = setup.boot_substeps + n_steps + grid.n
     density_error = (terms * EPS * 2.0
-                     * recurrence_magnitude(setup, rates).sum() / grid.n)
+                     * march_by_modes(setup, rates, True)[0].sum() / grid.n)
     assert np.all(np.abs(terminal - fwd.terminal) <= density_error)
 
     # J moves by sum_i |dJ/df_i| |df_i| and by the rounding of its logs
@@ -102,6 +116,51 @@ def test_powers_equal_the_march_and_the_adjoint(problem, n_steps):
     assert np.all(np.abs(reduced_gradient(rates, setup, samples)
                          - gradient_from_histories(fwd, adj, setup.basis))
                   <= g_error)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="long double is double on this platform")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=small_problems(), n_steps=st.sampled_from(STEP_COUNTS))
+def test_powers_carry_long_double_roundoff(problem, n_steps):
+    """Squaring doubles the relative error of what it squares, so powers
+    taken in double would lose about N_T*eps; taken in long double, they
+    lose that in long-double eps.  Against the march run in long double
+    from the same symbols, the powers are within the rounding of their
+    result to double, at every N_T."""
+    rates = problem.rates
+    setup = problem_setup(problem, n_steps)
+    n = setup.grid.n
+    terminal, slope = solve_terminal(
+        setup.f0_hat, rates, setup.basis, setup.cc, setup.time_grid,
+        boot_substeps=setup.boot_substeps, force=True, derivative=True)
+    level, level_slope = march_by_modes(setup, rates)
+    size, size_slope = march_by_modes(setup, rates, magnitude=True)
+    # a few long-double eps per term, over the substeps and the steps
+    growth = 8 * (setup.boot_substeps + n_steps) * EPS_LONG
+    assert np.all(np.abs(slope - level_slope)
+                  <= EPS * np.abs(level_slope) + growth * size_slope)
+    # in real space the irfft, which the march shares, adds n eps per mode
+    density_error = 2.0 / n * np.sum((n + 1) * EPS * np.abs(level)
+                                     + growth * size)
+    assert np.all(np.abs(terminal - np.fft.irfft(level, n=n))
+                  <= density_error)
+
+
+def test_basis_symbols_are_the_kernel_symbol():
+    """`basis_symbols` holds the jump symbol per unit rate, which the
+    gradient projects onto; summed with the rates it is the symbol that
+    the march and the powers step with."""
+    rng = np.random.default_rng(5)
+    for n, n_theta in ((16, 3), (33, 4), (64, 6)):
+        grid = TorusGrid(0.0, 2 * np.pi, n)
+        basis = make_basis(tiling_centers(n_theta, grid), grid)
+        rates = rng.uniform(0.0, 5.0, n_theta)
+        magnitude = 2.0 * grid.h * np.sum(rates @ np.abs(basis.samples))
+        assert np.all(
+            np.abs(rates @ basis_symbols(basis)
+                   - JumpKernel.from_rates(rates, basis).symbol)
+            <= (n_theta + n) * EPS * magnitude)
 
 
 def refusal(solve, *args, **kwargs):
