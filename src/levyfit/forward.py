@@ -20,9 +20,10 @@ the order shown: the history that the adjoint gradient pairs and
 `history_diagnostics` reads.  `solve_terminal`, with which the fit
 evaluates its trials and gradients, reaches the terminal level alone, and
 its derivative in q, by binary powers of each mode's companion matrix in
-long double, whose roundoff then stays below the march's.  Both refuse
-the same steps (`admissible_bounds`) and irfft and check for finiteness
-only the terminal level.
+long double, whose roundoff then stays below the march's, over the modes
+that a bound (`terminal_bounds`) finds reaching t_final.  Both refuse the
+same steps (`admissible_bounds`) and irfft and check for finiteness only
+the terminal level.
 """
 
 from __future__ import annotations
@@ -34,9 +35,13 @@ import numpy as np
 
 from .cyclic import CyclicSolver
 from .errors import SolverError, StabilityError
+from .likelihood import DEFAULT_FLOOR
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
+# a share of mode 0 of f0 that, weighted by up to 1/floor (the likelihood,
+# the pairing), stays below long-double resolution and the irfft's rounding
+NEGLIGIBLE = float(np.finfo(np.longdouble).eps) * DEFAULT_FLOOR
 
 
 def _expm1(w: float) -> float:
@@ -213,7 +218,9 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
 def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
                       xi: float, boot_substeps: int,
                       force: bool) -> StabilityBounds:
-    """`stability_bounds`; a step above them is refused unless `force`."""
+    """`stability_bounds`; a step above them is refused unless `force`.
+    The Euler clause refuses a negative total rate a, as dt_euler_positive
+    = 1/a < 0, which the two-step bound admits for a small |a|."""
     check_scheme(xi, boot_substeps)
     bounds = stability_bounds(cc, kernel, xi)
     dt = time_grid.dt
@@ -391,6 +398,27 @@ def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
                           grid=cc.grid, time_grid=time_grid, bounds=bounds)
 
 
+def terminal_bounds(euler_explicit, explicit, implicit, start,
+                    time_grid: TimeGrid, boot_substeps: int) -> tuple:
+    """Per mode, bounds on |F^{N_T}| and |dF^{N_T}/dq|/t_final over |F^0|
+    at mode 0, from the march's double symbols (`solve_terminal`) and
+    start = |F^0|/|F^0_0|.
+
+    M^n = u_n*M + r*u_{n-1}*I with u_n = sum_j lambda+^j lambda-^(n-1-j),
+    so |u_n| <= n*rho^(n-1), |du_n/dt| = |sum_j u_j*u_{n-j}| <= (n^3 - n)/6
+    *rho^(n-2) for rho = (|t| + |sqrt(t^2 + 4r)|)/2 (+2e-7 for rounding).
+    As |t| <= 2rho, |r| <= rho^2 and |e|^K, |e|^(K-1)/|1 - tau*a| <= g =
+    max(1, |1 + tau*q|)^K, the bounds are n and (n + (n^3 + 2n)/3*rho)/N_T
+    times rho^n*start*(3g + rho), n = N_T - 1.
+    """
+    n = time_grid.n_steps - 1
+    t = explicit / implicit
+    rho = (0.5 + 1e-7) * (abs(t) + np.sqrt(abs(t * t - 4.0 / implicit)))
+    grown = max(1.0, abs(euler_explicit).max()) ** boot_substeps
+    base = np.exp(n * np.log(rho)) * start * (3.0 * grown + rho)
+    return n * base, (n + (n**3 + 2 * n) / 3 * rho) / (n + 1) * base
+
+
 def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
                    cc: CCOperator, time_grid: TimeGrid, *, xi: float = 2.0,
                    boot_substeps: int = 10, force: bool = False,
@@ -405,17 +433,24 @@ def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
     a product with M per set bit, so F^{N_T} = u*F^2 + v*F^1.  The
     derivative follows each product by the product rule and adds the
     substeps' term dt*e^(K-1)/(1 - tau*a)*F^0; the value's operations do
-    not change.
+    not change.  Modes past the last whose `terminal_bounds` sum to more
+    than NEGLIGIBLE/(N/2 + 1), or to NaN, are exact zeros of both spectra.
     """
     kernel = JumpKernel.from_rates(rates, basis)
     admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
     dt, k = time_grid.dt, boot_substeps
+    symbols = (*euler_symbols(cc, kernel, dt / k),
+               *bdf2_symbols(cc, kernel, dt), f0_hat)
+    reach = np.add(*terminal_bounds(symbols[0], *symbols[2:4],
+                                    abs(f0_hat) / abs(f0_hat[0]),
+                                    time_grid, k))
+    # up to the last mode whose reach is not negligible (NaN is not), or
+    # all modes if every one is
+    modes = len(reach) - np.argmin(reach[::-1] <= NEGLIGIBLE / len(reach))
     # long double from the march's symbols on: each squaring doubles the
     # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
     euler_explicit, euler_implicit, explicit, implicit, x0 = (
-        np.asarray(x, dtype=np.clongdouble) for x in (
-            *euler_symbols(cc, kernel, dt / k), *bdf2_symbols(cc, kernel, dt),
-            f0_hat))
+        np.asarray(x[:modes], dtype=np.clongdouble) for x in symbols)
     growth = euler_explicit / euler_implicit
     grown = growth ** (k - 1)
     x1 = grown * growth * x0
@@ -440,8 +475,8 @@ def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
     if not derivative:
         return terminal, None
     dx1 = dt * grown / euler_implicit * x0
-    dx = (du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1).astype(
-        complex)
+    dx = np.zeros(len(reach), dtype=complex)
+    dx[:modes] = du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
     if not np.all(np.isfinite(dx)):
         raise SolverError("non-finite values in the terminal derivative")
     return terminal, dx

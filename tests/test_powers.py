@@ -11,21 +11,23 @@ values of those terms, not by a fixed tolerance.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import (STEP_COUNTS, assembly_bound, random_density,
-                      small_problems)
+from conftest import (STEP_COUNTS, SmallProblem, assembly_bound,
+                      random_density, small_problems)
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.errors import SolverError, StabilityError
-from levyfit.forward import (JumpKernel, basis_symbols, bdf2_symbols,
-                             euler_symbols, solve_forward, solve_terminal,
-                             stability_bounds)
+from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
+                             basis_symbols, bdf2_symbols, euler_symbols,
+                             solve_forward, solve_terminal, stability_bounds,
+                             terminal_bounds)
 from levyfit.likelihood import evaluate_objective
 from levyfit.optimizer import (CalibrationSetup, gradient_from_histories,
                                objective, reduced_gradient, run_forward)
 from levyfit.samples import SampleSet
-from levyfit.torus import TimeGrid, TorusGrid, make_basis, tiling_centers
+from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
+                           tiling_centers)
 
 EPS = np.finfo(float).eps
 EPS_LONG = np.finfo(np.longdouble).eps
@@ -40,6 +42,29 @@ def problem_setup(problem, n_steps):
         grid=cc.grid, time_grid=TimeGrid(tg.t_final, n_steps),
         coeffs=cc.coeffs, basis=basis, f0=random_density(rng, cc.grid),
         boot_substeps=boot, force=True)
+
+
+def drift_free_problem(n, sigma2, rates, t_final, boot_substeps=1, seed=0):
+    """A problem of `small_problems`' kind, given: n cells, no drift, hats
+    tiling the torus at the given rates."""
+    grid = TorusGrid(0.0, 2 * np.pi, n)
+    return SmallProblem(
+        cc=CCOperator(grid, ModelCoefficients(0.0, sigma2)),
+        basis=make_basis(tiling_centers(len(rates), grid), grid),
+        rates=np.array(rates, dtype=float), time_grid=TimeGrid(t_final, 2),
+        boot_substeps=boot_substeps, rng=np.random.default_rng(seed))
+
+
+HAT_RATES = [2.5, 2.0, 1.0, 0.5, 0.3]
+CUT_STEPS = 256
+
+
+def cut_problem():
+    """N = 128 with sigma^2 = 0.2, 5 hats and 10 substeps, where over
+    CUT_STEPS steps diffusion damps most modes below `solve_terminal`'s
+    cut, as it does at the fine benchmark's N = 840 and N_T = 800, at a
+    tenth of the cost.  `small_problems` (8..20 nodes) never reaches it."""
+    return drift_free_problem(128, 0.2, HAT_RATES, 1.0, 10, 128)
 
 
 def samples_above(terminal, grid, rng, count=30):
@@ -78,6 +103,7 @@ def march_by_modes(setup, rates, magnitude=False):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(problem=small_problems(), n_steps=st.sampled_from(STEP_COUNTS))
+@example(problem=cut_problem(), n_steps=CUT_STEPS)
 def test_powers_equal_the_march_and_the_adjoint(problem, n_steps):
     rates, rng = problem.rates, problem.rng
     setup = problem_setup(problem, n_steps)
@@ -122,6 +148,7 @@ def test_powers_equal_the_march_and_the_adjoint(problem, n_steps):
                     reason="long double is double on this platform")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(problem=small_problems(), n_steps=st.sampled_from(STEP_COUNTS))
+@example(problem=cut_problem(), n_steps=CUT_STEPS)
 def test_powers_carry_long_double_roundoff(problem, n_steps):
     """Squaring doubles the relative error of what it squares, so powers
     taken in double would lose about N_T*eps; taken in long double, they
@@ -145,6 +172,78 @@ def test_powers_carry_long_double_roundoff(problem, n_steps):
                                      + growth * size)
     assert np.all(np.abs(terminal - np.fft.irfft(level, n=n))
                   <= density_error)
+
+
+# on 16 cells with sigma^2 = 1, mode 2 has a = -(1 - cos(pi/4))/h^2; at
+# dt = -1/(2a) its companion matrix is [[1, -1/4], [1, 0]], whose double
+# root 1/2 makes |u_n| = n/2^(n-1), the bound itself
+DOUBLE_ROOT_DT = (2 * np.pi / 16) ** 2 / (2 * (1 - np.cos(np.pi / 4)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(problem=small_problems(), n_steps=st.sampled_from(STEP_COUNTS),
+       force=st.booleans())
+@example(problem=drift_free_problem(16, 1.0, [0.0] * 3, 65 * DOUBLE_ROOT_DT),
+         n_steps=65, force=True)
+@example(problem=drift_free_problem(16, 0.1, [30.0] * 3, 1.0), n_steps=9,
+         force=True)
+def test_terminal_bounds_hold(problem, n_steps, force):
+    """At every mode, `terminal_bounds` is at least |F^{N_T}| and
+    |dF^{N_T}/dq|/t_final of the march run in long double, over mode 0 of
+    F^0, for steps inside the step bounds and, with force, outside them.
+    The examples put a mode at a double root of its companion matrix, and
+    make jumps so strong that t < 0, where the root that the principal
+    square root gives first is the smaller one."""
+    setup = problem_setup(problem, n_steps)
+    kernel = JumpKernel.from_rates(problem.rates, setup.basis)
+    dt, boot = setup.time_grid.dt, setup.boot_substeps
+    if not force:
+        try:
+            admissible_bounds(setup.cc, kernel, setup.time_grid, 2.0, boot,
+                              False)
+        except StabilityError:
+            reject()
+    mass = abs(setup.f0_hat[0])
+    size, change = terminal_bounds(
+        euler_symbols(setup.cc, kernel, dt / boot)[0],
+        *bdf2_symbols(setup.cc, kernel, dt), abs(setup.f0_hat) / mass,
+        setup.time_grid, boot)
+    level, slope = march_by_modes(setup, problem.rates)
+    assert np.all(size >= np.abs(level) / mass)
+    assert np.all(change >= np.abs(slope) / (mass * setup.time_grid.t_final))
+
+
+@pytest.mark.parametrize("problem, n_steps", [
+    (cut_problem(), CUT_STEPS),
+    (drift_free_problem(840, 0.02, HAT_RATES, 1.0, 10, 840), 800)])
+def test_the_cut_drops_most_modes(problem, n_steps):
+    """On `cut_problem`, the shape of the `@example`s above, and on the
+    fine benchmark's shape, the powers take fewer than half the modes:
+    the rest of the derivative spectrum is exact zeros."""
+    setup = problem_setup(problem, n_steps)
+    _, slope = solve_terminal(setup.f0_hat, HAT_RATES, setup.basis,
+                              setup.cc, setup.time_grid, boot_substeps=10,
+                              derivative=True)
+    kept = np.count_nonzero(slope)
+    assert 0 < kept < len(slope) / 2
+    assert not slope[kept:].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", [-1, -2])
+def test_a_non_finite_mode_past_the_cut_is_refused(bad, mode):
+    """A NaN or an inf in f0_hat, at the last mode (which decides whether
+    the cut is tried) or the one before, both of which the cut would drop
+    were they finite, keeps its mode and still raises."""
+    setup = problem_setup(cut_problem(), CUT_STEPS)
+    f0_hat = setup.f0_hat.copy()
+    f0_hat[mode] = bad
+    for derivative in (False, True):
+        with pytest.raises(SolverError), np.errstate(over="ignore",
+                                                     invalid="ignore"):
+            solve_terminal(f0_hat, HAT_RATES, setup.basis, setup.cc,
+                           setup.time_grid, boot_substeps=10,
+                           derivative=derivative)
 
 
 def test_basis_symbols_are_the_kernel_symbol():
@@ -211,3 +310,20 @@ def test_both_paths_refuse_the_same_steps(problem):
         assert outcomes[0] is None
         kernel = JumpKernel.from_rates(rates * (2.0 * edge), basis)
         assert f"{stability_bounds(cc, kernel).dt_bdf2:.4e}" in outcomes[-2]
+
+
+def test_both_paths_refuse_a_negative_total_rate():
+    """A small negative total rate a passes the two-step bound, but not
+    the Euler one, dt_euler_positive = 1/a < 0: the march and the powers
+    refuse it for that clause alone."""
+    grid = TorusGrid(0.0, 2 * np.pi, 16)
+    cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
+    basis = make_basis(tiling_centers(3, grid), grid)
+    rates, tg = np.array([-1e-3, 0.0, 0.0]), TimeGrid(1.0, 40)
+    bounds = stability_bounds(cc, JumpKernel.from_rates(rates, basis))
+    assert tg.dt <= bounds.dt_bdf2 and bounds.dt_euler_positive < 0.0
+    f0 = random_density(np.random.default_rng(16), grid)
+    for solve, start in ((solve_forward, f0),
+                         (solve_terminal, np.fft.rfft(f0))):
+        with pytest.raises(StabilityError, match="euler <= -"):
+            solve(start, rates, basis, cc, tg)
