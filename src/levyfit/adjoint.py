@@ -68,8 +68,6 @@ class AdjointHistory:
     r^s, s = 1..boot_substeps.  The rate gradient pairs them mode by mode
     with the spectra of the forward history, so neither is turned into
     real space.
-    Both are views of the sweep's spectra array, so a history swept into a
-    caller's `out` is valid until the next sweep into it.
     """
 
     levels: np.ndarray      # (n_steps - 1, n // 2 + 1), complex
@@ -78,32 +76,21 @@ class AdjointHistory:
 
 def solve_adjoint(terminal_data: np.ndarray, rates, basis: SplineBasis,
                   cc: CCOperator, time_grid: TimeGrid, *,
-                  boot_substeps: int = 10,
-                  out: np.ndarray | None = None) -> AdjointHistory:
+                  boot_substeps: int = 10) -> AdjointHistory:
     """Backward sweep of the transposed scheme from the terminal data.
 
     `boot_substeps` must match the forward solve for the transposition to
     be exact.  Stability is inherited from the forward operators (same
     eigenvalues), and no positivity is required of the multipliers.
-
-    `out`, a complex array of shape (boot_substeps + n_steps,
-    n // 2 + 1), receives the spectra of r^1 .. r^K, then of p^2 .. p^{N_T}
-    and the absent p^{N_T+1}, which the sweep zeroes; every other row is
-    overwritten, so `out` may hold anything before the call.
     """
     kernel = JumpKernel.from_rates(rates, basis)
     n_steps = time_grid.n_steps
     dt = time_grid.dt
     tau = dt / boot_substeps
-    n = cc.grid.n
-    shape = (boot_substeps + n_steps, n // 2 + 1)
-    if out is not None and (out.shape != shape or out.dtype != complex):
-        raise ValueError(f"out must be a complex array of shape {shape}")
-
-    spectra = np.empty(shape, dtype=complex) if out is None else out
-    # boot_hat[s-1] = r^s; hat[m-2] = p^m, m = 2 .. N_T + 1
+    spectra = np.zeros((boot_substeps + n_steps, cc.grid.n // 2 + 1),
+                       dtype=complex)
+    # boot_hat[s-1] = r^s; hat[m-2] = p^m, m = 2 .. N_T + 1, the last absent
     boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
-    hat[-1] = 0.0
     explicit, implicit = np.conj(bdf2_symbols(cc, kernel, dt))
     np.divide(np.fft.rfft(np.asarray(terminal_data, dtype=float)), implicit,
               out=hat[-2])

@@ -9,7 +9,8 @@ first step bootstrapped by implicit Euler substeps.
 The jump integral is a midpoint quadrature over the torus: translating a
 periodic grid function by the k-th translation node moves it by exactly k
 cells, so the integral reduces to a circular convolution with a fixed
-nonnegative kernel.
+nonnegative kernel, whose symbol is linear in the rates: every route steps
+with rates @ `SplineBasis.jump_symbols`, built once per basis.
 
 Both operators are circulant, so every Fourier mode evolves on its own:
 with a and q their rfft symbols, g <- g*(1 + tau*q)/(1 - tau*a) (Euler)
@@ -117,18 +118,20 @@ class CCOperator:
         return kept[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class JumpKernel:
     """Quadrature weights of the jump integral, indexed by cell shift.
 
     weights[k] is the rate of a k-cell translation per unit time (already
     multiplied by the quadrature step h); total_rate is their sum, the
-    total jump intensity seen by the scheme.
+    total jump intensity seen by the scheme.  symbol is the rfft symbol of
+    the forward jump operator, rfft(weights) - total_rate, which every
+    route steps with; `from_rates` takes it from the basis' `jump_symbols`.
     """
 
     weights: np.ndarray
     total_rate: float
-    _symbol: np.ndarray | None = field(default=None, repr=False)
+    symbol: np.ndarray = field(repr=False)
 
     @classmethod
     def from_rates(cls, rates, basis: SplineBasis) -> "JumpKernel":
@@ -137,21 +140,8 @@ class JumpKernel:
             raise ValueError(
                 f"expected {basis.n_theta} rates, got shape {rates.shape}")
         weights = basis.grid.h * (rates @ basis.samples)
-        return cls(weights=weights, total_rate=float(weights.sum()))
-
-    @property
-    def symbol(self) -> np.ndarray:
-        """rfft symbol of the forward jump operator: rfft(weights) - total_rate."""
-        if self._symbol is None:
-            self._symbol = np.fft.rfft(self.weights) - self.total_rate
-        return self._symbol
-
-
-def basis_symbols(basis: SplineBasis) -> np.ndarray:
-    """Row j is `JumpKernel.symbol` for a unit rate on hat j alone, so a
-    kernel's symbol is rates @ basis_symbols(basis), up to rounding."""
-    h, samples = basis.grid.h, basis.samples
-    return h * np.fft.rfft(samples) - h * samples.sum(axis=1)[:, None]
+        return cls(weights=weights, total_rate=float(weights.sum()),
+                   symbol=rates @ basis.jump_symbols)
 
 
 def apply_jump_operator(f: np.ndarray, kernel: JumpKernel) -> np.ndarray:
@@ -195,11 +185,15 @@ def check_scheme(xi: float, boot_substeps: int = 1) -> None:
 def stability_bounds(cc: CCOperator, kernel: JumpKernel,
                      xi: float = 2.0) -> StabilityBounds:
     check_scheme(xi)
+    return _step_bounds(cc, kernel, xi)
+
+
+def _step_bounds(cc: CCOperator, kernel: JumpKernel,
+                 xi: float) -> StabilityBounds:
     a = kernel.total_rate
-    damping = cc.damping
     dt_pos = math.inf if a == 0.0 else 1.0 / a
     # the jump term enters the two-step update with weight 2*dt, hence 2*a*xi
-    dt_bdf2 = (xi - 1.0) * (3.0 - xi) / (2.0 * a * xi + 2.0 * damping)
+    dt_bdf2 = (xi - 1.0) * (3.0 - xi) / (2.0 * a * xi + 2.0 * cc.damping)
     return StabilityBounds(dt_pos, dt_bdf2, xi)
 
 
@@ -218,17 +212,27 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
 def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
                       xi: float, boot_substeps: int,
                       force: bool) -> StabilityBounds:
-    """`stability_bounds`; a step above them is refused unless `force`.
-    The Euler clause refuses a negative total rate a, as dt_euler_positive
-    = 1/a < 0, which the two-step bound admits for a small |a|."""
+    """`stability_bounds`, with the scheme checked once; a step above them,
+    or a kernel with a negative weight, is refused unless `force`.
+
+    The positivity proof behind both bounds needs nonnegative weights, and
+    a negative entry among the rates can give them with a nonnegative
+    total.  The Euler clause refuses a negative total rate a, as
+    dt_euler_positive = 1/a < 0, which the two-step bound admits for a
+    small |a|.
+    """
     check_scheme(xi, boot_substeps)
-    bounds = stability_bounds(cc, kernel, xi)
+    bounds = _step_bounds(cc, kernel, xi)
     dt = time_grid.dt
+    weight = float(kernel.weights.min())
     if not force and (dt > bounds.dt_bdf2
-                      or dt / boot_substeps > bounds.dt_euler_positive):
+                      or dt / boot_substeps > bounds.dt_euler_positive
+                      or weight < 0.0):
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
-            f"(bdf2 <= {bounds.dt_bdf2:.4e}, euler <= {bounds.dt_euler_positive:.4e}); "
+            f"(bdf2 <= {bounds.dt_bdf2:.4e}, "
+            f"euler <= {bounds.dt_euler_positive:.4e}, both for jump "
+            f"weights >= 0, smallest {weight:.4e}); "
             "pass force=True (config key force_dt) to integrate anyway")
     return bounds
 
@@ -314,10 +318,9 @@ class DensityHistory:
 
     spectra holds the rfft modes of the Euler substep states g^0 .. g^{K-1}
     (needed to assemble exact rate sensitivities) and then of the levels
-    F^0 .. F^{n_steps}.  It is the march's array, so a history marched
-    into a caller's `out` is valid until the next march into it.  terminal
-    is the density at t_final; `values` and `bootstrap` irfft the rest on
-    each read.  bounds are the step bounds the march was checked against.
+    F^0 .. F^{n_steps}.  terminal is the density at t_final; `values` and
+    `bootstrap` irfft the rest on each read.  bounds are the step bounds
+    the march was checked against.
     """
 
     spectra: np.ndarray         # (boot_substeps + n_steps + 1, n // 2 + 1)
@@ -352,35 +355,27 @@ class DensityHistory:
 
 def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
                   time_grid: TimeGrid, *, xi: float = 2.0,
-                  boot_substeps: int = 10, force: bool = False,
-                  out: np.ndarray | None = None) -> DensityHistory:
+                  boot_substeps: int = 10,
+                  force: bool = False) -> DensityHistory:
     """March the density from f0 to t_final.
 
     The first level is produced by `boot_substeps` implicit Euler substeps
     of dt/boot_substeps, each checked against the Euler positivity bound;
     all later levels use the two-step scheme.  dt itself is validated
-    against the two-step bound and the solve refuses when it is violated,
-    unless `force` is passed.  The march only checks its values for
-    finiteness; `history_diagnostics` measures mass and positivity.
-
-    `out`, a complex array of shape (boot_substeps + n_steps + 1,
-    n // 2 + 1), receives the spectra of the substeps and then of the
-    levels; the returned history views it.  A refused march leaves it
-    untouched.
+    against the two-step bound, and the kernel for nonnegative weights,
+    and the solve refuses when either fails, unless `force` is passed.
+    The march only checks its values for finiteness; `history_diagnostics`
+    measures mass and positivity.
     """
     f0 = check_initial_density(f0, cc.grid)
     n = cc.grid.n
-    n_steps = time_grid.n_steps
-    shape = (boot_substeps + n_steps + 1, n // 2 + 1)
-    if out is not None and (out.shape != shape or out.dtype != complex):
-        raise ValueError(f"out must be a complex array of shape {shape}")
-
     kernel = JumpKernel.from_rates(rates, basis)
     bounds = admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
     dt = time_grid.dt
     tau = dt / boot_substeps
 
-    spectra = np.empty(shape, dtype=complex) if out is None else out
+    spectra = np.empty((boot_substeps + time_grid.n_steps + 1, n // 2 + 1),
+                       dtype=complex)
     # boot_hat[s] = g^s, s = 0 .. K-1; hat[m] = F^m, m = 0 .. N_T
     boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
     boot_hat[0] = np.fft.rfft(f0)

@@ -23,9 +23,9 @@ import numpy as np
 from .adjoint import AdjointHistory, terminal_condition
 from .adjoint import solve_adjoint  # noqa: F401  (the sweep the pairing reads)
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, basis_symbols,
-                      check_initial_density, check_scheme,
-                      history_diagnostics, solve_forward, solve_terminal)
+from .forward import (CCOperator, DensityHistory, check_initial_density,
+                      check_scheme, history_diagnostics, solve_forward,
+                      solve_terminal)
 from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
@@ -39,8 +39,8 @@ MAX_SHRINKS = 30        # trial steps per line search
 
 @dataclass(frozen=True)
 class CalibrationSetup:
-    """Everything fixed during one fit, with `cc`, rfft(f0) and the basis'
-    jump symbols theta_hat (`basis_symbols`) built from it once."""
+    """Everything fixed during one fit, with `cc` and rfft(f0) built from
+    it once; the basis keeps its own jump symbols."""
 
     grid: TorusGrid
     time_grid: TimeGrid
@@ -53,7 +53,6 @@ class CalibrationSetup:
     force: bool = False
     cc: CCOperator = field(init=False)
     f0_hat: np.ndarray = field(init=False, repr=False)
-    theta_hat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -62,7 +61,6 @@ class CalibrationSetup:
         f0 = check_initial_density(self.f0, self.grid)
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
         object.__setattr__(self, "f0_hat", np.fft.rfft(f0))
-        object.__setattr__(self, "theta_hat", basis_symbols(self.basis))
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,9 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
 def reduced_gradient(alpha, setup: CalibrationSetup,
                      samples: SampleSet) -> np.ndarray:
     """Gradient of F = -J_eps in the rates: terminal data d paired with the
-    terminal spectrum's q-derivative x' times theta_hat, as Re(sum_k w_k
-    conj(rfft(d)_k) x'_k theta_hat_jk)/N, w_k = 1 at 0 and Nyquist, else 2."""
+    terminal spectrum's q-derivative x' times the basis' jump symbols T, as
+    Re(sum_k w_k conj(rfft(d)_k) x'_k T_jk)/N, w_k = 1 at 0 and Nyquist,
+    else 2."""
     terminal, slope = solve_terminal(
         setup.f0_hat, alpha, setup.basis, setup.cc, setup.time_grid,
         xi=setup.xi, boot_substeps=setup.boot_substeps, force=setup.force,
@@ -143,7 +142,8 @@ def reduced_gradient(alpha, setup: CalibrationSetup,
     data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
     n = setup.grid.n
     weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
-    return (setup.theta_hat @ (weights * np.conj(data) * slope)).real / n
+    pairs = weights * np.conj(data) * slope
+    return (setup.basis.jump_symbols @ pairs).real / n
 
 
 def dai_yuan_beta(g_next: np.ndarray, g_prev: np.ndarray,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class SplineBasis:
     Each hat rises linearly from 0 at center - delta to 1 at its center and
     back to 0 at center + delta, evaluated with periodic wrap.  `samples`
     holds the hats at the grid's translation nodes, which is the quadrature
-    table used by the jump operator and the rate gradient.
+    table of the jump integral, and `jump_symbols` its Fourier form.
     """
 
     centers: np.ndarray
@@ -152,6 +153,18 @@ class SplineBasis:
     @property
     def n_theta(self) -> int:
         return len(self.centers)
+
+    @cached_property
+    def jump_symbols(self) -> np.ndarray:
+        """(n_theta, n // 2 + 1), read-only: row j is the rfft symbol of the
+        jump operator at unit rate on hat j alone,
+        h*rfft(samples_j) - h*sum(samples_j), so rates @ jump_symbols is the
+        symbol at any rates.  Column 0 is exactly 0: jumps move no mass."""
+        h, samples = self.grid.h, self.samples
+        symbols = h * np.fft.rfft(samples) - h * samples.sum(axis=1)[:, None]
+        symbols[:, 0] = 0.0
+        symbols.flags.writeable = False
+        return symbols
 
     def evaluate(self, x) -> np.ndarray:
         """Hat values at arbitrary points; shape (n_theta, len(x))."""

@@ -6,6 +6,8 @@ in prose.  Regenerate it (and state the deltas when the change is meant to
 move roundoff) with
 
     PYTHONPATH=src python tests/test_fingerprint.py
+
+which first prints one line per fit comparing it with the committed file.
 """
 
 import contextlib
@@ -105,6 +107,34 @@ def test_fit_matches_fingerprint(name, committed, tmp_path, monkeypatch):
         assert got["report_sha256"] == want["report_sha256"]
 
 
+def relative_change(new, old) -> float:
+    """Largest |new - old|/|old| over the entries; inf where a zero moved."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    change = np.abs(new - old)
+    return float(np.max(np.divide(change, np.abs(old), where=old != 0,
+                                  out=np.where(change > 0, np.inf, 0.0))))
+
+
+def deltas(old: dict, new: dict) -> list[str]:
+    """One line per fit of the workloads in both: its selection, iterations
+    and floored_count old -> new, and the relative change of j_eps and the
+    largest of alpha_star."""
+    lines = []
+    for name in sorted(new.keys() & old.keys()):
+        was, now = old[name], new[name]
+        for fit, ref in zip(now["fits"], was["fits"]):
+            lines.append(
+                f"{name} n={fit['n_theta']}: selected "
+                f"{was['selected_n_theta']} -> {now['selected_n_theta']}, "
+                f"iterations {ref['iterations']} -> {fit['iterations']}, "
+                f"floored_count {ref['floored_count']} -> "
+                f"{fit['floored_count']}, j_eps rel "
+                f"{relative_change(fit['j_eps'], ref['j_eps']):.2g}, "
+                f"alpha_star max rel "
+                f"{relative_change(fit['alpha_star'], ref['alpha_star']):.2g}")
+    return lines
+
+
 def regenerate() -> None:
     home = os.getcwd()
     workloads = {}
@@ -115,6 +145,9 @@ def regenerate() -> None:
                 workloads[name] = run_workload(name)
             finally:
                 os.chdir(home)
+    if FINGERPRINT.exists():
+        old = json.loads(FINGERPRINT.read_text())["workloads"]
+        print("\n".join(deltas(old, workloads)))
     data = {"environment": environment(), "workloads": workloads}
     FINGERPRINT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 

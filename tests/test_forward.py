@@ -300,7 +300,8 @@ class TestStabilityBounds:
     def test_pure_diffusion_closed_form(self):
         grid = TorusGrid(-np.pi, np.pi, 64)
         cc = CCOperator(grid, ModelCoefficients(0.4, 0.05))
-        kern = JumpKernel(weights=np.zeros(64), total_rate=0.0)
+        kern = JumpKernel(weights=np.zeros(64), total_rate=0.0,
+                          symbol=np.zeros(33, dtype=complex))
         b = stability_bounds(cc, kern, xi=2.0)
         damping = cc.beta * (1.0 + math.exp(peclet(cc))) / grid.h
         assert b.dt_bdf2 == pytest.approx(1.0 / (2 * damping), rel=1e-12)

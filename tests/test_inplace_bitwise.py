@@ -288,23 +288,6 @@ def fit_setup(n=512, n_steps=200, boot=10):
                             boot_substeps=boot)
 
 
-def test_march_into_out_does_not_grow_with_the_steps():
-    """A march into a caller's buffer allocates the same whatever the
-    number of levels: 200 and 2000 steps peak within one row of spectra."""
-    peaks = []
-    for n_steps in (200, 2000):
-        setup = fit_setup(n_steps=n_steps)
-        n, boot = setup.grid.n, setup.boot_substeps
-        out = np.empty((boot + n_steps + 1, n // 2 + 1), dtype=complex)
-
-        def march():
-            solve_forward(setup.f0, [0.5, 0.3, 0.2], setup.basis, setup.cc,
-                          setup.time_grid, boot_substeps=boot, out=out)
-
-        peaks.append(traced_peak(march))
-    assert abs(peaks[1] - peaks[0]) <= (n // 2 + 1) * 16
-
-
 def test_fit_holds_one_diagnostics_history():
     """Trials and gradients keep no history, so calibrate peaks at the one
     march at alpha_star: its spectra and the real levels that

@@ -19,7 +19,7 @@ from conftest import (STEP_COUNTS, SmallProblem, assembly_bound,
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.errors import SolverError, StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
-                             basis_symbols, bdf2_symbols, euler_symbols,
+                             bdf2_symbols, euler_symbols, history_diagnostics,
                              solve_forward, solve_terminal, stability_bounds,
                              terminal_bounds)
 from levyfit.likelihood import evaluate_objective
@@ -27,7 +27,7 @@ from levyfit.optimizer import (CalibrationSetup, gradient_from_histories,
                                objective, reduced_gradient, run_forward)
 from levyfit.samples import SampleSet
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
-                           tiling_centers)
+                           tiling_centers, von_mises_density)
 
 EPS = np.finfo(float).eps
 EPS_LONG = np.finfo(np.longdouble).eps
@@ -247,19 +247,34 @@ def test_a_non_finite_mode_past_the_cut_is_refused(bad, mode):
 
 
 def test_basis_symbols_are_the_kernel_symbol():
-    """`basis_symbols` holds the jump symbol per unit rate, which the
-    gradient projects onto; summed with the rates it is the symbol that
-    the march and the powers step with."""
+    """The basis' jump symbols, summed with the rates, are the rfft symbol
+    of the kernel's weights, rfft(weights) - total_rate, to roundoff: the
+    one symbol that the march, the powers and the gradient use."""
     rng = np.random.default_rng(5)
     for n, n_theta in ((16, 3), (33, 4), (64, 6)):
         grid = TorusGrid(0.0, 2 * np.pi, n)
         basis = make_basis(tiling_centers(n_theta, grid), grid)
         rates = rng.uniform(0.0, 5.0, n_theta)
+        kernel = JumpKernel.from_rates(rates, basis)
         magnitude = 2.0 * grid.h * np.sum(rates @ np.abs(basis.samples))
         assert np.all(
-            np.abs(rates @ basis_symbols(basis)
-                   - JumpKernel.from_rates(rates, basis).symbol)
+            np.abs(rates @ basis.jump_symbols
+                   - (np.fft.rfft(kernel.weights) - kernel.total_rate))
             <= (n_theta + n) * EPS * magnitude)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(problem=small_problems())
+def test_the_kernel_symbol_is_the_basis_symbols_at_the_rates(problem):
+    """`JumpKernel.from_rates` takes its symbol from the basis' rows bit for
+    bit, and those rows, kept once per basis, move no mass at mode 0."""
+    basis, rates = problem.basis, problem.rates
+    symbols = basis.jump_symbols
+    assert symbols is basis.jump_symbols and not symbols.flags.writeable
+    assert symbols.shape == (basis.n_theta, basis.grid.n // 2 + 1)
+    assert np.all(symbols[:, 0] == 0.0)
+    assert np.array_equal(JumpKernel.from_rates(rates, basis).symbol,
+                          rates @ symbols)
 
 
 def refusal(solve, *args, **kwargs):
@@ -327,3 +342,28 @@ def test_both_paths_refuse_a_negative_total_rate():
                          (solve_terminal, np.fft.rfft(f0))):
         with pytest.raises(StabilityError, match="euler <= -"):
             solve(start, rates, basis, cc, tg)
+
+
+@pytest.mark.parametrize("rates", [[-0.5, 1.0, 1.0], [-2.0, 1.0, 1.5]])
+def test_both_paths_refuse_a_negative_weight(rates):
+    """A negative rate whose total stays positive passes both step bounds,
+    but gives the kernel negative weights, for which the positivity proof
+    does not hold: the march and the powers refuse it, and with force the
+    march runs and goes negative."""
+    grid = TorusGrid(-np.pi, np.pi, 64)
+    cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
+    basis = make_basis(tiling_centers(3, grid), grid)
+    rates, tg = np.array(rates), TimeGrid(1.0, 100)
+    kernel = JumpKernel.from_rates(rates, basis)
+    bounds = stability_bounds(cc, kernel)
+    assert kernel.total_rate > 0.0 and kernel.weights.min() < 0.0
+    assert tg.dt <= min(bounds.dt_bdf2, 10 * bounds.dt_euler_positive)
+    f0 = von_mises_density(grid, 0.0, 400.0)
+    for solve, start in ((solve_forward, f0),
+                         (solve_terminal, np.fft.rfft(f0))):
+        with pytest.raises(StabilityError, match="weights >= 0, smallest -"):
+            solve(start, rates, basis, cc, tg)
+    history = solve_forward(f0, rates, basis, cc, tg, force=True)
+    assert history_diagnostics(history)["min_density"] < 0.0
+    assert np.isfinite(solve_terminal(np.fft.rfft(f0), rates, basis, cc, tg,
+                                      force=True)[0]).all()
