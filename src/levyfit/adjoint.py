@@ -21,7 +21,7 @@ why the transposed structure is kept exact.
 Every operator is circulant with a real stencil, so its transpose has the
 conjugate rfft symbol: the sweep runs the recurrence mode by mode with the
 conjugated `euler_symbols` / `bdf2_symbols` of the forward march (whose
-implicit symbols each `CCOperator` builds once) and the march's own loops,
+implicit symbols come from `CCOperator.symbol`) and the march's own loops,
 `march_two_term` and `march_one_term`, on its rows in reverse order.
 """
 

@@ -13,8 +13,9 @@ nonnegative kernel, whose symbol is linear in the rates: every route steps
 with rates @ `SplineBasis.jump_symbols`, built once per basis.
 
 Both operators are circulant, so every Fourier mode evolves on its own:
-with a and q their rfft symbols, g <- g*(1 + tau*q)/(1 - tau*a) (Euler)
-and F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).
+with a = `CCOperator.symbol` (built once per operator) and q the jump
+symbol, g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
+F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).
 `solve_forward` marches every mode from one rfft of f0, writing every
 level in place into its row of one spectra array, with the operations in
 the order shown: the history that the adjoint gradient pairs and
@@ -66,15 +67,18 @@ class CCOperator:
     e^w*beta.  Both beta forms agree analytically; beta and beta_omega are
     evaluated through expm1 (series below |w| = 1e-4) so the B -> 0 limit
     beta -> C/h is exact.
+
+    A is circulant, and `symbol` (built once, read-only) is its rfft symbol
+    a_k = (beta*e^{-i theta_k} + beta_omega*e^{i theta_k} - (beta +
+    beta_omega))/h, theta_k = 2*pi*k/n, exactly 0 at k = 0 (the flux moves
+    no mass).  Every implicit solve divides by shift - scale*a.
     """
 
     grid: TorusGrid
     coeffs: ModelCoefficients
     beta: float = field(init=False)
     beta_omega: float = field(init=False)
-    # shift -> (scale, symbol): the last implicit symbol built per shift
-    _symbols: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.grid.h
@@ -88,8 +92,13 @@ class CCOperator:
         else:
             beta = b_adv / _expm1(w)
             beta_omega = b_adv / -_expm1(-w)
+        theta = 2.0 * np.pi * np.arange(self.grid.n // 2 + 1) / self.grid.n
+        symbol = (beta * np.exp(-1j * theta) + beta_omega * np.exp(1j * theta)
+                  - (beta + beta_omega)) / h
+        symbol.flags.writeable = False
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "beta_omega", beta_omega)
+        object.__setattr__(self, "symbol", symbol)
 
     @property
     def damping(self) -> float:
@@ -99,23 +108,7 @@ class CCOperator:
     def system_solver(self, shift: float, scale: float) -> CyclicSolver:
         """Solver for (shift*I - scale*A), whose symbol is shift - scale*a;
         the transposed matrix has the conjugate symbol."""
-        h = self.grid.h
-        sub = -scale * self.beta / h
-        sup = -scale * self.beta_omega / h
-        return CyclicSolver(sub, shift + scale * self.damping, sup, self.grid.n)
-
-    def implicit_symbol(self, shift: float, scale: float) -> np.ndarray:
-        """The (read-only) symbol of system_solver(shift, scale).
-
-        A fit uses two pairs, Euler (1, tau) and BDF2 (3, 2dt), so one
-        symbol is kept per shift and rebuilt only when its scale changes.
-        """
-        kept = self._symbols.get(shift)
-        if kept is None or kept[0] != scale:
-            symbol = self.system_solver(shift, scale).symbol
-            symbol.flags.writeable = False
-            kept = self._symbols[shift] = (scale, symbol)
-        return kept[1]
+        return CyclicSolver(shift - scale * self.symbol, self.grid.n)
 
 
 @dataclass(frozen=True)
@@ -200,13 +193,13 @@ def _step_bounds(cc: CCOperator, kernel: JumpKernel,
 def euler_symbols(cc: CCOperator, kernel: JumpKernel,
                   tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Fourier factors (1 + tau*q, 1 - tau*a) of one implicit Euler step."""
-    return 1.0 + tau * kernel.symbol, cc.implicit_symbol(1.0, tau)
+    return 1.0 + tau * kernel.symbol, 1.0 - tau * cc.symbol
 
 
 def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
                  dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Fourier factors (4 + 2dt*q, 3 - 2dt*a) of one BDF2/IMEX step."""
-    return 4.0 + 2.0 * dt * kernel.symbol, cc.implicit_symbol(3.0, 2.0 * dt)
+    return 4.0 + 2.0 * dt * kernel.symbol, 3.0 - 2.0 * dt * cc.symbol
 
 
 def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
@@ -224,17 +217,23 @@ def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
     check_scheme(xi, boot_substeps)
     bounds = _step_bounds(cc, kernel, xi)
     dt = time_grid.dt
-    weight = float(kernel.weights.min())
+    negative, weights = _weight_clause(kernel)
     if not force and (dt > bounds.dt_bdf2
                       or dt / boot_substeps > bounds.dt_euler_positive
-                      or weight < 0.0):
+                      or negative):
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, "
-            f"euler <= {bounds.dt_euler_positive:.4e}, both for jump "
-            f"weights >= 0, smallest {weight:.4e}); "
+            f"euler <= {bounds.dt_euler_positive:.4e}, both for {weights}); "
             "pass force=True (config key force_dt) to integrate anyway")
     return bounds
+
+
+def _weight_clause(kernel: JumpKernel) -> tuple[bool, str]:
+    """Whether a kernel weight is negative, which the positivity proof
+    behind every step bound excludes, and the clause naming the smallest."""
+    weight = float(kernel.weights.min())
+    return weight < 0.0, f"jump weights >= 0, smallest {weight:.4e}"
 
 
 def check_initial_density(f0, grid: TorusGrid) -> np.ndarray:
@@ -255,12 +254,15 @@ def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
                kernel: JumpKernel) -> np.ndarray:
     """One implicit Euler step: solve (I - dt*A) f = f_prev + dt*Q(f_prev).
 
-    Refuses dt_sub above the positivity bound of `stability_bounds`.
+    Refuses dt_sub above the positivity bound of `stability_bounds`, and
+    a kernel with a negative weight, as the marches do.
     """
     bound = stability_bounds(cc, kernel).dt_euler_positive
-    if dt_sub > bound:
+    negative, weights = _weight_clause(kernel)
+    if dt_sub > bound or negative:
         raise StabilityError(
-            f"Euler step {dt_sub:.3e} exceeds positivity bound {bound:.3e}")
+            f"Euler step {dt_sub:.3e} violates its positivity bound "
+            f"({bound:.3e}, for {weights})")
     explicit, implicit = euler_symbols(cc, kernel, dt_sub)
     return np.fft.irfft(explicit * np.fft.rfft(f_prev) / implicit,
                         n=len(f_prev))
@@ -271,8 +273,12 @@ def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
     """One BDF2/IMEX step: solve (3I - 2dt*A) f = 4f_m - f_{m-1} + 2dt*Q(f_m).
 
     The matrix is an M-matrix for every dt, so the solve cannot fail; the
-    kernel term is explicit, which is what the step-size bounds control.
+    kernel term is explicit, which is what the step-size bounds control,
+    and a kernel with a negative weight is refused, as the marches do.
     """
+    negative, weights = _weight_clause(kernel)
+    if negative:
+        raise StabilityError(f"BDF2 step needs {weights}")
     explicit, implicit = bdf2_symbols(cc, kernel, dt)
     out = np.fft.irfft((explicit * np.fft.rfft(f_m) - np.fft.rfft(f_m_minus_1))
                        / implicit, n=len(f_m))

@@ -133,17 +133,18 @@ def reduced_gradient(alpha, setup: CalibrationSetup,
                      samples: SampleSet) -> np.ndarray:
     """Gradient of F = -J_eps in the rates: terminal data d paired with the
     terminal spectrum's q-derivative x' times the basis' jump symbols T, as
-    Re(sum_k w_k conj(rfft(d)_k) x'_k T_jk)/N, w_k = 1 at 0 and Nyquist,
-    else 2."""
+    2*Re(sum_k conj(rfft(d)_k) x'_k T_jk)/N with the Nyquist term halved
+    (N even): each mode but 0 and Nyquist pairs with its conjugate, and
+    T_j0 is exactly 0."""
     terminal, slope = solve_terminal(
         setup.f0_hat, alpha, setup.basis, setup.cc, setup.time_grid,
         xi=setup.xi, boot_substeps=setup.boot_substeps, force=setup.force,
         derivative=True)
     data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
-    n = setup.grid.n
-    weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
-    pairs = weights * np.conj(data) * slope
-    return (setup.basis.jump_symbols @ pairs).real / n
+    pairs = np.conj(data) * slope
+    if setup.grid.n % 2 == 0:
+        pairs[-1] *= 0.5
+    return 2.0 * (setup.basis.jump_symbols @ pairs).real / setup.grid.n
 
 
 def dai_yuan_beta(g_next: np.ndarray, g_prev: np.ndarray,

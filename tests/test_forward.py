@@ -1,6 +1,6 @@
 import math
+from decimal import Context, Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,21 +16,24 @@ from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
                            make_basis, tiling_centers, von_mises_density)
 
 
+FIFTY_DIGITS = Context(prec=50)
+
+
 def reference_delta(w):
     """High-precision 1/w - 1/(e^w - 1)."""
-    with mpmath.workdps(50):
-        wm = mpmath.mpf(w)
-        return float(1 / wm - 1 / mpmath.expm1(wm))
+    with localcontext(FIFTY_DIGITS):
+        w = Decimal(float(w))
+        return float(1 / w - 1 / (w.exp() - 1))
 
 
 def reference_bands(cc):
     """(beta, beta_omega) in 50 digits: B/(e^w - 1) and B/(1 - e^-w), which
     equal C/h - delta*B and C/h + (1 - delta)*B."""
-    with mpmath.workdps(50):
-        h, b, c = (mpmath.mpf(x) for x in (cc.grid.h, cc.coeffs.adv,
-                                           cc.coeffs.diff))
+    with localcontext(FIFTY_DIGITS):
+        h, b, c = (Decimal(float(x)) for x in (cc.grid.h, cc.coeffs.adv,
+                                               cc.coeffs.diff))
         w = h * b / c
-        return float(b / mpmath.expm1(w)), float(-b / mpmath.expm1(-w))
+        return float(b / (w.exp() - 1)), float(b / (1 - (-w).exp()))
 
 
 def peclet(cc):
@@ -134,6 +137,20 @@ class TestCCOperator:
         applied = np.fft.irfft(symbol * np.fft.rfft(f), n=32)
         dense = shift * np.eye(32) - scale * dense_cc_matrix(cc)
         assert np.allclose(applied, dense @ f, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("drift,sigma2,n", [(0.5, 0.02, 64),
+                                                (-3e-6, 0.1, 51),
+                                                (1e6, 0.02, 64)])
+    def test_symbol_is_built_once_read_only_and_moves_no_mass(self, drift,
+                                                               sigma2, n):
+        # the eigenvalues of the dense matrix: fft of its first column
+        cc = CCOperator(TorusGrid(-np.pi, np.pi, n),
+                        ModelCoefficients(drift, sigma2))
+        symbol = cc.symbol
+        assert cc.symbol is symbol and not symbol.flags.writeable
+        assert symbol[0] == 0.0
+        eigen = np.fft.fft(dense_cc_matrix(cc)[:, 0])[:n // 2 + 1]
+        assert np.allclose(symbol, eigen, rtol=0, atol=1e-13 * cc.damping)
 
     def test_damping_coth_identity(self, rng):
         for _ in range(20):
@@ -252,6 +269,21 @@ class TestSteps:
         assert kern.total_rate < 0
         with pytest.raises(StabilityError, match="positivity"):
             euler_step(np.full(8, 1.0), 1e-3, cc, kern)
+
+    def test_steps_refuse_a_negative_weight(self):
+        """A negative rate whose total stays positive passes the Euler
+        bound, but gives the kernel negative weights: both steps refuse
+        it, as the marches do."""
+        grid = TorusGrid(-np.pi, np.pi, 64)
+        cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
+        basis = make_basis(tiling_centers(3, grid), grid)
+        kern = JumpKernel.from_rates([-2.0, 1.0, 1.5], basis)
+        assert 0.001 < stability_bounds(cc, kern).dt_euler_positive
+        f0 = von_mises_density(grid, 0.0, 400.0)
+        with pytest.raises(StabilityError, match="weights >= 0, smallest -"):
+            euler_step(f0, 0.001, cc, kern)
+        with pytest.raises(StabilityError, match="weights >= 0, smallest -"):
+            bdf2_step(f0, f0, cc, kern, 0.001)
 
     def test_bdf2_uniform_fixed_point(self):
         grid = TorusGrid(-np.pi, np.pi, 32)

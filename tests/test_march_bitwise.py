@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from conftest import random_density, small_problems
 from levyfit.adjoint import solve_adjoint
 from levyfit.errors import SolverError
-from levyfit.forward import (CCOperator, JumpKernel, solve_forward,
-                             solve_terminal)
+from levyfit.forward import (CCOperator, JumpKernel, bdf2_symbols,
+                             euler_symbols, solve_forward, solve_terminal)
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
                            tiling_centers)
 
@@ -123,8 +123,8 @@ def test_adjoint_sweep_equals_allocating_sweep(problem):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(problem=small_problems())
 def test_one_operator_serves_changing_time_grids(problem):
-    """An operator reused with another step and substep count rebuilds the
-    symbols it keeps: every run equals the same run on a fresh operator."""
+    """An operator reused with another step and substep count keeps no
+    state between runs: every run equals the same run on a fresh operator."""
     cc, tg, boot = problem.cc, problem.time_grid, problem.boot_substeps
     f0, data = inputs(problem)
     runs = [(tg, boot), (TimeGrid(0.5 * tg.t_final, tg.n_steps + 1), boot),
@@ -139,12 +139,21 @@ def test_one_operator_serves_changing_time_grids(problem):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(problem=small_problems())
-def test_kept_symbols_are_the_solver_symbols(problem):
-    cc, dt = problem.cc, problem.time_grid.dt
-    for shift, scale in ((1.0, dt), (3.0, 2.0 * dt), (1.0, 0.5 * dt)):
-        kept = cc.implicit_symbol(shift, scale)
-        assert np.array_equal(kept, cc.system_solver(shift, scale).symbol)
-        assert not kept.flags.writeable
+def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
+    """The solver, the Euler and the BDF2 factors divide by the same bits,
+    shift - scale*a from the operator's one symbol a, and mode 0 of each
+    is its shift exactly."""
+    cc, basis, rates, tg, boot, _ = problem
+    kernel = JumpKernel.from_rates(rates, basis)
+    dt, tau = tg.dt, tg.dt / boot
+    for shift, scale, implicit in ((1.0, tau, euler_symbols(cc, kernel, tau)),
+                                   (3.0, 2.0 * dt, bdf2_symbols(cc, kernel, dt)),
+                                   (1.0, 0.5 * dt, None)):
+        expected = shift - scale * cc.symbol
+        assert expected[0] == shift
+        assert np.array_equal(cc.system_solver(shift, scale).symbol, expected)
+        if implicit is not None:
+            assert np.array_equal(implicit[1], expected)
 
 
 @pytest.mark.parametrize("n", [16, 33])

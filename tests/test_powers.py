@@ -277,6 +277,24 @@ def test_the_kernel_symbol_is_the_basis_symbols_at_the_rates(problem):
                           rates @ symbols)
 
 
+@pytest.mark.parametrize("n", [33, 64])
+def test_gradient_is_the_weighted_pairing(n):
+    """reduced_gradient, bit for bit, against the pairing weighted 1 at
+    mode 0 and Nyquist and 2 elsewhere, at an odd and an even N."""
+    problem = drift_free_problem(n, 0.1, HAT_RATES, 1.0, 3, n)
+    setup, rates = problem_setup(problem, 40), problem.rates
+    samples = samples_above(run_forward(rates, setup).terminal, setup.grid,
+                            problem.rng)
+    terminal, slope = solve_terminal(
+        setup.f0_hat, rates, setup.basis, setup.cc, setup.time_grid,
+        boot_substeps=setup.boot_substeps, force=True, derivative=True)
+    data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
+    weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
+    pairs = weights * np.conj(data) * slope
+    assert np.array_equal(reduced_gradient(rates, setup, samples),
+                          (setup.basis.jump_symbols @ pairs).real / n)
+
+
 def refusal(solve, *args, **kwargs):
     """The StabilityError text of a refused call, or None.  A forced step
     far above the bounds may overflow into a SolverError: not a refusal."""
