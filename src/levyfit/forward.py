@@ -9,23 +9,22 @@ first step bootstrapped by implicit Euler substeps.
 The jump integral is a midpoint quadrature over the torus: translating a
 periodic grid function by the k-th translation node moves it by exactly k
 cells, so the integral reduces to a circular convolution with a fixed
-nonnegative kernel, whose symbol is linear in the rates: every route steps
-with rates @ `SplineBasis.jump_symbols`, built once per basis.
+nonnegative kernel, whose symbol q is linear in the rates: rates @
+`SplineBasis.jump_symbols`, built once per basis.
 
 Both operators are circulant, so every Fourier mode evolves on its own:
-with a = `CCOperator.symbol` (built once per operator) and q the jump
-symbol, g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
-F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).
-`solve_forward` marches every mode from one rfft of f0, writing every
-level in place into its row of one spectra array, with the operations in
-the order shown: the history that the adjoint gradient pairs and
-`history_diagnostics` reads.  `solve_terminal`, with which the fit
-evaluates its trials and gradients, reaches the terminal level alone, and
-its derivative in q, by binary powers of each mode's companion matrix in
-long double, whose roundoff then stays below the march's, over the modes
-that a bound (`terminal_bounds`) finds reaching t_final.  Both refuse the
-same steps (`admissible_bounds`) and irfft and check for finiteness only
-the terminal level.
+with a = `CCOperator.symbol`, g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
+F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).  One
+`CalibrationSetup` per fit builds every array that q leaves unchanged, and
+both routes take it and the rates.  `solve_forward` marches every mode in
+place, into its row of one spectra array, in the order shown: the history
+that the adjoint gradient pairs and `history_diagnostics` reads.
+`solve_terminal`, with which the fit evaluates its trials and gradients,
+reaches the terminal level alone, and its derivative in q, by binary
+powers of each mode's companion matrix in long double, whose roundoff then
+stays below the march's, over the modes that `terminal_bounds` finds
+reaching t_final.  Both refuse the same steps (`admissible_bounds`) and
+irfft and check for finiteness only the terminal level.
 """
 
 from __future__ import annotations
@@ -202,11 +201,10 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
     return 4.0 + 2.0 * dt * kernel.symbol, 3.0 - 2.0 * dt * cc.symbol
 
 
-def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
-                      xi: float, boot_substeps: int,
-                      force: bool) -> StabilityBounds:
-    """`stability_bounds`, with the scheme checked once; a step above them,
-    or a kernel with a negative weight, is refused unless `force`.
+def admissible_bounds(setup: CalibrationSetup,
+                      kernel: JumpKernel) -> StabilityBounds:
+    """`stability_bounds` at the setup's checked xi; a step above them, or
+    a kernel with a negative weight, is refused unless `setup.force`.
 
     The positivity proof behind both bounds needs nonnegative weights, and
     a negative entry among the rates can give them with a nonnegative
@@ -214,13 +212,12 @@ def admissible_bounds(cc: CCOperator, kernel: JumpKernel, time_grid: TimeGrid,
     dt_euler_positive = 1/a < 0, which the two-step bound admits for a
     small |a|.
     """
-    check_scheme(xi, boot_substeps)
-    bounds = _step_bounds(cc, kernel, xi)
-    dt = time_grid.dt
+    bounds = _step_bounds(setup.cc, kernel, setup.xi)
+    dt = setup.time_grid.dt
     negative, weights = _weight_clause(kernel)
-    if not force and (dt > bounds.dt_bdf2
-                      or dt / boot_substeps > bounds.dt_euler_positive
-                      or negative):
+    if not setup.force and (dt > bounds.dt_bdf2
+                            or dt / setup.boot_substeps
+                            > bounds.dt_euler_positive or negative):
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, "
@@ -237,8 +234,8 @@ def _weight_clause(kernel: JumpKernel) -> tuple[bool, str]:
 
 
 def check_initial_density(f0, grid: TorusGrid) -> np.ndarray:
-    """f0 as floats, refused unless a nonnegative density of mass 1."""
-    f0 = np.asarray(f0, dtype=float)
+    """A float copy of f0, refused unless a nonnegative density of mass 1."""
+    f0 = np.array(f0, dtype=float)
     if f0.shape != (grid.n,):
         raise ValueError(f"f0 must have shape ({grid.n},)")
     # written so that a NaN anywhere in f0 fails both checks
@@ -248,6 +245,53 @@ def check_initial_density(f0, grid: TorusGrid) -> np.ndarray:
     if not abs(mass0 - 1.0) <= 1e-8:
         raise ValueError(f"initial density mass {mass0} is not 1")
     return f0
+
+
+@dataclass(frozen=True)
+class CalibrationSetup:
+    """Everything fixed during one fit and, built from it once and
+    read-only, every array of both routes that the rates leave unchanged:
+    `cc`, f0 checked and its rfft `f0_hat`, `euler_implicit` = 1 - tau*a,
+    `implicit` = c = 3 - 2dt*a, `terminal_bounds`' `start` =
+    |f0_hat|/|f0_hat[0]| and `four_over_c` = 4/c, and `long_symbols`, the
+    rows 1 - tau*a, c, f0_hat, r = -1/c and 2dt/c in long double."""
+
+    grid: TorusGrid
+    time_grid: TimeGrid
+    coeffs: ModelCoefficients
+    basis: SplineBasis
+    f0: np.ndarray
+    eps: float = DEFAULT_FLOOR
+    boot_substeps: int = 10
+    xi: float = 2.0
+    force: bool = False
+    cc: CCOperator = field(init=False)
+    f0_hat: np.ndarray = field(init=False, repr=False)
+    euler_implicit: np.ndarray = field(init=False, repr=False)
+    implicit: np.ndarray = field(init=False, repr=False)
+    start: np.ndarray = field(init=False, repr=False)
+    four_over_c: np.ndarray = field(init=False, repr=False)
+    long_symbols: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.eps > 0.0:
+            raise ValueError(f"the objective floor must be > 0, got {self.eps}")
+        check_scheme(self.xi, self.boot_substeps)
+        f0 = check_initial_density(self.f0, self.grid)
+        object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
+        dt, a = self.time_grid.dt, self.cc.symbol
+        f0_hat = np.fft.rfft(f0)
+        euler_implicit = 1.0 - dt / self.boot_substeps * a
+        implicit = 3.0 - 2.0 * dt * a
+        # the powers' operands in long double, from the march's symbols
+        long = np.array([euler_implicit, implicit, f0_hat], np.clongdouble)
+        long = np.concatenate([long, [-1.0 / long[1], 2.0 * dt / long[1]]])
+        arrays = {"f0": f0, "f0_hat": f0_hat, "euler_implicit": euler_implicit,
+                  "implicit": implicit, "start": abs(f0_hat) / abs(f0_hat[0]),
+                  "four_over_c": 4.0 / implicit, "long_symbols": long}
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
@@ -359,51 +403,48 @@ class DensityHistory:
         return states
 
 
-def solve_forward(f0: np.ndarray, rates, basis: SplineBasis, cc: CCOperator,
-                  time_grid: TimeGrid, *, xi: float = 2.0,
-                  boot_substeps: int = 10,
-                  force: bool = False) -> DensityHistory:
-    """March the density from f0 to t_final.
+def _admitted(setup: CalibrationSetup, rates) -> tuple:
+    """The admitted bounds at `rates`, and 1 + tau*q and 4 + 2dt*q."""
+    kernel = JumpKernel.from_rates(rates, setup.basis)
+    q, dt = kernel.symbol, setup.time_grid.dt
+    return (admissible_bounds(setup, kernel),
+            1.0 + dt / setup.boot_substeps * q, 4.0 + 2.0 * dt * q)
 
-    The first level is produced by `boot_substeps` implicit Euler substeps
-    of dt/boot_substeps, each checked against the Euler positivity bound;
-    all later levels use the two-step scheme.  dt itself is validated
-    against the two-step bound, and the kernel for nonnegative weights,
-    and the solve refuses when either fails, unless `force` is passed.
+
+def solve_forward(setup: CalibrationSetup, rates) -> DensityHistory:
+    """March the density from setup.f0 to t_final: `boot_substeps` implicit
+    Euler substeps of dt/boot_substeps to the first level, then the
+    two-step scheme, at a step and rates that `admissible_bounds` admits.
     The march only checks its values for finiteness; `history_diagnostics`
     measures mass and positivity.
     """
-    f0 = check_initial_density(f0, cc.grid)
-    n = cc.grid.n
-    kernel = JumpKernel.from_rates(rates, basis)
-    bounds = admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
-    dt = time_grid.dt
-    tau = dt / boot_substeps
-
-    spectra = np.empty((boot_substeps + time_grid.n_steps + 1, n // 2 + 1),
+    bounds, euler_explicit, explicit = _admitted(setup, rates)
+    boot, n = setup.boot_substeps, setup.grid.n
+    spectra = np.empty((boot + setup.time_grid.n_steps + 1, n // 2 + 1),
                        dtype=complex)
     # boot_hat[s] = g^s, s = 0 .. K-1; hat[m] = F^m, m = 0 .. N_T
-    boot_hat, hat = spectra[:boot_substeps], spectra[boot_substeps:]
-    boot_hat[0] = np.fft.rfft(f0)
+    boot_hat, hat = spectra[:boot], spectra[boot:]
+    boot_hat[0] = setup.f0_hat
     # g^{s+1} from g^s; the last substep g^K is F^1
-    march_one_term(*euler_symbols(cc, kernel, tau), [*boot_hat, hat[1]])
+    march_one_term(euler_explicit, setup.euler_implicit, [*boot_hat, hat[1]])
     hat[0] = boot_hat[0]
-    march_two_term(*bdf2_symbols(cc, kernel, dt), hat)
+    march_two_term(explicit, setup.implicit, hat)
     terminal = np.fft.irfft(hat[-1], n=n)
     # every row feeds the last one through the recurrence, and a NaN or an
     # inf stays non-finite under (e*x - y)/c, 0*inf included, and under
     # the irfft: this one check catches a non-finite value at any level
     if not np.all(np.isfinite(terminal)):
         raise SolverError("non-finite values in the forward march")
-    return DensityHistory(spectra=spectra, f0=f0, terminal=terminal,
-                          grid=cc.grid, time_grid=time_grid, bounds=bounds)
+    return DensityHistory(spectra=spectra, f0=setup.f0, terminal=terminal,
+                          grid=setup.grid, time_grid=setup.time_grid,
+                          bounds=bounds)
 
 
-def terminal_bounds(euler_explicit, explicit, implicit, start,
-                    time_grid: TimeGrid, boot_substeps: int) -> tuple:
+def terminal_bounds(setup: CalibrationSetup, euler_explicit,
+                    explicit) -> tuple:
     """Per mode, bounds on |F^{N_T}| and |dF^{N_T}/dq|/t_final over |F^0|
-    at mode 0, from the march's double symbols (`solve_terminal`) and
-    start = |F^0|/|F^0_0|.
+    at mode 0, from the march's double symbols (`solve_terminal`) and the
+    setup's start = |F^0|/|F^0_0|.
 
     M^n = u_n*M + r*u_{n-1}*I with u_n = sum_j lambda+^j lambda-^(n-1-j),
     so |u_n| <= n*rho^(n-1), |du_n/dt| = |sum_j u_j*u_{n-j}| <= (n^3 - n)/6
@@ -412,20 +453,18 @@ def terminal_bounds(euler_explicit, explicit, implicit, start,
     max(1, |1 + tau*q|)^K, the bounds are n and (n + (n^3 + 2n)/3*rho)/N_T
     times rho^n*start*(3g + rho), n = N_T - 1.
     """
-    n = time_grid.n_steps - 1
-    t = explicit / implicit
-    rho = (0.5 + 1e-7) * (abs(t) + np.sqrt(abs(t * t - 4.0 / implicit)))
-    grown = max(1.0, abs(euler_explicit).max()) ** boot_substeps
-    base = np.exp(n * np.log(rho)) * start * (3.0 * grown + rho)
+    n = setup.time_grid.n_steps - 1
+    t = explicit / setup.implicit
+    rho = (0.5 + 1e-7) * (abs(t) + np.sqrt(abs(t * t - setup.four_over_c)))
+    grown = max(1.0, abs(euler_explicit).max()) ** setup.boot_substeps
+    base = np.exp(n * np.log(rho)) * setup.start * (3.0 * grown + rho)
     return n * base, (n + (n**3 + 2 * n) / 3 * rho) / (n + 1) * base
 
 
-def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
-                   cc: CCOperator, time_grid: TimeGrid, *, xi: float = 2.0,
-                   boot_substeps: int = 10, force: bool = False,
+def solve_terminal(setup: CalibrationSetup, rates, *,
                    derivative: bool = False) -> tuple:
-    """`solve_forward`'s terminal density from f0_hat = rfft(f0), and with
-    `derivative` its spectrum's q-derivative per mode (else None).
+    """`solve_forward`'s terminal density, and with `derivative` its
+    spectrum's q-derivative per mode (else None), from setup.f0_hat.
 
     Per mode, (F^{m+1}, F^m) = M (F^m, F^{m-1}) with M = [[t, r], [1, 0]],
     t = (4 + 2dt*q)/(3 - 2dt*a) and r = -1/(3 - 2dt*a); F^1 = e^K F^0 with
@@ -437,30 +476,24 @@ def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
     not change.  Modes past the last whose `terminal_bounds` sum to more
     than NEGLIGIBLE/(N/2 + 1), or to NaN, are exact zeros of both spectra.
     """
-    kernel = JumpKernel.from_rates(rates, basis)
-    admissible_bounds(cc, kernel, time_grid, xi, boot_substeps, force)
-    dt, k = time_grid.dt, boot_substeps
-    symbols = (*euler_symbols(cc, kernel, dt / k),
-               *bdf2_symbols(cc, kernel, dt), f0_hat)
-    reach = np.add(*terminal_bounds(symbols[0], *symbols[2:4],
-                                    abs(f0_hat) / abs(f0_hat[0]),
-                                    time_grid, k))
+    _, euler_explicit, explicit = _admitted(setup, rates)
+    reach = np.add(*terminal_bounds(setup, euler_explicit, explicit))
     # up to the last mode whose reach is not negligible (NaN is not), or
     # all modes if every one is
     modes = len(reach) - np.argmin(reach[::-1] <= NEGLIGIBLE / len(reach))
     # long double from the march's symbols on: each squaring doubles the
     # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
-    euler_explicit, euler_implicit, explicit, implicit, x0 = (
-        np.asarray(x[:modes], dtype=np.clongdouble) for x in symbols)
+    euler_explicit, explicit = (np.asarray(x[:modes], dtype=np.clongdouble)
+                                for x in (euler_explicit, explicit))
+    euler_implicit, implicit, x0, r, slope = setup.long_symbols[:, :modes]
     growth = euler_explicit / euler_implicit
-    grown = growth ** (k - 1)
+    grown = growth ** (setup.boot_substeps - 1)
     x1 = grown * growth * x0
     x2 = (explicit * x1 - x0) / implicit
-    t, r = explicit / implicit, -1.0 / implicit
-    slope = 2.0 * dt / implicit if derivative else None
+    t = explicit / implicit
     # (u, v) of M^j, and their q-derivatives, for j the bits read so far
     u, v, du, dv = 1.0, 0.0, 0.0, 0.0
-    for bit in f"{time_grid.n_steps - 1:b}"[1:]:
+    for bit in f"{setup.time_grid.n_steps - 1:b}"[1:]:
         s, w = u * u, u * v
         if derivative:
             ds, cross, dw = 2.0 * (u * du), du * v + u * dv, v * dv
@@ -470,12 +503,12 @@ def solve_terminal(f0_hat: np.ndarray, rates, basis: SplineBasis,
             if derivative:
                 du, dv = du * t + u * slope + dv, du * r
             u, v = u * t + v, u * r
-    terminal = np.fft.irfft((u * x2 + v * x1).astype(complex), n=cc.grid.n)
+    terminal = np.fft.irfft((u * x2 + v * x1).astype(complex), n=setup.grid.n)
     if not np.all(np.isfinite(terminal)):     # as in solve_forward
         raise SolverError("non-finite values in the terminal density")
     if not derivative:
         return terminal, None
-    dx1 = dt * grown / euler_implicit * x0
+    dx1 = setup.time_grid.dt * grown / euler_implicit * x0
     dx = np.zeros(len(reach), dtype=complex)
     dx[:modes] = du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
     if not np.all(np.isfinite(dx)):

@@ -4,8 +4,8 @@ Convention: the loop minimizes F = -J_eps (negated mean log-likelihood).
 All gradients returned here are gradients of F; its orientation is pinned
 by the finite-difference tests, not by any sign lore.  `objective` and
 `reduced_gradient` take the terminal level, and its derivative in q, from
-`solve_terminal`'s powers; `gradient_from_histories` gets the same
-gradient by the paper's route, a march and the adjoint sweep.
+`solve_terminal`'s powers on a `forward.CalibrationSetup`, and
+`gradient_from_histories` the same gradient by the paper's march and sweep.
 
 Feasibility alpha_j >= 0 is kept by clamping trial points at 0 and by
 zeroing search-direction components that push an active coordinate
@@ -23,44 +23,17 @@ import numpy as np
 from .adjoint import AdjointHistory, terminal_condition
 from .adjoint import solve_adjoint  # noqa: F401  (the sweep the pairing reads)
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CCOperator, DensityHistory, check_initial_density,
-                      check_scheme, history_diagnostics, solve_forward,
-                      solve_terminal)
-from .likelihood import DEFAULT_FLOOR, ObjectiveValue, aic_score, evaluate_objective
+from .forward import (CalibrationSetup, DensityHistory, history_diagnostics,
+                      solve_forward, solve_terminal)
+from .likelihood import ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
-from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
+from .torus import SplineBasis
 
 ALPHA0 = 0.1            # fill value of the initial rate vector
 ARMIJO_DELTA = 0.1      # sufficient-decrease constant, in (0, 1/2)
 STEP_INIT = 0.5         # first trial step length
 STEP_SHRINK = 0.3       # backtracking factor
 MAX_SHRINKS = 30        # trial steps per line search
-
-
-@dataclass(frozen=True)
-class CalibrationSetup:
-    """Everything fixed during one fit, with `cc` and rfft(f0) built from
-    it once; the basis keeps its own jump symbols."""
-
-    grid: TorusGrid
-    time_grid: TimeGrid
-    coeffs: ModelCoefficients
-    basis: SplineBasis
-    f0: np.ndarray
-    eps: float = DEFAULT_FLOOR
-    boot_substeps: int = 10
-    xi: float = 2.0
-    force: bool = False
-    cc: CCOperator = field(init=False)
-    f0_hat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"the objective floor must be > 0, got {self.eps}")
-        check_scheme(self.xi, self.boot_substeps)
-        f0 = check_initial_density(self.f0, self.grid)
-        object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
-        object.__setattr__(self, "f0_hat", np.fft.rfft(f0))
 
 
 @dataclass(frozen=True)
@@ -93,17 +66,13 @@ class FitReport:
 
 
 def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
-    return solve_forward(setup.f0, alpha, setup.basis, setup.cc,
-                         setup.time_grid, xi=setup.xi,
-                         boot_substeps=setup.boot_substeps, force=setup.force)
+    return solve_forward(setup, alpha)
 
 
 def objective(alpha, setup: CalibrationSetup,
               samples: SampleSet) -> tuple[ObjectiveValue, np.ndarray]:
     """J_eps and the terminal density it scores, from `solve_terminal`."""
-    terminal, _ = solve_terminal(
-        setup.f0_hat, alpha, setup.basis, setup.cc, setup.time_grid,
-        xi=setup.xi, boot_substeps=setup.boot_substeps, force=setup.force)
+    terminal, _ = solve_terminal(setup, alpha)
     return evaluate_objective(terminal, samples, setup.eps), terminal
 
 
@@ -136,10 +105,7 @@ def reduced_gradient(alpha, setup: CalibrationSetup,
     2*Re(sum_k conj(rfft(d)_k) x'_k T_jk)/N with the Nyquist term halved
     (N even): each mode but 0 and Nyquist pairs with its conjugate, and
     T_j0 is exactly 0."""
-    terminal, slope = solve_terminal(
-        setup.f0_hat, alpha, setup.basis, setup.cc, setup.time_grid,
-        xi=setup.xi, boot_substeps=setup.boot_substeps, force=setup.force,
-        derivative=True)
+    terminal, slope = solve_terminal(setup, alpha, derivative=True)
     data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
     pairs = np.conj(data) * slope
     if setup.grid.n % 2 == 0:

@@ -1,12 +1,13 @@
 """Shared dense/brute-force oracles, deliberately independent of the fast paths."""
 
+import copy
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from levyfit.forward import CCOperator, JumpKernel
+from levyfit.forward import CalibrationSetup, CCOperator, JumpKernel
 from levyfit.torus import (ModelCoefficients, SplineBasis, TimeGrid, TorusGrid,
                            make_basis, project_to_torus, tiling_centers)
 
@@ -109,8 +110,36 @@ class SmallProblem(NamedTuple):
     basis: SplineBasis
     rates: np.ndarray
     time_grid: TimeGrid
-    boot_substeps: int
-    rng: np.random.Generator
+    boot_substeps: int = 10
+    rng: np.random.Generator = None
+
+
+def march_setup(problem: SmallProblem, f0, force: bool = False,
+                **fields) -> CalibrationSetup:
+    """The problem's march from f0 as the setup that both routes take: its
+    grid, operator coefficients, basis, time grid and substeps, with
+    `force` and any further `CalibrationSetup` field (xi)."""
+    cc = problem.cc
+    return CalibrationSetup(grid=cc.grid, time_grid=problem.time_grid,
+                            coeffs=cc.coeffs, basis=problem.basis, f0=f0,
+                            boot_substeps=problem.boot_substeps, force=force,
+                            **fields)
+
+
+def with_f0_spectrum(setup: CalibrationSetup, f0_hat) -> CalibrationSetup:
+    """A copy of `setup` whose march starts from the spectrum `f0_hat`,
+    which no density of mass 1 has (a non-finite mode, a size near the
+    float range), so the constructor cannot build it: its `f0_hat`, the
+    bound's `start` and the long-double row of f0_hat are replaced, each
+    derived from `f0_hat` as the constructor derives it from rfft(f0)."""
+    doctored = copy.copy(setup)
+    long = setup.long_symbols.copy()
+    long[2] = f0_hat
+    for name, value in (("f0_hat", f0_hat),
+                        ("start", abs(f0_hat) / abs(f0_hat[0])),
+                        ("long_symbols", long)):
+        object.__setattr__(doctored, name, value)
+    return doctored
 
 
 @st.composite

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import SmallProblem, march_setup, random_density
 from levyfit.config import RunConfig
 from levyfit.errors import StabilityError
 from levyfit.experiment import empirical_histogram, run_experiment
@@ -68,8 +68,10 @@ def test_criterion_1_solver_structure_suite():
         kern = JumpKernel.from_rates(rates, basis)
         dt = 0.95 * stability_bounds(cc, kern, 2.0).dt_bdf2
         n_steps = int(rng.integers(5, 20))
-        hist = solve_forward(random_density(rng, grid), rates, basis, cc,
-                             TimeGrid(dt * n_steps, n_steps))
+        problem = SmallProblem(cc, basis, rates,
+                               TimeGrid(dt * n_steps, n_steps))
+        hist = solve_forward(march_setup(problem, random_density(rng, grid)),
+                             rates)
         d = history_diagnostics(hist)
         norms = np.abs(hist.values).sum(axis=1)
         norm_growth = float(np.max(np.diff(norms), initial=-np.inf))
@@ -100,14 +102,16 @@ def test_criterion_2_bound_sharpness():
         kern = JumpKernel.from_rates(rates, basis)
         bound = stability_bounds(cc, kern, 2.0).dt_bdf2
 
-        safe = solve_forward(random_density(rng, grid), rates, basis, cc,
-                             TimeGrid(0.9 * bound * 12, 12))
+        safe = solve_forward(march_setup(
+            SmallProblem(cc, basis, rates, TimeGrid(0.9 * bound * 12, 12)),
+            random_density(rng, grid)), rates)
         assert history_diagnostics(safe)["min_density"] >= -1e-13
 
         spike = np.zeros(n)
         spike[int(rng.integers(0, n))] = 1.0 / grid.h
-        wild = solve_forward(spike, rates, basis, cc,
-                             TimeGrid(50 * bound * 6, 6), force=True)
+        wild = solve_forward(march_setup(
+            SmallProblem(cc, basis, rates, TimeGrid(50 * bound * 6, 6)),
+            spike, force=True), rates)
         negatives += history_diagnostics(wild)["min_density"] < 0
     assert negatives >= 1
     print(f"\ncriterion 2 PASS: 20/20 positive at 0.9x bound, "
@@ -123,8 +127,8 @@ def test_criterion_3_convergence_order():
         cc = CCOperator(grid, ModelCoefficients(0.05, 0.02))
         basis = make_basis(tiling_centers(8, grid), grid)
         f0 = von_mises_density(grid, 0.0, kappa)
-        return solve_forward(f0, rates, basis, cc,
-                             TimeGrid(1.0, n_steps)).terminal
+        problem = SmallProblem(cc, basis, rates, TimeGrid(1.0, n_steps))
+        return solve_forward(march_setup(problem, f0), rates).terminal
 
     def observed_order(rates, kappa, steps_per_cell):
         sols = {n: terminal(n, steps_per_cell * n, rates, kappa)

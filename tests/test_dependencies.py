@@ -15,9 +15,11 @@ SCIPY_FREE_MARCH = textwrap.dedent("""
 
     grid = lf.TorusGrid(-np.pi, np.pi, 32)
     basis = lf.make_basis(lf.band_centers(3), grid)
-    cc = lf.CCOperator(grid, lf.ModelCoefficients(0.1, 0.05))
-    hist = lf.solve_forward(lf.von_mises_density(grid, 0.0, 20.0),
-                            [0.5, 0.2, 0.1], basis, cc, lf.TimeGrid(0.2, 10))
+    setup = lf.CalibrationSetup(
+        grid=grid, time_grid=lf.TimeGrid(0.2, 10),
+        coeffs=lf.ModelCoefficients(0.1, 0.05), basis=basis,
+        f0=lf.von_mises_density(grid, 0.0, 20.0))
+    hist = lf.solve_forward(setup, [0.5, 0.2, 0.1])
     assert lf.history_diagnostics(hist)["mass_drift"] < 1e-10
 """)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_jump_apply, dense_cc_matrix,
-                      dense_forward_march, random_density)
+from conftest import (SmallProblem, brute_jump_apply, dense_cc_matrix,
+                      dense_forward_march, march_setup, random_density)
 from levyfit.errors import StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, apply_jump_operator,
                              bdf2_step, euler_step, history_diagnostics,
@@ -360,27 +360,30 @@ class TestSolveForward:
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.04))
         basis = make_basis([0.0, 0.5], grid)
         f0 = von_mises_density(grid, 0.0, 400.0)
-        hist = solve_forward(f0, [0.0, 0.0], basis, cc, TimeGrid(1.0, 60))
+        problem = SmallProblem(cc, basis, [0.0, 0.0], TimeGrid(1.0, 60))
+        hist = solve_forward(march_setup(problem, f0), problem.rates)
         f = hist.terminal
         asym = np.abs(f[1:] - f[1:][::-1]).sum() / np.abs(f).sum()
         assert asym < 1e-8
 
     def test_validates_initial_density(self):
+        """The setup that the march takes refuses an f0 that is not a
+        nonnegative density of mass 1."""
         grid = TorusGrid(-np.pi, np.pi, 32)
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
         basis = make_basis([0.0, 0.5], grid)
-        tg = TimeGrid(1.0, 50)
+        problem = SmallProblem(cc, basis, [0.0, 0.0], TimeGrid(1.0, 50))
         with pytest.raises(ValueError, match="mass"):
-            solve_forward(np.full(32, 1.0), [0.0, 0.0], basis, cc, tg)
+            march_setup(problem, np.full(32, 1.0))
         bad = np.full(32, 1.0 / (2 * np.pi))
         bad[3] = -0.1
         bad /= grid.h * bad.sum()
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_forward(bad, [0.0, 0.0], basis, cc, tg)
+            march_setup(problem, bad)
         nan_f0 = von_mises_density(grid, 0.0, 20.0)
         nan_f0[5] = np.nan
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_forward(nan_f0, [0.0, 0.0], basis, cc, tg)
+            march_setup(problem, nan_f0)
 
     def test_refuses_oversized_step_then_forced_run_reports(self, rng):
         grid = TorusGrid(-np.pi, np.pi, 48)
@@ -393,9 +396,10 @@ class TestSolveForward:
         tg = TimeGrid(50 * bound * n_steps, n_steps)
         spike = np.zeros(48)
         spike[0] = 1.0 / grid.h
+        problem = SmallProblem(cc, basis, rates, tg)
         with pytest.raises(StabilityError):
-            solve_forward(spike, rates, basis, cc, tg)
-        hist = solve_forward(spike, rates, basis, cc, tg, force=True)
+            solve_forward(march_setup(problem, spike), rates)
+        hist = solve_forward(march_setup(problem, spike, force=True), rates)
         assert history_diagnostics(hist)["min_density"] < 0
 
     def test_positivity_and_norm_stability_randomized(self, rng):
@@ -412,8 +416,9 @@ class TestSolveForward:
             dt = 0.95 * stability_bounds(cc, kern, 2.0).dt_bdf2
             n_steps = int(rng.integers(4, 16))
             f0 = random_density(rng, grid)
-            hist = solve_forward(f0, rates, basis, cc,
-                                 TimeGrid(dt * n_steps, n_steps))
+            problem = SmallProblem(cc, basis, rates,
+                                   TimeGrid(dt * n_steps, n_steps))
+            hist = solve_forward(march_setup(problem, f0), rates)
             diagnostics = history_diagnostics(hist)
             assert diagnostics["min_density"] >= -1e-13
             assert diagnostics["mass_drift"] < 1e-10
@@ -437,7 +442,8 @@ class TestSolveForward:
         dt = 0.9 * stability_bounds(cc, kern, 2.0).dt_bdf2
         tg = TimeGrid(dt * n_steps, n_steps)
         f0 = random_density(rng, grid)
-        hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot)
+        hist = solve_forward(
+            march_setup(SmallProblem(cc, basis, rates, tg, boot), f0), rates)
         values, bootstrap = dense_forward_march(f0, rates, basis, cc, tg, boot)
         atol = 1e-12 * np.abs(values).max()
         np.testing.assert_allclose(hist.values, values, rtol=1e-12, atol=atol)
@@ -451,8 +457,9 @@ class TestSolveForward:
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
         basis = make_basis(band_centers(3), grid)
         f0 = von_mises_density(grid, 0.0, 4000.0)
-        hist = solve_forward(f0, [0.5, 0.2, 0.1], basis, cc,
-                             TimeGrid(1.0, 100), boot_substeps=4)
+        problem = SmallProblem(cc, basis, [0.5, 0.2, 0.1], TimeGrid(1.0, 100),
+                               4)
+        hist = solve_forward(march_setup(problem, f0), problem.rates)
         round_trip = np.fft.irfft(hist.spectra[0], n=grid.n)
         assert round_trip.tobytes() != f0.tobytes()
         assert hist.values[0].tobytes() == f0.tobytes()
@@ -463,7 +470,8 @@ class TestSolveForward:
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
         basis = make_basis(band_centers(3), grid)
         f0 = von_mises_density(grid, 0.0, 400.0)
-        hist = solve_forward(f0, [0.5, 0.2, 0.1], basis, cc, TimeGrid(1.0, 100))
+        problem = SmallProblem(cc, basis, [0.5, 0.2, 0.1], TimeGrid(1.0, 100))
+        hist = solve_forward(march_setup(problem, f0), problem.rates)
         assert history_diagnostics(hist)["xi_condition_min"] >= 0.0
 
     def test_reference_experiment_resolution(self):
@@ -471,8 +479,9 @@ class TestSolveForward:
         cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
         basis = make_basis(band_centers(5), grid)
         f0 = von_mises_density(grid, 0.0, 400.0)
-        hist = solve_forward(f0, [3.0, 2.0, 1.0, 0.5, 0.25], basis, cc,
-                             TimeGrid(1.0, 250))
+        problem = SmallProblem(cc, basis, [3.0, 2.0, 1.0, 0.5, 0.25],
+                               TimeGrid(1.0, 250))
+        hist = solve_forward(march_setup(problem, f0), problem.rates)
         diagnostics = history_diagnostics(hist)
         assert diagnostics["mass_drift"] < 1e-10
         assert diagnostics["min_density"] >= -1e-13
@@ -485,8 +494,9 @@ class TestSolveForward:
             cc = CCOperator(grid, co)
             basis = make_basis(tiling_centers(8, grid), grid)
             f0 = von_mises_density(grid, 0.0, 6.0)
-            return solve_forward(f0, [0.0] * 8, basis, cc,
-                                 TimeGrid(1.0, n)).terminal
+            problem = SmallProblem(cc, basis, [0.0] * 8, TimeGrid(1.0, n))
+            return solve_forward(march_setup(problem, f0),
+                                 problem.rates).terminal
 
         ref = terminal(512)
         e64 = np.abs(terminal(64) - ref[::8]).sum() * (2 * np.pi / 64)
@@ -517,8 +527,9 @@ class TestMarchProperties:
         tg = TimeGrid(share * bound * n_steps, n_steps)
         assume(tg.dt <= bound)
         f0 = random_density(np.random.default_rng(seed), grid)
-        d = history_diagnostics(solve_forward(f0, rates, basis, cc, tg, xi=xi,
-                                              boot_substeps=boot))
+        setup = march_setup(SmallProblem(cc, basis, rates, tg, boot), f0,
+                            xi=xi)
+        d = history_diagnostics(solve_forward(setup, rates))
         assert d["mass_drift"] < 1e-10
         # the two-step scheme's positivity needs xi*f^1 - f^0 >= 0
         if d["xi_condition_min"] >= 0.0:

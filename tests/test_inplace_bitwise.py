@@ -18,7 +18,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assembly_bound, random_density, small_problems
+from conftest import (assembly_bound, march_setup, random_density,
+                      small_problems)
 from levyfit.adjoint import solve_adjoint
 from levyfit.forward import solve_forward
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams, calibrate,
@@ -240,8 +241,8 @@ def test_gradient_equals_allocating_pairing(problem):
     rfft'd back and paired in row order: equal to the roundoff of the
     terms they add."""
     cc, basis, rates, tg, boot, rng = problem
-    fwd = solve_forward(random_density(rng, cc.grid), rates, basis, cc, tg,
-                        boot_substeps=boot, force=True)
+    fwd = solve_forward(
+        march_setup(problem, random_density(rng, cc.grid), force=True), rates)
     adj = solve_adjoint(rng.normal(size=cc.grid.n), rates, basis, cc, tg,
                         boot_substeps=boot)
     # eps per term of the longest sum: the pairing's rows, then the modes

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_density, small_problems
+from conftest import (SmallProblem, march_setup, random_density,
+                      small_problems, with_f0_spectrum)
 from levyfit.adjoint import solve_adjoint
 from levyfit.errors import SolverError
 from levyfit.forward import (CCOperator, JumpKernel, bdf2_symbols,
@@ -69,8 +70,9 @@ def march_and_sweep(problem, cc, time_grid, boot_substeps, f0, data):
     """solve_forward (forced past the step bounds, so every random problem
     runs) and solve_adjoint, as five arrays."""
     basis, rates = problem.basis, problem.rates
-    hist = solve_forward(f0, rates, basis, cc, time_grid,
-                         boot_substeps=boot_substeps, force=True)
+    hist = solve_forward(march_setup(problem._replace(
+        cc=cc, time_grid=time_grid, boot_substeps=boot_substeps), f0,
+        force=True), rates)
     adj = solve_adjoint(data, rates, basis, cc, time_grid,
                         boot_substeps=boot_substeps)
     return hist.spectra, hist.terminal, hist.values, adj.levels, adj.bootstrap
@@ -86,8 +88,7 @@ def inputs(problem):
 def test_forward_march_equals_allocating_march(problem):
     cc, basis, rates, tg, boot, _ = problem
     f0, _ = inputs(problem)
-    hist = solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
-                         force=True)
+    hist = solve_forward(march_setup(problem, f0, force=True), rates)
     values, bootstrap = allocating_forward(f0, rates, basis, cc, tg, boot)
     assert np.array_equal(hist.values, values)
     assert np.array_equal(hist.bootstrap, bootstrap)
@@ -102,8 +103,7 @@ def test_reused_buffers_give_the_bytes_of_fresh_ones(problem):
     cc, basis, rates, tg, boot, _ = problem
     f0, data = inputs(problem)
     fresh = march_and_sweep(problem, cc, tg, boot, f0, data)
-    solve_forward(f0, rates[::-1] + 1.0, basis, cc, tg, boot_substeps=boot,
-                  force=True)
+    solve_forward(march_setup(problem, f0, force=True), rates[::-1] + 1.0)
     reused = march_and_sweep(problem, cc, tg, boot, f0, data)
     for a, b in zip(reused, fresh):
         assert np.array_equal(a, b)
@@ -142,18 +142,40 @@ def test_one_operator_serves_changing_time_grids(problem):
 def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
     """The solver, the Euler and the BDF2 factors divide by the same bits,
     shift - scale*a from the operator's one symbol a, and mode 0 of each
-    is its shift exactly."""
+    is its shift exactly.  A setup keeps the two factors of the routes
+    read-only, with the bits of `euler_symbols` and `bdf2_symbols`, and
+    their long-double rows are the conversions of the double arrays."""
     cc, basis, rates, tg, boot, _ = problem
     kernel = JumpKernel.from_rates(rates, basis)
     dt, tau = tg.dt, tg.dt / boot
-    for shift, scale, implicit in ((1.0, tau, euler_symbols(cc, kernel, tau)),
-                                   (3.0, 2.0 * dt, bdf2_symbols(cc, kernel, dt)),
-                                   (1.0, 0.5 * dt, None)):
+    setup = march_setup(problem, inputs(problem)[0])
+    for shift, scale, implicit, kept in (
+            (1.0, tau, euler_symbols(cc, kernel, tau), setup.euler_implicit),
+            (3.0, 2.0 * dt, bdf2_symbols(cc, kernel, dt), setup.implicit),
+            (1.0, 0.5 * dt, None, None)):
         expected = shift - scale * cc.symbol
         assert expected[0] == shift
         assert np.array_equal(cc.system_solver(shift, scale).symbol, expected)
         if implicit is not None:
             assert np.array_equal(implicit[1], expected)
+            assert kept.tobytes() == implicit[1].tobytes()
+
+    c = np.asarray(setup.implicit, dtype=np.clongdouble)
+    rows = [np.asarray(x, dtype=np.clongdouble)
+            for x in (setup.euler_implicit, setup.implicit, setup.f0_hat)]
+    rows += [-1.0 / c, 2.0 * dt / c]
+    assert len(setup.long_symbols) == len(rows)
+    for row, expected in zip(setup.long_symbols, rows):
+        assert row.dtype == np.clongdouble
+        assert np.array_equal(row, expected)
+    assert np.array_equal(setup.f0_hat, np.fft.rfft(setup.f0))
+    assert np.array_equal(setup.start,
+                          abs(setup.f0_hat) / abs(setup.f0_hat[0]))
+    assert np.array_equal(setup.four_over_c, 4.0 / setup.implicit)
+    for array in (setup.f0, setup.f0_hat, setup.euler_implicit,
+                  setup.implicit, setup.start, setup.four_over_c,
+                  setup.long_symbols):
+        assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("n", [16, 33])
@@ -169,10 +191,11 @@ def test_overflow_at_an_early_level_is_refused(n):
     rates, tg, boot = np.full(3, 1e150), TimeGrid(1.0, 40), 10
     rng = np.random.default_rng(n)
     f0, data = random_density(rng, grid), rng.normal(size=n)
+    problem = SmallProblem(cc, basis, rates, tg, boot)
+    setup = march_setup(problem, f0, force=True)
     with pytest.raises(SolverError), np.errstate(over="ignore",
                                                  invalid="ignore"):
-        solve_forward(f0, rates, basis, cc, tg, boot_substeps=boot,
-                      force=True)
+        solve_forward(setup, rates)
     with pytest.raises(SolverError), np.errstate(over="ignore",
                                                  invalid="ignore"):
         solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot)
@@ -180,24 +203,20 @@ def test_overflow_at_an_early_level_is_refused(n):
     for derivative in (False, True):
         with pytest.raises(SolverError), np.errstate(over="ignore",
                                                      invalid="ignore"):
-            solve_terminal(np.fft.rfft(f0), rates, basis, cc, tg,
-                           boot_substeps=boot, force=True,
-                           derivative=derivative)
+            solve_terminal(setup, rates, derivative=derivative)
 
     # a derivative may overflow where the density does not: over a horizon
     # of 1e4 the mass mode's derivative is 1e4 times the mode, so data a
-    # thousandth below the float range keep the density finite and not it
+    # thousandth below the float range keep the density finite and not it;
+    # no density of mass 1 has them, so they are put into a setup's copy
     slow, long = np.full(3, 1e-3), TimeGrid(1e4, 40)
-    f0_hat = np.fft.rfft(f0)
-    terminal, slope = solve_terminal(f0_hat, slow, basis, cc, long,
-                                     boot_substeps=boot, force=True,
-                                     derivative=True)
+    setup = march_setup(problem._replace(time_grid=long), f0, force=True)
+    terminal, slope = solve_terminal(setup, slow, derivative=True)
     size = np.abs(np.fft.rfft(terminal)).max()
     assert np.abs(slope).max() > 1e3 * size
-    huge = 1e-3 * np.finfo(float).max / size * f0_hat
-    assert np.isfinite(solve_terminal(huge, slow, basis, cc, long,
-                                      boot_substeps=boot, force=True)[0]).all()
+    huge = with_f0_spectrum(
+        setup, 1e-3 * np.finfo(float).max / size * setup.f0_hat)
+    assert np.isfinite(solve_terminal(huge, slow)[0]).all()
     with pytest.raises(SolverError, match="derivative"), np.errstate(
             over="ignore", invalid="ignore"):
-        solve_terminal(huge, slow, basis, cc, long, boot_substeps=boot,
-                       force=True, derivative=True)
+        solve_terminal(huge, slow, derivative=True)

@@ -15,7 +15,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (STEP_COUNTS, SmallProblem, assembly_bound,
-                      random_density, small_problems)
+                      march_setup, random_density, small_problems,
+                      with_f0_spectrum)
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.errors import SolverError, StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
@@ -23,8 +24,8 @@ from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
                              solve_forward, solve_terminal, stability_bounds,
                              terminal_bounds)
 from levyfit.likelihood import evaluate_objective
-from levyfit.optimizer import (CalibrationSetup, gradient_from_histories,
-                               objective, reduced_gradient, run_forward)
+from levyfit.optimizer import (gradient_from_histories, objective,
+                               reduced_gradient, run_forward)
 from levyfit.samples import SampleSet
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
                            tiling_centers, von_mises_density)
@@ -33,15 +34,13 @@ EPS = np.finfo(float).eps
 EPS_LONG = np.finfo(np.longdouble).eps
 
 
-def problem_setup(problem, n_steps):
+def problem_setup(problem, n_steps, force=True):
     """The problem's march as a fit's setup, with N_T = n_steps and a
-    random f0; force admits the steps that a small grid with a large dt
-    takes."""
-    cc, basis, _, tg, boot, rng = problem
-    return CalibrationSetup(
-        grid=cc.grid, time_grid=TimeGrid(tg.t_final, n_steps),
-        coeffs=cc.coeffs, basis=basis, f0=random_density(rng, cc.grid),
-        boot_substeps=boot, force=True)
+    random f0; force, the default, admits the steps that a small grid with
+    a large dt takes."""
+    time_grid = TimeGrid(problem.time_grid.t_final, n_steps)
+    return march_setup(problem._replace(time_grid=time_grid),
+                       random_density(problem.rng, problem.cc.grid), force)
 
 
 def drift_free_problem(n, sigma2, rates, t_final, boot_substeps=1, seed=0):
@@ -112,10 +111,8 @@ def test_powers_equal_the_march_and_the_adjoint(problem, n_steps):
     samples = samples_above(fwd.terminal, grid, rng)
     value, terminal = objective(rates, setup, samples)
     # the gradient's terminal level is the objective's, bit for bit
-    assert np.array_equal(
-        solve_terminal(setup.f0_hat, rates, setup.basis, setup.cc,
-                       setup.time_grid, boot_substeps=setup.boot_substeps,
-                       force=True, derivative=True)[0], terminal)
+    assert np.array_equal(solve_terminal(setup, rates, derivative=True)[0],
+                          terminal)
 
     # eps per term of the longest sum: the steps, then the irfft's modes
     terms = setup.boot_substeps + n_steps + grid.n
@@ -158,9 +155,7 @@ def test_powers_carry_long_double_roundoff(problem, n_steps):
     rates = problem.rates
     setup = problem_setup(problem, n_steps)
     n = setup.grid.n
-    terminal, slope = solve_terminal(
-        setup.f0_hat, rates, setup.basis, setup.cc, setup.time_grid,
-        boot_substeps=setup.boot_substeps, force=True, derivative=True)
+    terminal, slope = solve_terminal(setup, rates, derivative=True)
     level, level_slope = march_by_modes(setup, rates)
     size, size_slope = march_by_modes(setup, rates, magnitude=True)
     # a few long-double eps per term, over the substeps and the steps
@@ -194,20 +189,18 @@ def test_terminal_bounds_hold(problem, n_steps, force):
     The examples put a mode at a double root of its companion matrix, and
     make jumps so strong that t < 0, where the root that the principal
     square root gives first is the smaller one."""
-    setup = problem_setup(problem, n_steps)
+    setup = problem_setup(problem, n_steps, force=False)
     kernel = JumpKernel.from_rates(problem.rates, setup.basis)
     dt, boot = setup.time_grid.dt, setup.boot_substeps
     if not force:
         try:
-            admissible_bounds(setup.cc, kernel, setup.time_grid, 2.0, boot,
-                              False)
+            admissible_bounds(setup, kernel)
         except StabilityError:
             reject()
     mass = abs(setup.f0_hat[0])
     size, change = terminal_bounds(
-        euler_symbols(setup.cc, kernel, dt / boot)[0],
-        *bdf2_symbols(setup.cc, kernel, dt), abs(setup.f0_hat) / mass,
-        setup.time_grid, boot)
+        setup, euler_symbols(setup.cc, kernel, dt / boot)[0],
+        bdf2_symbols(setup.cc, kernel, dt)[0])
     level, slope = march_by_modes(setup, problem.rates)
     assert np.all(size >= np.abs(level) / mass)
     assert np.all(change >= np.abs(slope) / (mass * setup.time_grid.t_final))
@@ -220,10 +213,8 @@ def test_the_cut_drops_most_modes(problem, n_steps):
     """On `cut_problem`, the shape of the `@example`s above, and on the
     fine benchmark's shape, the powers take fewer than half the modes:
     the rest of the derivative spectrum is exact zeros."""
-    setup = problem_setup(problem, n_steps)
-    _, slope = solve_terminal(setup.f0_hat, HAT_RATES, setup.basis,
-                              setup.cc, setup.time_grid, boot_substeps=10,
-                              derivative=True)
+    setup = problem_setup(problem, n_steps, force=False)
+    _, slope = solve_terminal(setup, HAT_RATES, derivative=True)
     kept = np.count_nonzero(slope)
     assert 0 < kept < len(slope) / 2
     assert not slope[kept:].any()
@@ -234,16 +225,16 @@ def test_the_cut_drops_most_modes(problem, n_steps):
 def test_a_non_finite_mode_past_the_cut_is_refused(bad, mode):
     """A NaN or an inf in f0_hat, at the last mode (which decides whether
     the cut is tried) or the one before, both of which the cut would drop
-    were they finite, keeps its mode and still raises."""
-    setup = problem_setup(cut_problem(), CUT_STEPS)
+    were they finite, keeps its mode and still raises.  No density has
+    such a spectrum, so it is put into a copy of the setup."""
+    setup = problem_setup(cut_problem(), CUT_STEPS, force=False)
     f0_hat = setup.f0_hat.copy()
     f0_hat[mode] = bad
+    setup = with_f0_spectrum(setup, f0_hat)
     for derivative in (False, True):
         with pytest.raises(SolverError), np.errstate(over="ignore",
                                                      invalid="ignore"):
-            solve_terminal(f0_hat, HAT_RATES, setup.basis, setup.cc,
-                           setup.time_grid, boot_substeps=10,
-                           derivative=derivative)
+            solve_terminal(setup, HAT_RATES, derivative=derivative)
 
 
 def test_basis_symbols_are_the_kernel_symbol():
@@ -285,9 +276,7 @@ def test_gradient_is_the_weighted_pairing(n):
     setup, rates = problem_setup(problem, 40), problem.rates
     samples = samples_above(run_forward(rates, setup).terminal, setup.grid,
                             problem.rng)
-    terminal, slope = solve_terminal(
-        setup.f0_hat, rates, setup.basis, setup.cc, setup.time_grid,
-        boot_substeps=setup.boot_substeps, force=True, derivative=True)
+    terminal, slope = solve_terminal(setup, rates, derivative=True)
     data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
     weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
     pairs = weights * np.conj(data) * slope
@@ -319,6 +308,7 @@ def test_both_paths_refuse_the_same_steps(problem):
     if not rates.any():
         rates = np.ones_like(rates)
     f0 = random_density(rng, cc.grid)
+    setups = [march_setup(problem, f0, force) for force in (False, True)]
     dt, xi = tg.dt, 2.0
     total = JumpKernel.from_rates(rates, basis).total_rate
     bdf2 = ((xi - 1.0) * (3.0 - xi) / dt - 2.0 * cc.damping) / (2 * xi * total)
@@ -329,10 +319,8 @@ def test_both_paths_refuse_the_same_steps(problem):
     for scale in scales:
         point = rates * (scale * edge if edge > 0 else scale)
         for force in (False, True):
-            march = refusal(solve_forward, f0, point, basis, cc, tg,
-                            boot_substeps=boot, force=force)
-            powers = refusal(solve_terminal, np.fft.rfft(f0), point, basis,
-                             cc, tg, boot_substeps=boot, force=force)
+            march = refusal(solve_forward, setups[force], point)
+            powers = refusal(solve_terminal, setups[force], point)
             assert march == powers
             if force:
                 assert march is None
@@ -356,10 +344,10 @@ def test_both_paths_refuse_a_negative_total_rate():
     bounds = stability_bounds(cc, JumpKernel.from_rates(rates, basis))
     assert tg.dt <= bounds.dt_bdf2 and bounds.dt_euler_positive < 0.0
     f0 = random_density(np.random.default_rng(16), grid)
-    for solve, start in ((solve_forward, f0),
-                         (solve_terminal, np.fft.rfft(f0))):
+    setup = march_setup(SmallProblem(cc, basis, rates, tg), f0)
+    for solve in (solve_forward, solve_terminal):
         with pytest.raises(StabilityError, match="euler <= -"):
-            solve(start, rates, basis, cc, tg)
+            solve(setup, rates)
 
 
 @pytest.mark.parametrize("rates", [[-0.5, 1.0, 1.0], [-2.0, 1.0, 1.5]])
@@ -377,11 +365,11 @@ def test_both_paths_refuse_a_negative_weight(rates):
     assert kernel.total_rate > 0.0 and kernel.weights.min() < 0.0
     assert tg.dt <= min(bounds.dt_bdf2, 10 * bounds.dt_euler_positive)
     f0 = von_mises_density(grid, 0.0, 400.0)
-    for solve, start in ((solve_forward, f0),
-                         (solve_terminal, np.fft.rfft(f0))):
+    problem = SmallProblem(cc, basis, rates, tg)
+    for solve in (solve_forward, solve_terminal):
         with pytest.raises(StabilityError, match="weights >= 0, smallest -"):
-            solve(start, rates, basis, cc, tg)
-    history = solve_forward(f0, rates, basis, cc, tg, force=True)
+            solve(march_setup(problem, f0), rates)
+    forced = march_setup(problem, f0, force=True)
+    history = solve_forward(forced, rates)
     assert history_diagnostics(history)["min_density"] < 0.0
-    assert np.isfinite(solve_terminal(np.fft.rfft(f0), rates, basis, cc, tg,
-                                      force=True)[0]).all()
+    assert np.isfinite(solve_terminal(forced, rates)[0]).all()
