@@ -20,11 +20,11 @@ both routes take it and the rates.  `solve_forward` marches every mode in
 place, into its row of one spectra array, in the order shown: the history
 that the adjoint gradient pairs and `history_diagnostics` reads.
 `solve_terminal`, with which the fit evaluates its trials and gradients,
-reaches the terminal level alone, and its derivative in q, by binary
-powers of each mode's companion matrix in long double, whose roundoff then
-stays below the march's, over the modes that `terminal_bounds` finds
-reaching t_final.  Both refuse the same steps (`admissible_bounds`) and
-irfft and check for finiteness only the terminal level.
+reaches the terminal level alone by binary powers of each mode's companion
+matrix in long double, whose roundoff stays below the march's, over the
+modes that `terminal_bounds` finds reaching t_final; the q-derivative
+reads that chain (`TerminalPowers.derivative`).  Both refuse the same
+steps (`admissible_bounds`) and irfft and check only the terminal level.
 """
 
 from __future__ import annotations
@@ -461,20 +461,50 @@ def terminal_bounds(setup: CalibrationSetup, euler_explicit,
     return n * base, (n + (n**3 + 2 * n) / 3 * rho) / (n + 1) * base
 
 
-def solve_terminal(setup: CalibrationSetup, rates, *,
-                   derivative: bool = False) -> tuple:
-    """`solve_forward`'s terminal density, and with `derivative` its
-    spectrum's q-derivative per mode (else None), from setup.f0_hat.
+@dataclass(frozen=True, eq=False)
+class TerminalPowers:
+    """`solve_terminal` at `setup` and `rates` (a copy): the `density`
+    and, over the first `modes` modes, the chain `derivative` reads: t,
+    F^1, F^2, e^(K-1), per bit of N_T - 1 the (u, v, u*u) squared and the
+    u then multiplied by M (else None), and the power's (u, v)."""
+
+    density: np.ndarray
+    setup: CalibrationSetup = field(repr=False)
+    rates: np.ndarray
+    modes: int
+    chain: tuple = field(repr=False)
+
+    def derivative(self) -> np.ndarray:
+        """The terminal spectrum's q-derivative per mode: the chain's
+        products by the product rule, plus dt*e^(K-1)/(1 - tau*a)*F^0."""
+        setup, modes = self.setup, self.modes
+        t, x1, x2, grown, steps, (u, v) = self.chain
+        euler_implicit, _, x0, r, slope = setup.long_symbols[:, :modes]
+        du, dv = 0.0, 0.0
+        for u_j, v_j, s, times in steps:
+            ds, cross, dw = 2.0 * (u_j * du), du * v_j + u_j * dv, v_j * dv
+            du, dv = ds * t + s * slope + (cross + cross), (dw + dw) + ds * r
+            if times is not None:
+                du, dv = du * t + times * slope + dv, du * r
+        dx1 = setup.time_grid.dt * grown / euler_implicit * x0
+        dx = np.zeros(len(setup.f0_hat), dtype=complex)
+        dx[:modes] = du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
+        if not np.all(np.isfinite(dx)):
+            raise SolverError("non-finite values in the terminal derivative")
+        return dx
+
+
+def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
+    """`solve_forward`'s terminal density from setup.f0_hat, with the chain
+    of powers that gives its q-derivative (`TerminalPowers.derivative`).
 
     Per mode, (F^{m+1}, F^m) = M (F^m, F^{m-1}) with M = [[t, r], [1, 0]],
     t = (4 + 2dt*q)/(3 - 2dt*a) and r = -1/(3 - 2dt*a); F^1 = e^K F^0 with
     e = (1 + tau*q)/(1 - tau*a).  M^{N_T-1} = u*M + v*I (M^2 = t*M + r*I)
     is built from the highest bit of N_T - 1 down, by a square per bit and
-    a product with M per set bit, so F^{N_T} = u*F^2 + v*F^1.  The
-    derivative follows each product by the product rule and adds the
-    substeps' term dt*e^(K-1)/(1 - tau*a)*F^0; the value's operations do
-    not change.  Modes past the last whose `terminal_bounds` sum to more
-    than NEGLIGIBLE/(N/2 + 1), or to NaN, are exact zeros of both spectra.
+    a product with M per set bit, so F^{N_T} = u*F^2 + v*F^1.  Modes past
+    the last whose `terminal_bounds` sum to more than NEGLIGIBLE/(N/2 + 1),
+    or to NaN, are exact zeros of the spectrum and of its derivative.
     """
     _, euler_explicit, explicit = _admitted(setup, rates)
     reach = np.add(*terminal_bounds(setup, euler_explicit, explicit))
@@ -485,35 +515,28 @@ def solve_terminal(setup: CalibrationSetup, rates, *,
     # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
     euler_explicit, explicit = (np.asarray(x[:modes], dtype=np.clongdouble)
                                 for x in (euler_explicit, explicit))
-    euler_implicit, implicit, x0, r, slope = setup.long_symbols[:, :modes]
+    euler_implicit, implicit, x0, r, _ = setup.long_symbols[:, :modes]
     growth = euler_explicit / euler_implicit
     grown = growth ** (setup.boot_substeps - 1)
     x1 = grown * growth * x0
     x2 = (explicit * x1 - x0) / implicit
     t = explicit / implicit
-    # (u, v) of M^j, and their q-derivatives, for j the bits read so far
-    u, v, du, dv = 1.0, 0.0, 0.0, 0.0
+    u, v, steps = 1.0, 0.0, []    # (u, v) of M^j, j the bits read so far
     for bit in f"{setup.time_grid.n_steps - 1:b}"[1:]:
         s, w = u * u, u * v
-        if derivative:
-            ds, cross, dw = 2.0 * (u * du), du * v + u * dv, v * dv
-            du, dv = ds * t + s * slope + (cross + cross), (dw + dw) + ds * r
+        step = (u, v, s)
         u, v = s * t + (w + w), v * v + s * r
+        steps.append((*step, u if bit == "1" else None))
         if bit == "1":
-            if derivative:
-                du, dv = du * t + u * slope + dv, du * r
             u, v = u * t + v, u * r
     terminal = np.fft.irfft((u * x2 + v * x1).astype(complex), n=setup.grid.n)
     if not np.all(np.isfinite(terminal)):     # as in solve_forward
         raise SolverError("non-finite values in the terminal density")
-    if not derivative:
-        return terminal, None
-    dx1 = setup.time_grid.dt * grown / euler_implicit * x0
-    dx = np.zeros(len(reach), dtype=complex)
-    dx[:modes] = du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
-    if not np.all(np.isfinite(dx)):
-        raise SolverError("non-finite values in the terminal derivative")
-    return terminal, dx
+    rates = np.array(rates, dtype=float)
+    for array in (terminal, rates):
+        array.flags.writeable = False
+    return TerminalPowers(terminal, setup, rates, int(modes),
+                          (t, x1, x2, grown, tuple(steps), (u, v)))
 
 
 def history_diagnostics(history: DensityHistory) -> dict:

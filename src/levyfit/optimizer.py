@@ -2,10 +2,10 @@
 
 Convention: the loop minimizes F = -J_eps (negated mean log-likelihood).
 All gradients returned here are gradients of F; its orientation is pinned
-by the finite-difference tests, not by any sign lore.  `objective` and
-`reduced_gradient` take the terminal level, and its derivative in q, from
-`solve_terminal`'s powers on a `forward.CalibrationSetup`, and
-`gradient_from_histories` the same gradient by the paper's march and sweep.
+by the finite-difference tests, not by any sign lore.  `objective` scores
+`solve_terminal`'s density on a `forward.CalibrationSetup` and returns its
+powers; given them, as `calibrate` gives it, `reduced_gradient` reads only
+their chain.  `gradient_from_histories` is that gradient by march and sweep.
 
 Feasibility alpha_j >= 0 is kept by clamping trial points at 0 and by
 zeroing search-direction components that push an active coordinate
@@ -23,8 +23,8 @@ import numpy as np
 from .adjoint import AdjointHistory, terminal_condition
 from .adjoint import solve_adjoint  # noqa: F401  (the sweep the pairing reads)
 from .errors import LevyfitError, LineSearchError, StabilityError
-from .forward import (CalibrationSetup, DensityHistory, history_diagnostics,
-                      solve_forward, solve_terminal)
+from .forward import (CalibrationSetup, DensityHistory, TerminalPowers,
+                      history_diagnostics, solve_forward, solve_terminal)
 from .likelihood import ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import SplineBasis
@@ -70,10 +70,10 @@ def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
 
 
 def objective(alpha, setup: CalibrationSetup,
-              samples: SampleSet) -> tuple[ObjectiveValue, np.ndarray]:
-    """J_eps and the terminal density it scores, from `solve_terminal`."""
-    terminal, _ = solve_terminal(setup, alpha)
-    return evaluate_objective(terminal, samples, setup.eps), terminal
+              samples: SampleSet) -> tuple[ObjectiveValue, TerminalPowers]:
+    """J_eps, and the `solve_terminal` powers whose density it scores."""
+    powers = solve_terminal(setup, alpha)
+    return evaluate_objective(powers.density, samples, setup.eps), powers
 
 
 def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
@@ -98,15 +98,19 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
     return fwd.grid.h * (basis.samples @ (lags - lags[0]))
 
 
-def reduced_gradient(alpha, setup: CalibrationSetup,
-                     samples: SampleSet) -> np.ndarray:
+def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,
+                     powers: TerminalPowers | None = None) -> np.ndarray:
     """Gradient of F = -J_eps in the rates: terminal data d paired with the
-    terminal spectrum's q-derivative x' times the basis' jump symbols T, as
-    2*Re(sum_k conj(rfft(d)_k) x'_k T_jk)/N with the Nyquist term halved
-    (N even): each mode but 0 and Nyquist pairs with its conjugate, and
-    T_j0 is exactly 0."""
-    terminal, slope = solve_terminal(setup, alpha, derivative=True)
-    data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
+    q-derivative x' of `powers` (of this setup and alpha; solved if None)
+    times the basis' jump symbols T, as 2*Re(sum_k conj(rfft(d)_k) x'_k
+    T_jk)/N with the Nyquist term halved (N even): each mode but 0 and
+    Nyquist pairs with its conjugate, and T_j0 is exactly 0."""
+    if powers is None:
+        powers = solve_terminal(setup, alpha)
+    elif powers.setup is not setup or not np.array_equal(powers.rates, alpha):
+        raise ValueError("the powers were evaluated at another setup or rates")
+    slope = powers.derivative()
+    data = np.fft.rfft(terminal_condition(powers.density, samples, setup.eps))
     pairs = np.conj(data) * slope
     if setup.grid.n % 2 == 0:
         pairs[-1] *= 0.5
@@ -182,13 +186,15 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
     def safe_objective(a):
         try:
-            return -objective(a, setup, samples)[0].value
+            value, powers = objective(a, setup, samples)
         except StabilityError:
-            return math.inf
+            return math.inf, None
+        return -value.value, powers
 
     alpha = np.full(n_theta, ALPHA0)
-    f_val = -objective(alpha, setup, samples)[0].value
-    grad = reduced_gradient(alpha, setup, samples)
+    value, powers = objective(alpha, setup, samples)
+    f_val = -value.value
+    grad = reduced_gradient(alpha, setup, samples, powers)
     direction = np.zeros(n_theta)   # none yet: the first search is steepest
 
     trace = []
@@ -212,13 +218,13 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         if (float(grad @ direction) < 0.0
                 and not np.array_equal(direction, steepest)):
             candidates.insert(0, direction)
-        trial = None    # (point, value) of the last trial
+        trial = None    # (point, value, powers) of the last trial
         for direction in candidates:
 
             def evaluate(step):
                 nonlocal trial
                 point = np.maximum(alpha + step * direction, 0.0)
-                trial = (point, safe_objective(point))
+                trial = (point, *safe_objective(point))
                 return trial[1]
 
             try:
@@ -231,8 +237,8 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
             break
 
         # Armijo accepts the last step it evaluated
-        alpha_next, f_next = trial
-        grad_next = reduced_gradient(alpha_next, setup, samples)
+        alpha_next, f_next, powers = trial
+        grad_next = reduced_gradient(alpha_next, setup, samples, powers)
 
         beta = dai_yuan_beta(grad_next, grad, direction)
         if (k + 1) % restart_every == 0:
@@ -241,6 +247,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
                                         alpha_next)
         alpha, f_val, grad = alpha_next, f_next, grad_next
 
+    trial = powers = None   # no chain held through the peak, the march
     fwd = run_forward(alpha, setup)
     final = evaluate_objective(fwd.terminal, samples, setup.eps)
     diagnostics = {

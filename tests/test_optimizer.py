@@ -261,6 +261,34 @@ class TestCalibrate:
         js = [entry["j"] for entry in report.trace]
         assert all(b >= a - 1e-12 for a, b in zip(js, js[1:]))
 
+    def test_every_gradient_reads_the_objectives_powers(self, monkeypatch):
+        """A fit solves once per objective call: each gradient reads the
+        powers of the point the last objective evaluated.  It ends with the
+        bytes of a fit whose every gradient solves again."""
+        setup = make_setup(n=32, n_steps=20, n_theta=3)
+        samples = synthetic_samples(setup, [1.5, 1.0, 0.5], 4000, seed=7)
+        calls = {"objective": 0, "solve_terminal": 0, "reduced_gradient": 0}
+
+        def count(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(optimizer, name, counted)
+
+        for name in calls:
+            count(name, getattr(optimizer, name))
+        report = calibrate(setup, samples)
+        assert calls["reduced_gradient"] == report.iterations + 1 > 1
+        assert calls["solve_terminal"] == calls["objective"]
+
+        real = optimizer.reduced_gradient
+        monkeypatch.setattr(optimizer, "reduced_gradient",
+                            lambda alpha, setup, samples, powers: real(
+                                alpha, setup, samples))
+        again = calibrate(setup, samples)
+        assert again.alpha_star.tobytes() == report.alpha_star.tobytes()
+        assert again.trace == report.trace
+
     def test_pure_diffusion_data_drives_rates_to_zero(self):
         setup = make_setup(n=210, n_steps=125, n_theta=3)
         samples = synthetic_samples(setup, [0.0, 0.0, 0.0], 100_000, seed=3)

@@ -9,6 +9,8 @@ the roundoff of the terms they add, which is bounded from the absolute
 values of those terms, not by a fixed tolerance.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -18,6 +20,7 @@ from conftest import (STEP_COUNTS, SmallProblem, assembly_bound,
                       march_setup, random_density, small_problems,
                       with_f0_spectrum)
 from levyfit.adjoint import solve_adjoint, terminal_condition
+from levyfit.config import RunConfig, calibration_setup
 from levyfit.errors import SolverError, StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
                              bdf2_symbols, euler_symbols, history_diagnostics,
@@ -109,10 +112,10 @@ def test_powers_equal_the_march_and_the_adjoint(problem, n_steps):
     grid = setup.grid
     fwd = run_forward(rates, setup)
     samples = samples_above(fwd.terminal, grid, rng)
-    value, terminal = objective(rates, setup, samples)
-    # the gradient's terminal level is the objective's, bit for bit
-    assert np.array_equal(solve_terminal(setup, rates, derivative=True)[0],
-                          terminal)
+    value, powers = objective(rates, setup, samples)
+    terminal = powers.density
+    # a solve at the objective's point has its terminal level, bit for bit
+    assert np.array_equal(solve_terminal(setup, rates).density, terminal)
 
     # eps per term of the longest sum: the steps, then the irfft's modes
     terms = setup.boot_substeps + n_steps + grid.n
@@ -155,7 +158,8 @@ def test_powers_carry_long_double_roundoff(problem, n_steps):
     rates = problem.rates
     setup = problem_setup(problem, n_steps)
     n = setup.grid.n
-    terminal, slope = solve_terminal(setup, rates, derivative=True)
+    powers = solve_terminal(setup, rates)
+    terminal, slope = powers.density, powers.derivative()
     level, level_slope = march_by_modes(setup, rates)
     size, size_slope = march_by_modes(setup, rates, magnitude=True)
     # a few long-double eps per term, over the substeps and the steps
@@ -167,6 +171,30 @@ def test_powers_carry_long_double_roundoff(problem, n_steps):
                                      + growth * size)
     assert np.all(np.abs(terminal - np.fft.irfft(level, n=n))
                   <= density_error)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(problem=small_problems(), n_steps=st.sampled_from(STEP_COUNTS))
+@example(problem=cut_problem(), n_steps=CUT_STEPS)
+def test_the_gradient_reads_the_objectives_powers(problem, n_steps):
+    """The gradient from the powers that `objective` returns has the bytes
+    of the gradient that solves again; the powers are read-only and their
+    derivative does not change them; powers of other rates, or of another
+    setup, even an equal copy, are refused."""
+    rates = problem.rates
+    setup = problem_setup(problem, n_steps)
+    samples = samples_above(run_forward(rates, setup).terminal, setup.grid,
+                            problem.rng)
+    _, powers = objective(rates, setup, samples)
+    assert (reduced_gradient(rates, setup, samples, powers=powers).tobytes()
+            == reduced_gradient(rates, setup, samples).tobytes())
+    assert powers.derivative().tobytes() == powers.derivative().tobytes()
+    assert not (powers.density.flags.writeable or powers.rates.flags.writeable)
+    assert powers.rates is not rates and np.array_equal(powers.rates, rates)
+    with pytest.raises(ValueError, match="another setup or rates"):
+        reduced_gradient(rates + 0.5, setup, samples, powers=powers)
+    with pytest.raises(ValueError, match="another setup or rates"):
+        reduced_gradient(rates, copy.copy(setup), samples, powers=powers)
 
 
 # on 16 cells with sigma^2 = 1, mode 2 has a = -(1 - cos(pi/4))/h^2; at
@@ -214,10 +242,24 @@ def test_the_cut_drops_most_modes(problem, n_steps):
     fine benchmark's shape, the powers take fewer than half the modes:
     the rest of the derivative spectrum is exact zeros."""
     setup = problem_setup(problem, n_steps, force=False)
-    _, slope = solve_terminal(setup, HAT_RATES, derivative=True)
+    slope = solve_terminal(setup, HAT_RATES).derivative()
     kept = np.count_nonzero(slope)
     assert 0 < kept < len(slope) / 2
     assert not slope[kept:].any()
+
+
+@pytest.mark.parametrize("n_space, n_time, kept, modes", [
+    (420, 250, 92, 211), (840, 800, 91, 421)])
+def test_the_cut_keeps_the_benchmark_modes(n_space, n_time, kept, modes):
+    """At the default config's full-sweep and fine-grid shapes, 5 hats and
+    `HAT_RATES`, the powers keep exactly the modes that the benchmark fits
+    keep there: a looser bound would keep more, a wrong one fewer."""
+    config = RunConfig(n_space=n_space, n_time=n_time)
+    setup = calibration_setup(config, len(HAT_RATES))
+    powers = solve_terminal(setup, HAT_RATES)
+    assert (powers.modes, len(setup.f0_hat)) == (kept, modes)
+    slope = powers.derivative()
+    assert slope[kept - 1] != 0.0 and not slope[kept:].any()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -231,10 +273,10 @@ def test_a_non_finite_mode_past_the_cut_is_refused(bad, mode):
     f0_hat = setup.f0_hat.copy()
     f0_hat[mode] = bad
     setup = with_f0_spectrum(setup, f0_hat)
-    for derivative in (False, True):
-        with pytest.raises(SolverError), np.errstate(over="ignore",
-                                                     invalid="ignore"):
-            solve_terminal(setup, HAT_RATES, derivative=derivative)
+    # the value raises, so there are no powers to take a derivative from
+    with pytest.raises(SolverError), np.errstate(over="ignore",
+                                                 invalid="ignore"):
+        solve_terminal(setup, HAT_RATES)
 
 
 def test_basis_symbols_are_the_kernel_symbol():
@@ -276,7 +318,8 @@ def test_gradient_is_the_weighted_pairing(n):
     setup, rates = problem_setup(problem, 40), problem.rates
     samples = samples_above(run_forward(rates, setup).terminal, setup.grid,
                             problem.rng)
-    terminal, slope = solve_terminal(setup, rates, derivative=True)
+    powers = solve_terminal(setup, rates)
+    terminal, slope = powers.density, powers.derivative()
     data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
     weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
     pairs = weights * np.conj(data) * slope
@@ -372,4 +415,4 @@ def test_both_paths_refuse_a_negative_weight(rates):
     forced = march_setup(problem, f0, force=True)
     history = solve_forward(forced, rates)
     assert history_diagnostics(history)["min_density"] < 0.0
-    assert np.isfinite(solve_terminal(forced, rates)[0]).all()
+    assert np.isfinite(solve_terminal(forced, rates).density).all()
