@@ -22,7 +22,9 @@ Every operator is circulant with a real stencil, so its transpose has the
 conjugate rfft symbol: the sweep runs the recurrence mode by mode with the
 conjugated `euler_symbols` / `bdf2_symbols` of the forward march (whose
 implicit symbols come from `CCOperator.symbol`) and the march's own loops,
-`march_two_term` and `march_one_term`, on its rows in reverse order.
+`march_two_term` and `march_one_term`, on its rows in reverse order.  It
+keeps the multipliers as spectra, which pair with the rfft of the forward
+history's levels and substeps (`optimizer.gradient_from_histories`).
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class AdjointHistory:
     levels[m-2] is the multiplier spectrum of the step that produced level
     m, m = 2..n_steps; bootstrap[s-1] is that of the substep multiplier
     r^s, s = 1..boot_substeps.  The rate gradient pairs them mode by mode
-    with the spectra of the forward history, so neither is turned into
-    real space.
+    with the rfft of the forward history's rows, so they are never turned
+    into real space.
     """
 
     levels: np.ndarray      # (n_steps - 1, n // 2 + 1), complex

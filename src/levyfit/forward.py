@@ -17,14 +17,16 @@ with a = `CCOperator.symbol`, g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).  One
 `CalibrationSetup` per fit builds every array that q leaves unchanged, and
 both routes take it and the rates.  `solve_forward` marches every mode in
-place, into its row of one spectra array, in the order shown: the history
-that the adjoint gradient pairs and `history_diagnostics` reads.
+place, into its row of a substep and a level spectra array, in the order
+shown, and irffts each array once into the real-space history that
+`history_diagnostics` reads; the adjoint sweep's multipliers pair with
+the rfft of its rows.
 `solve_terminal`, with which the fit evaluates its trials and gradients,
 reaches the terminal level alone by binary powers of each mode's companion
 matrix in long double, whose roundoff stays below the march's, over the
 modes that `terminal_bounds` finds reaching t_final; the q-derivative
 reads that chain (`TerminalPowers.derivative`).  Both refuse the same
-steps (`admissible_bounds`) and irfft and check only the terminal level.
+steps (`admissible_bounds`) and check only the terminal level.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from .likelihood import DEFAULT_FLOOR
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
-# a share of mode 0 of f0 that, weighted by up to 1/floor (the likelihood,
-# the pairing), stays below long-double resolution and the irfft's rounding
-NEGLIGIBLE = float(np.finfo(np.longdouble).eps) * DEFAULT_FLOOR
+_EPS_LONG = float(np.finfo(np.longdouble).eps)
 
 
 def _expm1(w: float) -> float:
@@ -277,6 +277,9 @@ class CalibrationSetup:
         if not self.eps > 0.0:
             raise ValueError(f"the objective floor must be > 0, got {self.eps}")
         check_scheme(self.xi, self.boot_substeps)
+        if self.basis.grid != self.grid:
+            raise ValueError(f"the basis is built on {self.basis.grid}, "
+                             f"the setup's grid is {self.grid}")
         f0 = check_initial_density(self.f0, self.grid)
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
         dt, a = self.time_grid.dt, self.cc.symbol
@@ -364,43 +367,21 @@ def march_two_term(explicit, implicit, rows) -> None:
 
 @dataclass
 class DensityHistory:
-    """Space-time table of the solved density, kept as the march's spectra.
+    """Space-time table of the solved density, in real space.
 
-    spectra holds the rfft modes of the Euler substep states g^0 .. g^{K-1}
-    (needed to assemble exact rate sensitivities) and then of the levels
-    F^0 .. F^{n_steps}.  terminal is the density at t_final; `values` and
-    `bootstrap` irfft the rest on each read.  bounds are the step bounds
-    the march was checked against.
+    values[m] is the density at t_m, m = 0 .. n_steps, and bootstrap[s]
+    the Euler substep state g^s, s = 0 .. K-1, that precedes values[1]
+    (needed to assemble exact rate sensitivities); both rows 0 are f0
+    itself.  terminal is the density at t_final, an array of its own.
+    bounds are the step bounds the march was checked against.
     """
 
-    spectra: np.ndarray         # (boot_substeps + n_steps + 1, n // 2 + 1)
-    f0: np.ndarray              # (n,): g^0 = F^0, kept exactly
-    terminal: np.ndarray        # (n,): F^{n_steps} in real space
+    values: np.ndarray          # (n_steps + 1, n)
+    bootstrap: np.ndarray       # (boot_substeps, n)
+    terminal: np.ndarray        # (n,): F^{n_steps}
     grid: TorusGrid
     time_grid: TimeGrid
     bounds: StabilityBounds
-
-    @property
-    def boot_substeps(self) -> int:
-        """K, the Euler substeps that precede F^1."""
-        return len(self.spectra) - self.time_grid.n_steps - 1
-
-    @property
-    def values(self) -> np.ndarray:
-        """(n_steps + 1, n): the density at t_m, m = 0 .. n_steps."""
-        return self._states(self.spectra[self.boot_substeps:])
-
-    @property
-    def bootstrap(self) -> np.ndarray:
-        """(boot_substeps, n): the substep states g^0 .. g^{K-1} that
-        precede values[1]."""
-        return self._states(self.spectra[:self.boot_substeps])
-
-    def _states(self, spectra: np.ndarray) -> np.ndarray:
-        states = np.fft.irfft(spectra, n=self.grid.n, axis=1)
-        # f0 itself, not its round trip through the rfft
-        states[0] = self.f0
-        return states
 
 
 def _admitted(setup: CalibrationSetup, rates) -> tuple:
@@ -419,25 +400,29 @@ def solve_forward(setup: CalibrationSetup, rates) -> DensityHistory:
     measures mass and positivity.
     """
     bounds, euler_explicit, explicit = _admitted(setup, rates)
-    boot, n = setup.boot_substeps, setup.grid.n
-    spectra = np.empty((boot + setup.time_grid.n_steps + 1, n // 2 + 1),
-                       dtype=complex)
+    n = setup.grid.n
     # boot_hat[s] = g^s, s = 0 .. K-1; hat[m] = F^m, m = 0 .. N_T
-    boot_hat, hat = spectra[:boot], spectra[boot:]
-    boot_hat[0] = setup.f0_hat
+    boot_hat, hat = (np.empty((rows, n // 2 + 1), dtype=complex) for rows in
+                     (setup.boot_substeps, setup.time_grid.n_steps + 1))
+    boot_hat[0] = hat[0] = setup.f0_hat
     # g^{s+1} from g^s; the last substep g^K is F^1
     march_one_term(euler_explicit, setup.euler_implicit, [*boot_hat, hat[1]])
-    hat[0] = boot_hat[0]
+    # the substeps' spectra go before the levels are irfft'd, so that the
+    # march never holds more than the levels' spectra and the real history
+    bootstrap = np.fft.irfft(boot_hat, n=n, axis=1)
+    del boot_hat
     march_two_term(explicit, setup.implicit, hat)
-    terminal = np.fft.irfft(hat[-1], n=n)
+    values = np.fft.irfft(hat, n=n, axis=1)
+    # f0 itself, not its round trip through the rfft
+    values[0] = bootstrap[0] = setup.f0
     # every row feeds the last one through the recurrence, and a NaN or an
     # inf stays non-finite under (e*x - y)/c, 0*inf included, and under
     # the irfft: this one check catches a non-finite value at any level
-    if not np.all(np.isfinite(terminal)):
+    if not np.all(np.isfinite(values[-1])):
         raise SolverError("non-finite values in the forward march")
-    return DensityHistory(spectra=spectra, f0=setup.f0, terminal=terminal,
-                          grid=setup.grid, time_grid=setup.time_grid,
-                          bounds=bounds)
+    # a copy, so that a report keeping the terminal keeps no history
+    return DensityHistory(values, bootstrap, values[-1].copy(), setup.grid,
+                          setup.time_grid, bounds)
 
 
 def terminal_bounds(setup: CalibrationSetup, euler_explicit,
@@ -503,14 +488,18 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     e = (1 + tau*q)/(1 - tau*a).  M^{N_T-1} = u*M + v*I (M^2 = t*M + r*I)
     is built from the highest bit of N_T - 1 down, by a square per bit and
     a product with M per set bit, so F^{N_T} = u*F^2 + v*F^1.  Modes past
-    the last whose `terminal_bounds` sum to more than NEGLIGIBLE/(N/2 + 1),
-    or to NaN, are exact zeros of the spectrum and of its derivative.
+    the last whose `terminal_bounds` sum to more than long-double eps times
+    setup.eps over N/2 + 1, or to NaN, are exact zeros of the spectrum and
+    of its derivative.
     """
     _, euler_explicit, explicit = _admitted(setup, rates)
     reach = np.add(*terminal_bounds(setup, euler_explicit, explicit))
     # up to the last mode whose reach is not negligible (NaN is not), or
-    # all modes if every one is
-    modes = len(reach) - np.argmin(reach[::-1] <= NEGLIGIBLE / len(reach))
+    # all modes if every one is: a share of mode 0 of f0 that, weighted by
+    # up to 1/floor (the likelihood, the pairing), stays below long-double
+    # resolution and the irfft's rounding
+    negligible = _EPS_LONG * setup.eps / len(reach)
+    modes = len(reach) - np.argmin(reach[::-1] <= negligible)
     # long double from the march's symbols on: each squaring doubles the
     # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
     euler_explicit, explicit = (np.asarray(x[:modes], dtype=np.clongdouble)

@@ -84,15 +84,15 @@ def gradient_from_histories(fwd: DensityHistory, adj: AdjointHistory,
     correlations sum_i u_i v_{i-k} of each multiplier row u with the state
     row v it acts on: weight 2*dt for a two-step level (the jump term's
     weight in that recurrence), tau for an Euler substep.  Every pairing is
-    a product of the rows' rfft modes, which both histories keep, so c is
-    one irfft of their weighted sum, and c_0 is the dot-product term by
-    Parseval.
+    a product of the rows' rfft modes, which the adjoint history keeps and
+    the forward one gives by an rfft of its rows, so c is one irfft of
+    their weighted sum, and c_0 is the dot-product term by Parseval.
     """
-    boot = fwd.boot_substeps
     dt = fwd.time_grid.dt
-    tau = dt / boot
-    levels, substeps = fwd.spectra[boot:], fwd.spectra[:boot]
-    modes = (2.0 * dt * np.vecdot(levels[1:-1], adj.levels, axis=0)
+    tau = dt / len(fwd.bootstrap)
+    levels, substeps = (np.fft.rfft(rows, axis=1)
+                        for rows in (fwd.values[1:-1], fwd.bootstrap))
+    modes = (2.0 * dt * np.vecdot(levels, adj.levels, axis=0)
              + tau * np.vecdot(substeps, adj.bootstrap, axis=0))
     lags = np.fft.irfft(modes, n=fwd.grid.n)
     return fwd.grid.h * (basis.samples @ (lags - lags[0]))
@@ -179,8 +179,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
 
     The history is marched once, at alpha_star: the report's terminal
     density, j_star, its score, floored_count and the history diagnostics
-    all read that march; the trace holds the search's own values.
+    all read that march; the trace holds the search's own values.  Samples
+    snapped to another grid than the setup's are refused (ValueError).
     """
+    if samples.grid != setup.grid:
+        raise ValueError(f"the samples are snapped to {samples.grid}, "
+                         f"the setup's grid is {setup.grid}")
     n_theta = setup.basis.n_theta
     restart_every = 10 * n_theta
 

@@ -170,9 +170,9 @@ def assembly_bound(fwd, adj, basis):
     in their summation order or round trip is a few eps times it per
     term."""
     dt = fwd.time_grid.dt
-    tau = dt / fwd.boot_substeps
-    boot = fwd.spectra[:fwd.boot_substeps]
-    levels = fwd.spectra[fwd.boot_substeps:][1:-1]
+    tau = dt / len(fwd.bootstrap)
+    boot = np.fft.rfft(fwd.bootstrap, axis=1)
+    levels = np.fft.rfft(fwd.values[1:-1], axis=1)
     modes = (2.0 * dt * (np.abs(levels) * np.abs(adj.levels)).sum(axis=0)
              + tau * (np.abs(boot) * np.abs(adj.bootstrap)).sum(axis=0))
     # each lag is an irfft of the modes, and enters a component twice

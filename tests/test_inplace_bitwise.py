@@ -5,9 +5,8 @@ Each reference below is the expression the package used before it worked
 in place.  The sample path runs the same IEEE operations in the same order
 (at most an addition or a multiplication swaps its operands, which is
 exact), so it must agree bit for bit, not just to a tolerance.  The
-pairing now reads the forward history's spectra instead of the rfft of
-its levels and adds in another order, so it agrees to the roundoff of the
-terms it adds.
+pairing takes the same rfft of the history's rows but adds in another
+order (`vecdot`), so it agrees to the roundoff of the terms it adds.
 """
 
 import dataclasses
@@ -237,9 +236,8 @@ def test_bigamma_equals_allocating_sampler(case, shape, rate):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(problem=small_problems())
 def test_gradient_equals_allocating_pairing(problem):
-    """The kept spectra paired as they are, against the real history's rows
-    rfft'd back and paired in row order: equal to the roundoff of the
-    terms they add."""
+    """The rows' spectra paired by `vecdot`, against their products summed
+    in row order: equal to the roundoff of the terms they add."""
     cc, basis, rates, tg, boot, rng = problem
     fwd = solve_forward(
         march_setup(problem, random_density(rng, cc.grid), force=True), rates)
@@ -291,8 +289,9 @@ def fit_setup(n=512, n_steps=200, boot=10):
 
 def test_fit_holds_one_diagnostics_history():
     """Trials and gradients keep no history, so calibrate peaks at the one
-    march at alpha_star: its spectra and the real levels that
-    history_diagnostics reads, plus 16 vectors of modes."""
+    march at alpha_star: its spectra and the real levels it returns,
+    which history_diagnostics reads, plus 16 vectors of modes (room for
+    its K real substeps too)."""
     setup = fit_setup()
     n, n_steps = setup.grid.n, setup.time_grid.n_steps
     modes = n // 2 + 1

@@ -75,7 +75,7 @@ def march_and_sweep(problem, cc, time_grid, boot_substeps, f0, data):
         force=True), rates)
     adj = solve_adjoint(data, rates, basis, cc, time_grid,
                         boot_substeps=boot_substeps)
-    return hist.spectra, hist.terminal, hist.values, adj.levels, adj.bootstrap
+    return hist.bootstrap, hist.terminal, hist.values, adj.levels, adj.bootstrap
 
 
 def inputs(problem):

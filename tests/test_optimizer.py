@@ -52,6 +52,18 @@ def test_setup_refuses_scheme_settings_out_of_range(setting, match):
         CalibrationSetup(**fields, **setting)
 
 
+def test_setup_refuses_a_basis_built_on_another_grid():
+    # the basis' quadrature weights carry its own grid's step h
+    setup = make_setup()
+    other = TorusGrid(0.0, 4 * np.pi, setup.grid.n)
+    fields = {name: getattr(setup, name) for name in (
+        "grid", "time_grid", "coeffs", "f0")}
+    with pytest.raises(ValueError, match="basis") as refused:
+        CalibrationSetup(**fields, basis=make_basis(band_centers(3), other))
+    assert repr(other) in str(refused.value)
+    assert repr(setup.grid) in str(refused.value)
+
+
 class TestReducedGradient:
     def test_matches_central_differences(self):
         setup = make_setup(n=32, n_steps=20, n_theta=3)
@@ -133,8 +145,7 @@ class TestReducedGradient:
                                  * (v[(i - k) % n] - v[i]))
         expected *= grid.h
 
-        spectra = np.fft.rfft(np.concatenate([substates, values]), axis=1)
-        fwd = DensityHistory(spectra=spectra, f0=values[0],
+        fwd = DensityHistory(values=values, bootstrap=substates,
                              terminal=values[-1], grid=grid, time_grid=tg,
                              bounds=None)
         adj = AdjointHistory(levels=np.fft.rfft(levels, axis=1),
@@ -289,6 +300,17 @@ class TestCalibrate:
         assert again.alpha_star.tobytes() == report.alpha_star.tobytes()
         assert again.trace == report.trace
 
+    def test_refuses_samples_snapped_to_another_grid(self):
+        # counts snapped to another grid have the right length and would
+        # score every sample in another cell
+        setup = make_setup()
+        other = TorusGrid(0.0, 4 * np.pi, setup.grid.n)
+        samples = SampleSet.from_values(other.points[::3], other)
+        with pytest.raises(ValueError, match="snapped") as refused:
+            calibrate(setup, samples)
+        assert repr(other) in str(refused.value)
+        assert repr(setup.grid) in str(refused.value)
+
     def test_pure_diffusion_data_drives_rates_to_zero(self):
         setup = make_setup(n=210, n_steps=125, n_theta=3)
         samples = synthetic_samples(setup, [0.0, 0.0, 0.0], 100_000, seed=3)
@@ -423,3 +445,18 @@ class TestSweep:
         result = aic_sweep([bad, good], samples, OptimizerParams(max_iters=25))
         assert result.selected_n_theta == 2
         assert 4 in result.errors
+
+    def test_no_report_pins_its_history(self):
+        """A march's terminal and every report's are arrays of their own,
+        not views that keep the march's whole history alive."""
+        setup = make_setup(n=32, n_steps=12, n_theta=2)
+        fwd = run_forward([0.8, 0.3], setup)
+        assert fwd.terminal.flags.owndata
+        assert not np.shares_memory(fwd.terminal, fwd.values)
+        samples = synthetic_samples(setup, [0.8, 0.3], 400, seed=2)
+        other = make_setup(n=32, n_steps=12, n_theta=3)
+        result = aic_sweep([setup, other], samples,
+                           OptimizerParams(max_iters=5))
+        assert len(result.reports) == 2
+        for report in result.reports:
+            assert report.terminal.flags.owndata

@@ -248,13 +248,21 @@ def test_the_cut_drops_most_modes(problem, n_steps):
     assert not slope[kept:].any()
 
 
-@pytest.mark.parametrize("n_space, n_time, kept, modes", [
-    (420, 250, 92, 211), (840, 800, 91, 421)])
-def test_the_cut_keeps_the_benchmark_modes(n_space, n_time, kept, modes):
+@pytest.mark.parametrize("n_space, n_time, kept, modes, floor", [
+    pytest.param(420, 250, 92, 211, 1e-12, id="420-250-92-211"),
+    pytest.param(840, 800, 91, 421, 1e-12, id="840-800-91-421"),
+    pytest.param(420, 250, 84, 211, 1e-6, id="420-250-84-211-floor1e-6"),
+    pytest.param(840, 800, 83, 421, 1e-6, id="840-800-83-421-floor1e-6"),
+    pytest.param(420, 250, 107, 211, 1e-24, id="420-250-107-211-floor1e-24"),
+    pytest.param(840, 800, 104, 421, 1e-24, id="840-800-104-421-floor1e-24")])
+def test_the_cut_keeps_the_benchmark_modes(n_space, n_time, kept, modes,
+                                           floor):
     """At the default config's full-sweep and fine-grid shapes, 5 hats and
     `HAT_RATES`, the powers keep exactly the modes that the benchmark fits
-    keep there: a looser bound would keep more, a wrong one fewer."""
-    config = RunConfig(n_space=n_space, n_time=n_time)
+    keep there: a looser bound would keep more, a wrong one fewer.  The
+    cut reads the setup's objective floor, which weights what it drops:
+    a higher floor drops more modes, a lower one keeps more."""
+    config = RunConfig(n_space=n_space, n_time=n_time, objective_floor=floor)
     setup = calibration_setup(config, len(HAT_RATES))
     powers = solve_terminal(setup, HAT_RATES)
     assert (powers.modes, len(setup.f0_hat)) == (kept, modes)
