@@ -16,11 +16,11 @@ Both operators are circulant, so every Fourier mode evolves on its own:
 with a = `CCOperator.symbol`, g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).  One
 `CalibrationSetup` per fit builds every array that q leaves unchanged, and
-both routes take it and the rates.  `solve_forward` marches every mode in
-place, into its row of a substep and a level spectra array, in the order
-shown, and irffts each array once into the real-space history that
-`history_diagnostics` reads; the adjoint sweep's multipliers pair with
-the rfft of its rows.
+both routes take it and the rates.  The march steps every mode in place
+and irffts its levels a block of `_BLOCK_BYTES` at a time: `solve_forward`
+into the real-space history (the adjoint sweep's multipliers pair with
+its rows' rfft), and a fit's `march_diagnostics` folds each block into
+`history_diagnostics` as it comes, holding no history.
 `solve_terminal`, with which the fit evaluates its trials and gradients,
 reaches the terminal level alone by binary powers of each mode's companion
 matrix in long double, whose roundoff stays below the march's, over the
@@ -43,6 +43,9 @@ from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
 _EPS_LONG = float(np.finfo(np.longdouble).eps)
+# spectra and real values of a block of the march's levels: 38 levels at
+# N = 840, 77 at N = 420, and all 201 of N = 105, N_T = 200
+_BLOCK_BYTES = 1 << 19
 
 
 def _expm1(w: float) -> float:
@@ -177,11 +180,6 @@ def check_scheme(xi: float, boot_substeps: int = 1) -> None:
 def stability_bounds(cc: CCOperator, kernel: JumpKernel,
                      xi: float = 2.0) -> StabilityBounds:
     check_scheme(xi)
-    return _step_bounds(cc, kernel, xi)
-
-
-def _step_bounds(cc: CCOperator, kernel: JumpKernel,
-                 xi: float) -> StabilityBounds:
     a = kernel.total_rate
     dt_pos = math.inf if a == 0.0 else 1.0 / a
     # the jump term enters the two-step update with weight 2*dt, hence 2*a*xi
@@ -212,7 +210,7 @@ def admissible_bounds(setup: CalibrationSetup,
     dt_euler_positive = 1/a < 0, which the two-step bound admits for a
     small |a|.
     """
-    bounds = _step_bounds(setup.cc, kernel, setup.xi)
+    bounds = stability_bounds(setup.cc, kernel, setup.xi)
     dt = setup.time_grid.dt
     negative, weights = _weight_clause(kernel)
     if not setup.force and (dt > bounds.dt_bdf2
@@ -392,37 +390,64 @@ def _admitted(setup: CalibrationSetup, rates) -> tuple:
             1.0 + dt / setup.boot_substeps * q, 4.0 + 2.0 * dt * q)
 
 
+def _march(setup: CalibrationSetup, rates, out=None) -> tuple:
+    """The admitted bounds, the substeps g^0 .. g^{K-1} (if `out`) and a
+    generator of the levels F^0 .. F^{N_T} (row 0 f0 itself), in real
+    space, in blocks of the levels `_BLOCK_BYTES` holds (at least 2), each
+    irfft'd in one call into its rows of `out`, else into one reused block."""
+    bounds, euler_explicit, explicit = _admitted(setup, rates)
+    n, k = setup.grid.n, setup.boot_substeps
+    levels = setup.time_grid.n_steps + 1
+    block = max(2, _BLOCK_BYTES // (16 * (n // 2 + 1) + 8 * n))
+    hat = np.empty((max(k + 1, min(levels, block + 2)), n // 2 + 1), complex)
+    hat[0] = setup.f0_hat
+    # g^{s+1} from g^s; the last substep g^K is F^1
+    march_one_term(euler_explicit, setup.euler_implicit, hat[:k + 1])
+    substeps = None if out is None else np.fft.irfft(hat[:k], n=n, axis=1)
+    hat[1] = hat[k]
+    out = np.empty((min(levels, block), n)) if out is None else out
+
+    def blocks():
+        start = 0    # the first block irffts F^0 and F^1 too
+        for level in range(0, levels, block):
+            stop = start + min(block, levels - level)
+            march_two_term(explicit, setup.implicit, hat[:stop])
+            # level % len(out) is 0 in a reused block
+            rows = np.fft.irfft(hat[start:stop], n=n, axis=1,
+                                out=out[level % len(out):][:stop - start])
+            if level == 0:
+                rows[0] = setup.f0
+            hat[:2], start = hat[stop - 2:stop], 2
+            yield rows
+        # a NaN or an inf at any level stays non-finite under (e*x - y)/c,
+        # 0*inf included, and the irfft, so the last row shows it
+        if not np.all(np.isfinite(rows[-1])):
+            raise SolverError("non-finite values in the forward march")
+    return bounds, substeps, blocks()
+
+
 def solve_forward(setup: CalibrationSetup, rates) -> DensityHistory:
     """March the density from setup.f0 to t_final: `boot_substeps` implicit
     Euler substeps of dt/boot_substeps to the first level, then the
     two-step scheme, at a step and rates that `admissible_bounds` admits.
-    The march only checks its values for finiteness; `history_diagnostics`
-    measures mass and positivity.
+    The march holds the history and one block, and only checks its values
+    for finiteness; `history_diagnostics` measures mass and positivity.
     """
-    bounds, euler_explicit, explicit = _admitted(setup, rates)
-    n = setup.grid.n
-    # boot_hat[s] = g^s, s = 0 .. K-1; hat[m] = F^m, m = 0 .. N_T
-    boot_hat, hat = (np.empty((rows, n // 2 + 1), dtype=complex) for rows in
-                     (setup.boot_substeps, setup.time_grid.n_steps + 1))
-    boot_hat[0] = hat[0] = setup.f0_hat
-    # g^{s+1} from g^s; the last substep g^K is F^1
-    march_one_term(euler_explicit, setup.euler_implicit, [*boot_hat, hat[1]])
-    # the substeps' spectra go before the levels are irfft'd, so that the
-    # march never holds more than the levels' spectra and the real history
-    bootstrap = np.fft.irfft(boot_hat, n=n, axis=1)
-    del boot_hat
-    march_two_term(explicit, setup.implicit, hat)
-    values = np.fft.irfft(hat, n=n, axis=1)
-    # f0 itself, not its round trip through the rfft
-    values[0] = bootstrap[0] = setup.f0
-    # every row feeds the last one through the recurrence, and a NaN or an
-    # inf stays non-finite under (e*x - y)/c, 0*inf included, and under
-    # the irfft: this one check catches a non-finite value at any level
-    if not np.all(np.isfinite(values[-1])):
-        raise SolverError("non-finite values in the forward march")
+    values = np.empty((setup.time_grid.n_steps + 1, setup.grid.n))
+    bounds, bootstrap, blocks = _march(setup, rates, values)
+    list(blocks)    # each block is irfft'd into its rows of values
+    bootstrap[0] = setup.f0
     # a copy, so that a report keeping the terminal keeps no history
     return DensityHistory(values, bootstrap, values[-1].copy(), setup.grid,
                           setup.time_grid, bounds)
+
+
+def march_diagnostics(setup: CalibrationSetup, rates) -> tuple:
+    """The bytes of `solve_forward(setup, rates).terminal` (a copy) and of
+    `history_diagnostics` of that history, from a march that folds each
+    block into the diagnostics as it comes and so holds no history."""
+    bounds, _, blocks = _march(setup, rates)
+    return _fold(blocks, setup.grid.h, bounds, setup.time_grid.dt)
 
 
 def terminal_bounds(setup: CalibrationSetup, euler_explicit,
@@ -537,16 +562,25 @@ def history_diagnostics(history: DensityHistory) -> dict:
     meets the positivity condition of the two-step scheme.  bounds holds
     the step used next to the Euler and two-step bounds.
     """
-    values, bounds = history.values, history.bounds
-    masses = history.grid.h * values.sum(axis=1)
-    return {
-        "mass_drift": float(np.max(np.abs(masses - masses[0]))
-                            / abs(masses[0])),
-        "min_density": float(values.min()),
-        "xi_condition_min": float(np.min(bounds.xi * values[1] - values[0])),
-        "bounds": {
-            "dt_used": history.time_grid.dt,
-            "dt_euler_pos": bounds.dt_euler_positive,
-            "dt_bdf2": bounds.dt_bdf2,
-        },
+    return _fold([history.values], history.grid.h, history.bounds,
+                 history.time_grid.dt)[1]
+
+
+def _fold(blocks, h: float, bounds: StabilityBounds, dt: float) -> tuple:
+    """A copy of the last level and `history_diagnostics` of the levels, in
+    consecutive blocks (the first holds levels 0 and 1), folded a block at
+    a time: the masses' largest drift from the first, the running min."""
+    drift, low, mass0 = 0.0, math.inf, None
+    for block in blocks:
+        masses = h * block.sum(axis=1)
+        if mass0 is None:
+            mass0, xi_min = masses[0], np.min(bounds.xi * block[1] - block[0])
+        drift = np.maximum(drift, np.max(np.abs(masses - mass0)))
+        low = np.minimum(low, block.min())
+    return block[-1].copy(), {
+        "mass_drift": float(drift / abs(mass0)),
+        "min_density": float(low),
+        "xi_condition_min": float(xi_min),
+        "bounds": {"dt_used": dt, "dt_euler_pos": bounds.dt_euler_positive,
+                   "dt_bdf2": bounds.dt_bdf2},
     }

@@ -24,7 +24,7 @@ from .adjoint import AdjointHistory, terminal_condition
 from .adjoint import solve_adjoint  # noqa: F401  (the sweep the pairing reads)
 from .errors import LevyfitError, LineSearchError, StabilityError
 from .forward import (CalibrationSetup, DensityHistory, TerminalPowers,
-                      history_diagnostics, solve_forward, solve_terminal)
+                      march_diagnostics, solve_forward, solve_terminal)
 from .likelihood import ObjectiveValue, aic_score, evaluate_objective
 from .samples import SampleSet
 from .torus import SplineBasis
@@ -66,6 +66,7 @@ class FitReport:
 
 
 def run_forward(alpha, setup: CalibrationSetup) -> DensityHistory:
+    """The history at alpha, for perfbench's kernel timings and tests."""
     return solve_forward(setup, alpha)
 
 
@@ -177,10 +178,10 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     along the conjugate direction fails, it is retried once along steepest
     descent; when that fails too, the fit stops with stop="linesearch".
 
-    The history is marched once, at alpha_star: the report's terminal
-    density, j_star, its score, floored_count and the history diagnostics
-    all read that march; the trace holds the search's own values.  Samples
-    snapped to another grid than the setup's are refused (ValueError).
+    `march_diagnostics` marches once, at alpha_star, keeping no history:
+    the report's terminal density, j_star, its score, floored_count and the
+    history diagnostics all read it; the trace holds the search's own values.
+    Samples snapped to another grid than the setup's are refused (ValueError).
     """
     if samples.grid != setup.grid:
         raise ValueError(f"the samples are snapped to {samples.grid}, "
@@ -251,15 +252,15 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
                                         alpha_next)
         alpha, f_val, grad = alpha_next, f_next, grad_next
 
-    trial = powers = None   # no chain held through the peak, the march
-    fwd = run_forward(alpha, setup)
-    final = evaluate_objective(fwd.terminal, samples, setup.eps)
+    trial = powers = None   # no chain held through the march
+    terminal, marched = march_diagnostics(setup, alpha)
+    final = evaluate_objective(terminal, samples, setup.eps)
     diagnostics = {
         "stop": stop_note,
         "floored_count": final.floored_count,
         "grad_norm": pg_norm,
         "raw_grad_norm": float(np.linalg.norm(grad)),
-        **history_diagnostics(fwd),
+        **marched,
     }
     return FitReport(
         n_theta=n_theta,
@@ -269,7 +270,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         iterations=k,
         converged=stop_note == "tol",
         diagnostics=diagnostics,
-        terminal=fwd.terminal,
+        terminal=terminal,
         trace=trace,
     )
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (assembly_bound, march_setup, random_density,
                       small_problems)
+from levyfit import forward
 from levyfit.adjoint import solve_adjoint
 from levyfit.forward import solve_forward
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams, calibrate,
@@ -287,17 +288,42 @@ def fit_setup(n=512, n_steps=200, boot=10):
                             boot_substeps=boot)
 
 
-def test_fit_holds_one_diagnostics_history():
-    """Trials and gradients keep no history, so calibrate peaks at the one
-    march at alpha_star: its spectra and the real levels it returns,
-    which history_diagnostics reads, plus 16 vectors of modes (room for
-    its K real substeps too)."""
-    setup = fit_setup()
-    n, n_steps = setup.grid.n, setup.time_grid.n_steps
-    modes = n // 2 + 1
+def block_bytes(setup):
+    """One block of the march: the spectra and real rows of its levels,
+    within `_BLOCK_BYTES`, and the spectra of the two levels it carries."""
+    return forward._BLOCK_BYTES + 2 * (setup.grid.n // 2 + 1) * 16
+
+
+def fit_peak(setup):
     draws = np.random.default_rng(0).vonmises(0.0, 5.0, size=2000)
     samples = SampleSet.from_values(draws, setup.grid)
-    spectra = (setup.boot_substeps + n_steps + 1) * modes * 16
-    values = (n_steps + 1) * n * 8
-    peak = traced_peak(calibrate, setup, samples, OptimizerParams(max_iters=3))
-    assert peak <= spectra + values + 16 * modes * 16
+    return traced_peak(calibrate, setup, samples, OptimizerParams(max_iters=3))
+
+
+def test_fit_holds_one_diagnostics_history():
+    """Trials and gradients keep no history, and the one march at
+    alpha_star folds its levels into the diagnostics a block at a time,
+    so calibrate peaks at one block plus 16 vectors of modes: no history."""
+    setup = fit_setup()
+    modes = setup.grid.n // 2 + 1
+    assert fit_peak(setup) <= block_bytes(setup) + 16 * modes * 16
+
+
+def test_a_fit_pays_no_memory_for_its_steps():
+    """Ten times the steps cost calibrate no more than one block and a few
+    vectors of modes: N_T costs time, not memory."""
+    short, long = fit_setup(n_steps=200), fit_setup(n_steps=2000)
+    modes = short.grid.n // 2 + 1
+    assert fit_peak(long) <= (fit_peak(short) + block_bytes(short)
+                              + 8 * modes * 16)
+
+
+def test_forward_holds_its_history_and_one_block():
+    """solve_forward holds the levels and substeps it returns, and of the
+    march no more than one block."""
+    setup = fit_setup(n_steps=2000)
+    n, levels = setup.grid.n, setup.time_grid.n_steps + 1
+    history = (levels + setup.boot_substeps) * n * 8
+    rates = np.array([1.0, 0.5, 0.2])
+    assert (traced_peak(solve_forward, setup, rates)
+            <= history + block_bytes(setup))

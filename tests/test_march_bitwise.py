@@ -3,16 +3,21 @@ they replaced.  Both run the same operations in the same order on the same
 symbols, so they must agree bit for bit, not just to a tolerance: after
 other runs on the same operator too."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (SmallProblem, march_setup, random_density,
                       small_problems, with_f0_spectrum)
+from levyfit import forward
 from levyfit.adjoint import solve_adjoint
 from levyfit.errors import SolverError
 from levyfit.forward import (CCOperator, JumpKernel, bdf2_symbols,
-                             euler_symbols, solve_forward, solve_terminal)
+                             euler_symbols, history_diagnostics,
+                             march_diagnostics, solve_forward, solve_terminal)
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
                            tiling_centers)
 
@@ -93,6 +98,39 @@ def test_forward_march_equals_allocating_march(problem):
     assert np.array_equal(hist.values, values)
     assert np.array_equal(hist.bootstrap, bootstrap)
     assert np.array_equal(hist.terminal, values[-1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(problem=small_problems(), size=st.sampled_from([2, 3, 5, 38]))
+def test_blocked_march_has_the_bytes_of_the_whole_march(problem, size):
+    """Marched in blocks, `solve_forward` has the levels and substeps of the
+    whole-array march, and `march_diagnostics` the bytes of its terminal
+    and of `history_diagnostics` of its history, for N_T + 1 below the
+    block, equal to it, one more than it and than twice it, and twice it:
+    at blocks of 2, 3, 5 and 38 levels (fine_grid's), each set through
+    `_BLOCK_BYTES`, whose own value makes one block of every problem here."""
+    f0, _ = inputs(problem)
+    edges = [m for m in (size - 1, size, size + 1, 2 * size, 2 * size + 1)
+             if m >= 3]
+    n = problem.cc.grid.n
+    budget = size * (16 * (n // 2 + 1) + 8 * n)   # a level's bytes
+    with mock.patch.object(forward, "_BLOCK_BYTES", budget):
+        for levels in edges:
+            tg = TimeGrid(problem.time_grid.t_final, levels - 1)
+            setup = march_setup(problem._replace(time_grid=tg), f0,
+                                force=True)
+            hist = solve_forward(setup, problem.rates)
+            terminal, diagnostics = march_diagnostics(setup, problem.rates)
+            values, bootstrap = allocating_forward(
+                f0, problem.rates, problem.basis, problem.cc, tg,
+                problem.boot_substeps)
+            assert hist.values.tobytes() == values.tobytes()
+            assert hist.bootstrap.tobytes() == bootstrap.tobytes()
+            for row in (hist.values[0], hist.bootstrap[0]):
+                assert row.tobytes() == setup.f0.tobytes()
+            assert terminal.tobytes() == hist.terminal.tobytes()
+            assert terminal.flags.owndata
+            assert repr(diagnostics) == repr(history_diagnostics(hist))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -182,8 +220,9 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
 def test_overflow_at_an_early_level_is_refused(n):
     """Rates near the float range overflow the march within its first
     substeps and the sweep within its first levels.  Each checks only the
-    last row it writes, and both still raise; so do the companion-matrix
-    powers, at their value, and at a derivative that overflows alone."""
+    last row it writes, and both still raise, the streamed march with the
+    march's text; so do the companion-matrix powers, at their value, and
+    at a derivative that overflows alone."""
     grid = TorusGrid(0.0, 2 * np.pi, n)
     cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
     basis = make_basis(tiling_centers(3, grid), grid)
@@ -192,9 +231,11 @@ def test_overflow_at_an_early_level_is_refused(n):
     f0, data = random_density(rng, grid), rng.normal(size=n)
     problem = SmallProblem(cc, basis, rates, tg, boot)
     setup = march_setup(problem, f0, force=True)
-    with pytest.raises(SolverError), np.errstate(over="ignore",
-                                                 invalid="ignore"):
-        solve_forward(setup, rates)
+    for march in (solve_forward, march_diagnostics):
+        with pytest.raises(SolverError, match="^non-finite values in the "
+                           "forward march$"), np.errstate(over="ignore",
+                                                          invalid="ignore"):
+            march(setup, rates)
     with pytest.raises(SolverError), np.errstate(over="ignore",
                                                  invalid="ignore"):
         solve_adjoint(data, rates, basis, cc, tg, boot_substeps=boot)

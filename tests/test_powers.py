@@ -24,8 +24,8 @@ from levyfit.config import RunConfig, calibration_setup
 from levyfit.errors import SolverError, StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
                              bdf2_symbols, euler_symbols, history_diagnostics,
-                             solve_forward, solve_terminal, stability_bounds,
-                             terminal_bounds)
+                             march_diagnostics, solve_forward, solve_terminal,
+                             stability_bounds, terminal_bounds)
 from levyfit.likelihood import evaluate_objective
 from levyfit.optimizer import (gradient_from_histories, objective,
                                reduced_gradient, run_forward)
@@ -353,8 +353,8 @@ def refusal(solve, *args, **kwargs):
 def test_both_paths_refuse_the_same_steps(problem):
     """Rates scaled from far below to far above the scale s at which the
     tighter step bound meets dt, and across s by one part in 1e12: the
-    march and the powers refuse the same trials with the same text, and
-    neither refuses with force."""
+    march, the streamed march and the powers refuse the same trials with
+    the same text, and none refuses with force."""
     cc, basis, rates, tg, boot, rng = problem
     if not rates.any():
         rates = np.ones_like(rates)
@@ -372,7 +372,8 @@ def test_both_paths_refuse_the_same_steps(problem):
         for force in (False, True):
             march = refusal(solve_forward, setups[force], point)
             powers = refusal(solve_terminal, setups[force], point)
-            assert march == powers
+            streamed = refusal(march_diagnostics, setups[force], point)
+            assert march == powers == streamed
             if force:
                 assert march is None
             else:
@@ -384,10 +385,21 @@ def test_both_paths_refuse_the_same_steps(problem):
         assert f"{stability_bounds(cc, kernel).dt_bdf2:.4e}" in outcomes[-2]
 
 
+def assert_same_refusal(setup, rates, clause):
+    """The march, the streamed march and the powers raise one
+    StabilityError text, which names `clause`."""
+    texts = set()
+    for solve in (solve_forward, march_diagnostics, solve_terminal):
+        with pytest.raises(StabilityError, match=clause) as refused:
+            solve(setup, rates)
+        texts.add(str(refused.value))
+    assert len(texts) == 1
+
+
 def test_both_paths_refuse_a_negative_total_rate():
     """A small negative total rate a passes the two-step bound, but not
-    the Euler one, dt_euler_positive = 1/a < 0: the march and the powers
-    refuse it for that clause alone."""
+    the Euler one, dt_euler_positive = 1/a < 0: the march, the streamed
+    march and the powers refuse it for that clause alone."""
     grid = TorusGrid(0.0, 2 * np.pi, 16)
     cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
     basis = make_basis(tiling_centers(3, grid), grid)
@@ -396,17 +408,15 @@ def test_both_paths_refuse_a_negative_total_rate():
     assert tg.dt <= bounds.dt_bdf2 and bounds.dt_euler_positive < 0.0
     f0 = random_density(np.random.default_rng(16), grid)
     setup = march_setup(SmallProblem(cc, basis, rates, tg), f0)
-    for solve in (solve_forward, solve_terminal):
-        with pytest.raises(StabilityError, match="euler <= -"):
-            solve(setup, rates)
+    assert_same_refusal(setup, rates, "euler <= -")
 
 
 @pytest.mark.parametrize("rates", [[-0.5, 1.0, 1.0], [-2.0, 1.0, 1.5]])
 def test_both_paths_refuse_a_negative_weight(rates):
     """A negative rate whose total stays positive passes both step bounds,
     but gives the kernel negative weights, for which the positivity proof
-    does not hold: the march and the powers refuse it, and with force the
-    march runs and goes negative."""
+    does not hold: the march, the streamed march and the powers refuse it
+    with the same text, and with force the march runs and goes negative."""
     grid = TorusGrid(-np.pi, np.pi, 64)
     cc = CCOperator(grid, ModelCoefficients(0.0, 0.02))
     basis = make_basis(tiling_centers(3, grid), grid)
@@ -417,10 +427,10 @@ def test_both_paths_refuse_a_negative_weight(rates):
     assert tg.dt <= min(bounds.dt_bdf2, 10 * bounds.dt_euler_positive)
     f0 = von_mises_density(grid, 0.0, 400.0)
     problem = SmallProblem(cc, basis, rates, tg)
-    for solve in (solve_forward, solve_terminal):
-        with pytest.raises(StabilityError, match="weights >= 0, smallest -"):
-            solve(march_setup(problem, f0), rates)
+    assert_same_refusal(march_setup(problem, f0), rates,
+                        "weights >= 0, smallest -")
     forced = march_setup(problem, f0, force=True)
     history = solve_forward(forced, rates)
     assert history_diagnostics(history)["min_density"] < 0.0
+    assert march_diagnostics(forced, rates)[1] == history_diagnostics(history)
     assert np.isfinite(solve_terminal(forced, rates).density).all()
