@@ -72,9 +72,12 @@ class RunConfig:
 
     def calibration_setups(self) -> list[CalibrationSetup]:
         """Check the fit rules no constructor owns, then build the fit
-        problems, one per entry of n_theta_list; a ValueError of the
-        objects they are built from becomes a ConfigError.  The simulation
-        is checked where it is built, by experiment.simulate_samples."""
+        problems, one per entry of n_theta_list: the first as
+        `calibration_setup` builds it, the others from it by
+        `CalibrationSetup.with_basis`, sharing its rate-free arrays.  A
+        ValueError of the objects they are built from becomes a
+        ConfigError.  The simulation is checked where it is built, by
+        experiment.simulate_samples."""
         if not self.n_theta_list:
             raise ConfigError("n_theta_list must not be empty")
         if self.hist_bins < 1:
@@ -82,7 +85,10 @@ class RunConfig:
         try:
             self.optimizer_params()
             aic_score(0.0, 1, 1, self.aic_penalty)  # checks the penalty name
-            setups = [calibration_setup(self, n) for n in self.n_theta_list]
+            first = calibration_setup(self, self.n_theta_list[0])
+            setups = [first] + [
+                first.with_basis(build_basis(n, self, first.grid))
+                for n in self.n_theta_list[1:]]
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return setups

@@ -15,7 +15,8 @@ nonnegative kernel, whose symbol q is linear in the rates: rates @
 Both operators are circulant, so every Fourier mode evolves on its own:
 with a = `CCOperator.symbol`, g <- g*(1 + tau*q)/(1 - tau*a) (Euler) and
 F_{m+1} = ((4 + 2dt*q)*F_m - F_{m-1})/(3 - 2dt*a) (BDF2).  One
-`CalibrationSetup` per fit builds every array that q leaves unchanged, and
+`CalibrationSetup` per fit holds every array that q leaves unchanged,
+built once and shared by a sweep's other basis sizes (`with_basis`), and
 both routes take it and the rates.  The march steps every mode in place
 and irffts its levels a block of `_BLOCK_BYTES` at a time: `solve_forward`
 into the real-space history (the adjoint sweep's multipliers pair with
@@ -24,13 +25,17 @@ its rows' rfft), and a fit's `march_diagnostics` folds each block into
 `solve_terminal`, with which the fit evaluates its trials and gradients,
 reaches the terminal level alone by binary powers of each mode's companion
 matrix in long double, whose roundoff stays below the march's, over the
-modes that `terminal_bounds` finds reaching t_final; the q-derivative
-reads that chain (`TerminalPowers.derivative`).  Both refuse the same
-steps (`admissible_bounds`) and check only the terminal level.
+modes that `terminal_bounds` finds reaching t_final.  It takes them as the
+matrix's Lucas pair (U_n, V_n), whose doublings read the rate-free rows
+2Q^n that the setup builds once, and the q-derivative reads that chain
+(`TerminalPowers.derivative`), in which only U carries a derivative.
+Both routes refuse the same steps (`admissible_bounds`) and check only
+the terminal level.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -251,8 +256,11 @@ class CalibrationSetup:
     read-only, every array of both routes that the rates leave unchanged:
     `cc`, f0 checked and its rfft `f0_hat`, `euler_implicit` = 1 - tau*a,
     `implicit` = c = 3 - 2dt*a, `terminal_bounds`' `start` =
-    |f0_hat|/|f0_hat[0]| and `four_over_c` = 4/c, and `long_symbols`, the
-    rows 1 - tau*a, c, f0_hat, r = -1/c and 2dt/c in long double."""
+    |f0_hat|/|f0_hat[0]| and `four_over_c` = 4/c, and in long double
+    `long_symbols`, the rows 1 - tau*a, c, f0_hat, r = -1/c and 2dt/c, and
+    `two_q_powers`, the row 2Q^n of each doubling of `solve_terminal`
+    (Q = 1/c, n the bits of N_T - 1 read before it).  `with_basis` gives
+    a setup of another basis that shares them."""
 
     grid: TorusGrid
     time_grid: TimeGrid
@@ -270,14 +278,13 @@ class CalibrationSetup:
     start: np.ndarray = field(init=False, repr=False)
     four_over_c: np.ndarray = field(init=False, repr=False)
     long_symbols: np.ndarray = field(init=False, repr=False)
+    two_q_powers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError(f"the objective floor must be > 0, got {self.eps}")
         check_scheme(self.xi, self.boot_substeps)
-        if self.basis.grid != self.grid:
-            raise ValueError(f"the basis is built on {self.basis.grid}, "
-                             f"the setup's grid is {self.grid}")
+        self._check_basis(self.basis)
         f0 = check_initial_density(self.f0, self.grid)
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
         dt, a = self.time_grid.dt, self.cc.symbol
@@ -287,12 +294,34 @@ class CalibrationSetup:
         # the powers' operands in long double, from the march's symbols
         long = np.array([euler_implicit, implicit, f0_hat], np.clongdouble)
         long = np.concatenate([long, [-1.0 / long[1], 2.0 * dt / long[1]]])
+        bits = f"{self.time_grid.n_steps - 1:b}"[1:]
+        two_q_powers = np.empty((len(bits), len(f0_hat)), np.clongdouble)
+        power = q = 1.0 / long[1]      # Q^n, n the bits read so far
+        for row, bit in zip(two_q_powers, bits):
+            np.multiply(2.0, power, row)
+            power = power * power
+            if bit == "1":
+                power = power * q
         arrays = {"f0": f0, "f0_hat": f0_hat, "euler_implicit": euler_implicit,
                   "implicit": implicit, "start": abs(f0_hat) / abs(f0_hat[0]),
-                  "four_over_c": 4.0 / implicit, "long_symbols": long}
+                  "four_over_c": 4.0 / implicit, "long_symbols": long,
+                  "two_q_powers": two_q_powers}
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    def _check_basis(self, basis: SplineBasis) -> None:
+        if basis.grid != self.grid:
+            raise ValueError(f"the basis is built on {basis.grid}, "
+                             f"the setup's grid is {self.grid}")
+
+    def with_basis(self, basis: SplineBasis) -> CalibrationSetup:
+        """This setup with another basis, on its grid, sharing every array
+        the rates leave unchanged: none of them reads the basis."""
+        self._check_basis(basis)
+        setup = copy.copy(self)
+        object.__setattr__(setup, "basis", basis)
+        return setup
 
 
 def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
@@ -474,9 +503,10 @@ def terminal_bounds(setup: CalibrationSetup, euler_explicit,
 @dataclass(frozen=True, eq=False)
 class TerminalPowers:
     """`solve_terminal` at `setup` and `rates` (a copy): the `density`
-    and, over the first `modes` modes, the chain `derivative` reads: t,
-    F^1, F^2, e^(K-1), per bit of N_T - 1 the (u, v, u*u) squared and the
-    u then multiplied by M (else None), and the power's (u, v)."""
+    and, over the first `modes` modes, the chain `derivative` reads: t/2,
+    F^1, y = (t/2)*F^1 + r*F^0, e^(K-1), per bit of N_T - 1 the (Z, V)
+    doubled and the Z then stepped by one (else None), and the power's
+    (Z, V)."""
 
     density: np.ndarray
     setup: CalibrationSetup = field(repr=False)
@@ -485,20 +515,26 @@ class TerminalPowers:
     chain: tuple = field(repr=False)
 
     def derivative(self) -> np.ndarray:
-        """The terminal spectrum's q-derivative per mode: the chain's
-        products by the product rule, plus dt*e^(K-1)/(1 - tau*a)*F^0."""
+        """The terminal spectrum's q-derivative per mode, from dV_n/dt =
+        n*U_n, exact for the polynomials U_n and V_n of t: only Z carries
+        a derivative, dZ_2n = dZ_n*V_n + (n/2)*Z_n^2 per doubling and
+        dZ_{n+1} = ((n+1)/2)*Z_n + (t/2)*dZ_n per set bit, with dt/dq the
+        slope 2dt/c; plus dt*e^(K-1)/(1 - tau*a)*F^0 through F^1."""
         setup, modes = self.setup, self.modes
-        t, x1, x2, grown, steps, (u, v) = self.chain
-        euler_implicit, _, x0, r, slope = setup.long_symbols[:, :modes]
-        du, dv = 0.0, 0.0
-        for u_j, v_j, s, times in steps:
-            ds, cross, dw = 2.0 * (u_j * du), du * v_j + u_j * dv, v_j * dv
-            du, dv = ds * t + s * slope + (cross + cross), (dw + dw) + ds * r
-            if times is not None:
-                du, dv = du * t + times * slope + dv, du * r
+        half, x1, y, grown, steps, (z, v) = self.chain
+        euler_implicit, _, x0, _, slope = setup.long_symbols[:, :modes]
+        n, dz = 1, 0.0      # dZ_n/dt, n the bits read so far
+        for z_n, v_n, z_bit in steps:
+            dz = dz * v_n + 0.5 * n * (z_n * z_n)
+            n += n
+            if z_bit is not None:
+                dz = 0.5 * (n + 1) * z_bit + half * dz
+                n += 1
         dx1 = setup.time_grid.dt * grown / euler_implicit * x0
+        # F = (Z*y + V*F^1)/2, dy/dq = slope/2*F^1 + (t/2)*dF^1
         dx = np.zeros(len(setup.f0_hat), dtype=complex)
-        dx[:modes] = du * x2 + u * (slope * x1 + t * dx1) + dv * x1 + v * dx1
+        dx[:modes] = 0.5 * (slope * (dz * y + 0.5 * (n + 1) * z * x1)
+                            + (half * z + v) * dx1)
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite values in the terminal derivative")
         return dx
@@ -509,13 +545,19 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     of powers that gives its q-derivative (`TerminalPowers.derivative`).
 
     Per mode, (F^{m+1}, F^m) = M (F^m, F^{m-1}) with M = [[t, r], [1, 0]],
-    t = (4 + 2dt*q)/(3 - 2dt*a) and r = -1/(3 - 2dt*a); F^1 = e^K F^0 with
-    e = (1 + tau*q)/(1 - tau*a).  M^{N_T-1} = u*M + v*I (M^2 = t*M + r*I)
-    is built from the highest bit of N_T - 1 down, by a square per bit and
-    a product with M per set bit, so F^{N_T} = u*F^2 + v*F^1.  Modes past
-    the last whose `terminal_bounds` sum to more than long-double eps times
-    setup.eps over N/2 + 1, or to NaN, are exact zeros of the spectrum and
-    of its derivative.
+    t = (4 + 2dt*q)/c, r = -1/c, c = 3 - 2dt*a; F^1 = e^K F^0 with
+    e = (1 + tau*q)/(1 - tau*a).  Only the trace t reads the rates, not
+    the determinant Q = -r.  M^n = U_n*M + r*U_{n-1}*I for the Lucas pair
+    U_{n+1} = t*U_n + r*U_{n-1} (U_0 = 0, U_1 = 1), V_n = t*U_n +
+    2r*U_{n-1}, built as (Z, V) = (2U_n, V_n) from the highest bit of
+    n = N_T - 1 down: a doubling is Z_2n = Z_n*V_n, V_2n = V_n^2 - 2Q^n
+    (the setup's `two_q_powers`), a set bit Z_{n+1} = (t/2)*Z_n + V_n,
+    V_{n+1} = (t/2)*Z_{n+1} + r*Z_n.  None divides by the discriminant
+    t^2 - 4Q, 0 at a double root.  F^{N_T} = U_n*F^2 + r*U_{n-1}*F^1 =
+    (Z*y + V*F^1)/2, y = (t/2)*F^1 + r*F^0.  Modes past the last whose
+    `terminal_bounds` sum to more than long-double eps times setup.eps
+    over N/2 + 1, or to NaN, are exact zeros of the spectrum and of its
+    derivative.
     """
     _, euler_explicit, explicit = _admitted(setup, rates)
     reach = np.add(*terminal_bounds(setup, euler_explicit, explicit))
@@ -525,7 +567,7 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     # resolution and the irfft's rounding
     negligible = _EPS_LONG * setup.eps / len(reach)
     modes = len(reach) - np.argmin(reach[::-1] <= negligible)
-    # long double from the march's symbols on: each squaring doubles the
+    # long double from the march's symbols on: each doubling doubles the
     # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
     euler_explicit, explicit = (np.asarray(x[:modes], dtype=np.clongdouble)
                                 for x in (euler_explicit, explicit))
@@ -533,24 +575,27 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     growth = euler_explicit / euler_implicit
     grown = growth ** (setup.boot_substeps - 1)
     x1 = grown * growth * x0
-    x2 = (explicit * x1 - x0) / implicit
     t = explicit / implicit
-    u, v, steps = 1.0, 0.0, []    # (u, v) of M^j, j the bits read so far
-    for bit in f"{setup.time_grid.n_steps - 1:b}"[1:]:
-        s, w = u * u, u * v
-        step = (u, v, s)
-        u, v = s * t + (w + w), v * v + s * r
-        steps.append((*step, u if bit == "1" else None))
+    half = 0.5 * t
+    bits = f"{setup.time_grid.n_steps - 1:b}"[1:]
+    z, v, steps = 2.0, t, []    # (2U_n, V_n), n the bits read so far
+    for bit, two_q in zip(bits, setup.two_q_powers[:, :modes]):
+        z_n, v_n = z, v
+        z, v = z * v, v * v - two_q
+        steps.append((z_n, v_n, z if bit == "1" else None))
         if bit == "1":
-            u, v = u * t + v, u * r
-    terminal = np.fft.irfft((u * x2 + v * x1).astype(complex), n=setup.grid.n)
+            z_n, z = z, half * z + v
+            v = half * z + r * z_n
+    y = half * x1 + r * x0
+    terminal = np.fft.irfft((0.5 * (z * y + v * x1)).astype(complex),
+                            n=setup.grid.n)
     if not np.all(np.isfinite(terminal)):     # as in solve_forward
         raise SolverError("non-finite values in the terminal density")
     rates = np.array(rates, dtype=float)
     for array in (terminal, rates):
         array.flags.writeable = False
     return TerminalPowers(terminal, setup, rates, int(modes),
-                          (t, x1, x2, grown, tuple(steps), (u, v)))
+                          (half, x1, y, grown, tuple(steps), (z, v)))
 
 
 def history_diagnostics(history: DensityHistory) -> dict:

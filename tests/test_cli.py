@@ -69,9 +69,17 @@ def count_builds(monkeypatch, cls, label):
 
 
 def count_setup_builds(monkeypatch):
-    """Record the n_theta of every CalibrationSetup built, wherever."""
-    return count_builds(monkeypatch, CalibrationSetup,
-                        lambda setup: setup.basis.n_theta)
+    """Record the n_theta of every CalibrationSetup built, wherever: by
+    its constructor, or from another setup by `with_basis`."""
+    built = count_builds(monkeypatch, CalibrationSetup,
+                         lambda setup: setup.basis.n_theta)
+    real = CalibrationSetup.with_basis
+
+    def derived(setup, basis):
+        built.append(basis.n_theta)
+        return real(setup, basis)
+    monkeypatch.setattr(CalibrationSetup, "with_basis", derived)
+    return built
 
 
 class TestConfig:
@@ -112,6 +120,34 @@ class TestConfig:
                   if line.startswith("| `")
                   for key in re.findall(r"`(\w+)`", line.split("|")[1])]
         assert sorted(listed) == sorted(f.name for f in fields(RunConfig))
+
+    def test_setups_share_their_rate_free_arrays(self):
+        """The sweep's setups differ only in their basis: each shares the
+        first one's arrays that the rates leave unchanged, by identity, and
+        equals, field for field and array for array, the setup that
+        `calibration_setup` builds alone for its size."""
+        cfg = RunConfig(n_space=64, n_time=40)
+        setups = cfg.calibration_setups()
+        assert [s.basis.n_theta for s in setups] == [3, 4, 5, 6, 7]
+        for setup in setups:
+            alone = calibration_setup(cfg, setup.basis.n_theta)
+            for field in fields(setup):
+                mine, built = (getattr(s, field.name) for s in (setup, alone))
+                if field.name == "basis":
+                    assert mine.grid == built.grid
+                    for name in ("centers", "samples", "jump_symbols"):
+                        assert np.array_equal(getattr(mine, name),
+                                              getattr(built, name))
+                elif isinstance(mine, np.ndarray):
+                    assert mine is getattr(setups[0], field.name)
+                    # array_equal: long double's padding bytes are not data
+                    assert mine.dtype == built.dtype
+                    assert np.array_equal(mine, built)
+                else:
+                    assert mine == built
+        assert setups[4].long_symbols is setups[0].long_symbols
+        assert setups[4].two_q_powers is setups[0].two_q_powers
+        assert setups[0].two_q_powers.shape == (5, 33)
 
     def test_full_centers_tile_the_torus(self, tiny_cfg, tmp_path):
         cfg = load_config(tiny_cfg, ["centers_mode=full"])

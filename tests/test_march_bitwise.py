@@ -182,7 +182,8 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
     shift - scale*a from the operator's one symbol a, and mode 0 of each
     is its shift exactly.  A setup keeps the two factors of the routes
     read-only, with the bits of `euler_symbols` and `bdf2_symbols`, and
-    their long-double rows are the conversions of the double arrays."""
+    their long-double rows are the conversions of the double arrays, with
+    the rows 2Q^n of the powers' doublings."""
     cc, basis, rates, tg, boot, _ = problem
     kernel = JumpKernel.from_rates(rates, basis)
     dt, tau = tg.dt, tg.dt / boot
@@ -210,9 +211,19 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
     assert np.array_equal(setup.start,
                           abs(setup.f0_hat) / abs(setup.f0_hat[0]))
     assert np.array_equal(setup.four_over_c, 4.0 / setup.implicit)
+    # the row of each doubling is 2Q^n, Q = 1/c, n the bits of N_T - 1
+    # before it, to the roundoff of the squarings that build it
+    bits, eps_long = f"{tg.n_steps - 1:b}", np.finfo(np.longdouble).eps
+    assert setup.two_q_powers.shape == (len(bits) - 1, len(setup.f0_hat))
+    assert setup.two_q_powers.dtype == np.clongdouble
+    for count, row in enumerate(setup.two_q_powers, 1):
+        n = int(bits[:count], 2)
+        expected = 2.0 * (1.0 / c) ** n
+        assert np.all(np.abs(row - expected)
+                      <= 4 * n * eps_long * np.abs(expected))
     for array in (setup.f0, setup.f0_hat, setup.euler_implicit,
                   setup.implicit, setup.start, setup.four_over_c,
-                  setup.long_symbols):
+                  setup.long_symbols, setup.two_q_powers):
         assert not array.flags.writeable
 
 

@@ -62,6 +62,10 @@ def test_setup_refuses_a_basis_built_on_another_grid():
         CalibrationSetup(**fields, basis=make_basis(band_centers(3), other))
     assert repr(other) in str(refused.value)
     assert repr(setup.grid) in str(refused.value)
+    # a setup derived from another, sharing its arrays, checks it alike
+    with pytest.raises(ValueError) as derived:
+        setup.with_basis(make_basis(band_centers(3), other))
+    assert str(derived.value) == str(refused.value)
 
 
 class TestReducedGradient:

@@ -155,15 +155,20 @@ def test_powers_carry_long_double_roundoff(problem, n_steps):
     lose that in long-double eps.  Against the march run in long double
     from the same symbols, the powers are within the rounding of their
     result to double, at every N_T."""
-    rates = problem.rates
-    setup = problem_setup(problem, n_steps)
+    assert_long_double_roundoff(problem_setup(problem, n_steps),
+                                problem.rates)
+
+
+def assert_long_double_roundoff(setup, rates):
+    """The powers' derivative spectrum and density against the march run in
+    long double, within a few long-double eps per term added."""
     n = setup.grid.n
     powers = solve_terminal(setup, rates)
     terminal, slope = powers.density, powers.derivative()
     level, level_slope = march_by_modes(setup, rates)
     size, size_slope = march_by_modes(setup, rates, magnitude=True)
     # a few long-double eps per term, over the substeps and the steps
-    growth = 8 * (setup.boot_substeps + n_steps) * EPS_LONG
+    growth = 8 * (setup.boot_substeps + setup.time_grid.n_steps) * EPS_LONG
     assert np.all(np.abs(slope - level_slope)
                   <= EPS * np.abs(level_slope) + growth * size_slope)
     # in real space the irfft, which the march shares, adds n eps per mode
@@ -171,6 +176,7 @@ def test_powers_carry_long_double_roundoff(problem, n_steps):
                                      + growth * size)
     assert np.all(np.abs(terminal - np.fft.irfft(level, n=n))
                   <= density_error)
+    return powers
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -201,6 +207,23 @@ def test_the_gradient_reads_the_objectives_powers(problem, n_steps):
 # dt = -1/(2a) its companion matrix is [[1, -1/4], [1, 0]], whose double
 # root 1/2 makes |u_n| = n/2^(n-1), the bound itself
 DOUBLE_ROOT_DT = (2 * np.pi / 16) ** 2 / (2 * (1 - np.cos(np.pi / 4)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="long double is double on this platform")
+@pytest.mark.parametrize("n_steps", [65, 128])
+def test_powers_at_a_double_root(n_steps):
+    """With q = 0, t = 4/c and Q = 1/c, so the discriminant t^2 - 4Q is 0
+    at c = 4, 2dt*a = -1: at DOUBLE_ROOT_DT mode 2 has it to roundoff.
+    The mode is kept, and the powers' value and derivative there are
+    within the bounds of `test_powers_carry_long_double_roundoff`, which
+    a derivative that divides by the discriminant is not."""
+    problem = drift_free_problem(16, 1.0, [0.0] * 3, n_steps * DOUBLE_ROOT_DT)
+    setup = problem_setup(problem, n_steps)
+    c = setup.long_symbols[1, 2]
+    assert abs((4.0 / c) ** 2 - 4.0 / c) <= 4 * EPS
+    powers = assert_long_double_roundoff(setup, problem.rates)
+    assert powers.modes > 2 and powers.derivative()[2] != 0.0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
