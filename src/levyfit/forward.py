@@ -25,10 +25,11 @@ its rows' rfft), and a fit's `march_diagnostics` folds each block into
 `solve_terminal`, with which the fit evaluates its trials and gradients,
 reaches the terminal level alone by binary powers of each mode's companion
 matrix in long double, whose roundoff stays below the march's, over the
-modes that `terminal_bounds` finds reaching t_final.  It takes them as the
-matrix's Lucas pair (U_n, V_n), whose doublings read the rate-free rows
-2Q^n that the setup builds once, and the q-derivative reads that chain
-(`TerminalPowers.derivative`), in which only U carries a derivative.
+modes that the setup finds some admitted rates carry to t_final
+(`terminal_bounds`).  It takes them as the matrix's Lucas pair (U_n, V_n),
+whose doublings read the rate-free rows 2Q^n that the setup builds once,
+and the q-derivative reads that chain (`TerminalPowers.derivative`), in
+which only U carries a derivative.
 Both routes refuse the same steps (`admissible_bounds`) and check only
 the terminal level.
 """
@@ -47,7 +48,8 @@ from .likelihood import DEFAULT_FLOOR
 from .torus import ModelCoefficients, SplineBasis, TimeGrid, TorusGrid
 
 _W_SERIES = 1e-4  # switch point between closed forms and small-w expansions
-_EPS_LONG = float(np.finfo(np.longdouble).eps)
+_POWERS_DTYPE = np.clongdouble   # of the powers and the setup's rows
+_EPS_LONG = float(np.finfo(_POWERS_DTYPE).eps)
 # spectra and real values of a block of the march's levels: 38 levels at
 # N = 840, 77 at N = 420, and all 201 of N = 105, N_T = 200
 _BLOCK_BYTES = 1 << 19
@@ -126,7 +128,8 @@ class JumpKernel:
     multiplied by the quadrature step h); total_rate is their sum, the
     total jump intensity seen by the scheme.  symbol is the rfft symbol of
     the forward jump operator, rfft(weights) - total_rate, which every
-    route steps with; `from_rates` takes it from the basis' `jump_symbols`.
+    route steps with; `from_rates` takes it from the basis' `jump_symbols`,
+    over its first `modes` modes (all if None), the powers' prefix.
     """
 
     weights: np.ndarray
@@ -134,14 +137,15 @@ class JumpKernel:
     symbol: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_rates(cls, rates, basis: SplineBasis) -> "JumpKernel":
+    def from_rates(cls, rates, basis: SplineBasis,
+                   modes: int | None = None) -> "JumpKernel":
         rates = np.atleast_1d(np.asarray(rates, dtype=float))
         if rates.shape != (basis.n_theta,):
             raise ValueError(
                 f"expected {basis.n_theta} rates, got shape {rates.shape}")
         weights = basis.grid.h * (rates @ basis.samples)
         return cls(weights=weights, total_rate=float(weights.sum()),
-                   symbol=rates @ basis.jump_symbols)
+                   symbol=rates @ basis.jump_symbols[:, :modes])
 
 
 def apply_jump_operator(f: np.ndarray, kernel: JumpKernel) -> np.ndarray:
@@ -217,23 +221,22 @@ def admissible_bounds(setup: CalibrationSetup,
     """
     bounds = stability_bounds(setup.cc, kernel, setup.xi)
     dt = setup.time_grid.dt
-    negative, weights = _weight_clause(kernel)
-    if not setup.force and (dt > bounds.dt_bdf2
+    if not setup.force and (dt > bounds.dt_bdf2 or kernel.weights.min() < 0
                             or dt / setup.boot_substeps
-                            > bounds.dt_euler_positive or negative):
+                            > bounds.dt_euler_positive):
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, "
-            f"euler <= {bounds.dt_euler_positive:.4e}, both for {weights}); "
+            f"euler <= {bounds.dt_euler_positive:.4e}, both for "
+            f"{_weight_clause(kernel)}); "
             "pass force=True (config key force_dt) to integrate anyway")
     return bounds
 
 
-def _weight_clause(kernel: JumpKernel) -> tuple[bool, str]:
-    """Whether a kernel weight is negative, which the positivity proof
-    behind every step bound excludes, and the clause naming the smallest."""
-    weight = float(kernel.weights.min())
-    return weight < 0.0, f"jump weights >= 0, smallest {weight:.4e}"
+def _weight_clause(kernel: JumpKernel) -> str:
+    """The refusal's clause naming the smallest kernel weight, which the
+    positivity proof behind every step bound needs nonnegative."""
+    return f"jump weights >= 0, smallest {float(kernel.weights.min()):.4e}"
 
 
 def check_initial_density(f0, grid: TorusGrid) -> np.ndarray:
@@ -255,8 +258,9 @@ class CalibrationSetup:
     """Everything fixed during one fit and, built from it once and
     read-only, every array of both routes that the rates leave unchanged:
     `cc`, f0 checked and its rfft `f0_hat`, `euler_implicit` = 1 - tau*a,
-    `implicit` = c = 3 - 2dt*a, `terminal_bounds`' `start` =
-    |f0_hat|/|f0_hat[0]| and `four_over_c` = 4/c, and in long double
+    `implicit` = c = 3 - 2dt*a, the number `modes` of the leading modes
+    that some admitted rates carry to t_final (`terminal_bounds`; all of
+    them under `force`), and over those modes, in long double,
     `long_symbols`, the rows 1 - tau*a, c, f0_hat, r = -1/c and 2dt/c, and
     `two_q_powers`, the row 2Q^n of each doubling of `solve_terminal`
     (Q = 1/c, n the bits of N_T - 1 read before it).  `with_basis` gives
@@ -275,8 +279,7 @@ class CalibrationSetup:
     f0_hat: np.ndarray = field(init=False, repr=False)
     euler_implicit: np.ndarray = field(init=False, repr=False)
     implicit: np.ndarray = field(init=False, repr=False)
-    start: np.ndarray = field(init=False, repr=False)
-    four_over_c: np.ndarray = field(init=False, repr=False)
+    modes: int = field(init=False)
     long_symbols: np.ndarray = field(init=False, repr=False)
     two_q_powers: np.ndarray = field(init=False, repr=False)
 
@@ -288,27 +291,41 @@ class CalibrationSetup:
         f0 = check_initial_density(self.f0, self.grid)
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
         dt, a = self.time_grid.dt, self.cc.symbol
-        f0_hat = np.fft.rfft(f0)
-        euler_implicit = 1.0 - dt / self.boot_substeps * a
-        implicit = 3.0 - 2.0 * dt * a
+        self._set_arrays(f0=f0,
+                         euler_implicit=1.0 - dt / self.boot_substeps * a,
+                         implicit=3.0 - 2.0 * dt * a)
+        self._take_spectrum(np.fft.rfft(f0))
+
+    def _set_arrays(self, **arrays) -> None:
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def _take_spectrum(self, f0_hat: np.ndarray) -> None:
+        """Set `f0_hat`, and from it `modes` and the powers' rows."""
+        self._set_arrays(f0_hat=f0_hat)
+        reach = np.add(*terminal_bounds(self))
+        # up to the last mode whose reach is not negligible (NaN is not), or
+        # all modes if every one is: a share of mode 0 of f0 that, weighted
+        # by up to 1/floor (the likelihood, the pairing), stays below
+        # long-double resolution and the irfft's rounding
+        negligible = _EPS_LONG * self.eps / len(reach)
+        modes = int(len(reach) - np.argmin(reach[::-1] <= negligible))
+        object.__setattr__(self, "modes", modes)
         # the powers' operands in long double, from the march's symbols
-        long = np.array([euler_implicit, implicit, f0_hat], np.clongdouble)
-        long = np.concatenate([long, [-1.0 / long[1], 2.0 * dt / long[1]]])
+        long = np.array([self.euler_implicit, self.implicit, f0_hat],
+                        _POWERS_DTYPE)[:, :modes]
+        long = np.concatenate([long, [-1.0 / long[1],
+                                      2.0 * self.time_grid.dt / long[1]]])
         bits = f"{self.time_grid.n_steps - 1:b}"[1:]
-        two_q_powers = np.empty((len(bits), len(f0_hat)), np.clongdouble)
+        two_q_powers = np.empty((len(bits), modes), _POWERS_DTYPE)
         power = q = 1.0 / long[1]      # Q^n, n the bits read so far
         for row, bit in zip(two_q_powers, bits):
             np.multiply(2.0, power, row)
             power = power * power
             if bit == "1":
                 power = power * q
-        arrays = {"f0": f0, "f0_hat": f0_hat, "euler_implicit": euler_implicit,
-                  "implicit": implicit, "start": abs(f0_hat) / abs(f0_hat[0]),
-                  "four_over_c": 4.0 / implicit, "long_symbols": long,
-                  "two_q_powers": two_q_powers}
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        self._set_arrays(long_symbols=long, two_q_powers=two_q_powers)
 
     def _check_basis(self, basis: SplineBasis) -> None:
         if basis.grid != self.grid:
@@ -332,11 +349,10 @@ def euler_step(f_prev: np.ndarray, dt_sub: float, cc: CCOperator,
     a kernel with a negative weight, as the marches do.
     """
     bound = stability_bounds(cc, kernel).dt_euler_positive
-    negative, weights = _weight_clause(kernel)
-    if dt_sub > bound or negative:
+    if dt_sub > bound or kernel.weights.min() < 0.0:
         raise StabilityError(
             f"Euler step {dt_sub:.3e} violates its positivity bound "
-            f"({bound:.3e}, for {weights})")
+            f"({bound:.3e}, for {_weight_clause(kernel)})")
     explicit, implicit = euler_symbols(cc, kernel, dt_sub)
     return np.fft.irfft(explicit * np.fft.rfft(f_prev) / implicit,
                         n=len(f_prev))
@@ -350,9 +366,8 @@ def bdf2_step(f_m: np.ndarray, f_m_minus_1: np.ndarray, cc: CCOperator,
     kernel term is explicit, which is what the step-size bounds control,
     and a kernel with a negative weight is refused, as the marches do.
     """
-    negative, weights = _weight_clause(kernel)
-    if negative:
-        raise StabilityError(f"BDF2 step needs {weights}")
+    if kernel.weights.min() < 0.0:
+        raise StabilityError(f"BDF2 step needs {_weight_clause(kernel)}")
     explicit, implicit = bdf2_symbols(cc, kernel, dt)
     out = np.fft.irfft((explicit * np.fft.rfft(f_m) - np.fft.rfft(f_m_minus_1))
                        / implicit, n=len(f_m))
@@ -411,9 +426,10 @@ class DensityHistory:
     bounds: StabilityBounds
 
 
-def _admitted(setup: CalibrationSetup, rates) -> tuple:
-    """The admitted bounds at `rates`, and 1 + tau*q and 4 + 2dt*q."""
-    kernel = JumpKernel.from_rates(rates, setup.basis)
+def _admitted(setup: CalibrationSetup, rates, modes=None) -> tuple:
+    """The admitted bounds at `rates`, and 1 + tau*q and 4 + 2dt*q over
+    the first `modes` modes (all if None)."""
+    kernel = JumpKernel.from_rates(rates, setup.basis, modes)
     q, dt = kernel.symbol, setup.time_grid.dt
     return (admissible_bounds(setup, kernel),
             1.0 + dt / setup.boot_substeps * q, 4.0 + 2.0 * dt * q)
@@ -479,50 +495,58 @@ def march_diagnostics(setup: CalibrationSetup, rates) -> tuple:
     return _fold(blocks, setup.grid.h, bounds, setup.time_grid.dt)
 
 
-def terminal_bounds(setup: CalibrationSetup, euler_explicit,
-                    explicit) -> tuple:
+def terminal_bounds(setup: CalibrationSetup) -> tuple:
     """Per mode, bounds on |F^{N_T}| and |dF^{N_T}/dq|/t_final over |F^0|
-    at mode 0, from the march's double symbols (`solve_terminal`) and the
-    setup's start = |F^0|/|F^0_0|.
+    at mode 0, from start = |F^0|/|F^0_0|, at every rate vector that
+    `admissible_bounds` admits at the setup: inf under `force`, which
+    admits any, and where it admits none.
 
+    Admitted weights are >= 0 and sum to at most lam, `dt_bdf2` solved for
+    the total rate, so |q + lam| <= lam, and |e| <= |1 + tau*q| <= 1 as
+    tau*lam < 1/(2xi) (the Euler bound K/dt never binds).  So t = (4 +
+    2dt*q)/c lies within R = 2dt*lam/|c| of t0 = (4 - 2dt*lam)/c: |t| <=
+    |t0| + R, |t^2 - 4Q| <= |t0^2 - 4Q| + R*(2|t0| + R), Q = 1/c = -r.
     M^n = u_n*M + r*u_{n-1}*I with u_n = sum_j lambda+^j lambda-^(n-1-j),
-    so |u_n| <= n*rho^(n-1), |du_n/dt| = |sum_j u_j*u_{n-j}| <= (n^3 - n)/6
-    *rho^(n-2) for rho = (|t| + |sqrt(t^2 + 4r)|)/2 (+2e-7 for rounding).
-    As |t| <= 2rho, |r| <= rho^2 and |e|^K, |e|^(K-1)/|1 - tau*a| <= g =
-    max(1, |1 + tau*q|)^K, the bounds are n and (n + (n^3 + 2n)/3*rho)/N_T
-    times rho^n*start*(3g + rho), n = N_T - 1.
+    so |u_n| <= n*rho^(n-1), |du_n/dt| <= (n^3 - n)/6*rho^(n-2) for rho =
+    (|t| + |sqrt(t^2 - 4Q)|)/2 (+2e-7 for rounding).  As |t| <= 2rho and
+    |r| <= rho^2, the bounds are n and (n + (n^3 + 2n)/3*rho)/N_T times
+    rho^n*start*(3 + rho), n = N_T - 1.
     """
-    n = setup.time_grid.n_steps - 1
-    t = explicit / setup.implicit
-    rho = (0.5 + 1e-7) * (abs(t) + np.sqrt(abs(t * t - setup.four_over_c)))
-    grown = max(1.0, abs(euler_explicit).max()) ** setup.boot_substeps
-    base = np.exp(n * np.log(rho)) * setup.start * (3.0 * grown + rho)
+    n, dt, xi = setup.time_grid.n_steps - 1, setup.time_grid.dt, setup.xi
+    lam = ((xi - 1.0) * (3.0 - xi) / dt - 2.0 * setup.cc.damping) / (2 * xi)
+    if setup.force or lam < 0.0:
+        return (np.full(len(setup.f0_hat), np.inf),) * 2
+    c = setup.implicit
+    t0, radius = (4.0 - 2.0 * dt * lam) / c, 2.0 * dt * lam / abs(c)
+    spread = abs(t0 * t0 - 4.0 / c) + radius * (2.0 * abs(t0) + radius)
+    rho = (0.5 + 1e-7) * (abs(t0) + radius + np.sqrt(spread))
+    start = abs(setup.f0_hat) / abs(setup.f0_hat[0])
+    base = np.exp(n * np.log(rho)) * start * (3.0 + rho)
     return n * base, (n + (n**3 + 2 * n) / 3 * rho) / (n + 1) * base
 
 
 @dataclass(frozen=True, eq=False)
 class TerminalPowers:
     """`solve_terminal` at `setup` and `rates` (a copy): the `density`
-    and, over the first `modes` modes, the chain `derivative` reads: t/2,
-    F^1, y = (t/2)*F^1 + r*F^0, e^(K-1), per bit of N_T - 1 the (Z, V)
-    doubled and the Z then stepped by one (else None), and the power's
-    (Z, V)."""
+    and, over the setup's `modes`, the chain `derivative` reads: t/2, F^1,
+    y = (t/2)*F^1 + r*F^0, e^(K-1), per bit of N_T - 1 the (Z, V) doubled
+    and the Z then stepped by one (else None), and the power's (Z, V)."""
 
     density: np.ndarray
     setup: CalibrationSetup = field(repr=False)
     rates: np.ndarray
-    modes: int
     chain: tuple = field(repr=False)
 
     def derivative(self) -> np.ndarray:
-        """The terminal spectrum's q-derivative per mode, from dV_n/dt =
-        n*U_n, exact for the polynomials U_n and V_n of t: only Z carries
-        a derivative, dZ_2n = dZ_n*V_n + (n/2)*Z_n^2 per doubling and
-        dZ_{n+1} = ((n+1)/2)*Z_n + (t/2)*dZ_n per set bit, with dt/dq the
-        slope 2dt/c; plus dt*e^(K-1)/(1 - tau*a)*F^0 through F^1."""
-        setup, modes = self.setup, self.modes
+        """The terminal spectrum's q-derivative over the setup's `modes`,
+        from dV_n/dt = n*U_n, exact for the polynomials U_n and V_n of t:
+        only Z carries a derivative, dZ_2n = dZ_n*V_n + (n/2)*Z_n^2 per
+        doubling and dZ_{n+1} = ((n+1)/2)*Z_n + (t/2)*dZ_n per set bit,
+        with dt/dq the slope 2dt/c; plus dt*e^(K-1)/(1 - tau*a)*F^0
+        through F^1."""
+        setup = self.setup
         half, x1, y, grown, steps, (z, v) = self.chain
-        euler_implicit, _, x0, _, slope = setup.long_symbols[:, :modes]
+        euler_implicit, _, x0, _, slope = setup.long_symbols
         n, dz = 1, 0.0      # dZ_n/dt, n the bits read so far
         for z_n, v_n, z_bit in steps:
             dz = dz * v_n + 0.5 * n * (z_n * z_n)
@@ -532,9 +556,8 @@ class TerminalPowers:
                 n += 1
         dx1 = setup.time_grid.dt * grown / euler_implicit * x0
         # F = (Z*y + V*F^1)/2, dy/dq = slope/2*F^1 + (t/2)*dF^1
-        dx = np.zeros(len(setup.f0_hat), dtype=complex)
-        dx[:modes] = 0.5 * (slope * (dz * y + 0.5 * (n + 1) * z * x1)
-                            + (half * z + v) * dx1)
+        dx = (0.5 * (slope * (dz * y + 0.5 * (n + 1) * z * x1)
+                     + (half * z + v) * dx1)).astype(complex)
         if not np.all(np.isfinite(dx)):
             raise SolverError("non-finite values in the terminal derivative")
         return dx
@@ -554,24 +577,16 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     (the setup's `two_q_powers`), a set bit Z_{n+1} = (t/2)*Z_n + V_n,
     V_{n+1} = (t/2)*Z_{n+1} + r*Z_n.  None divides by the discriminant
     t^2 - 4Q, 0 at a double root.  F^{N_T} = U_n*F^2 + r*U_{n-1}*F^1 =
-    (Z*y + V*F^1)/2, y = (t/2)*F^1 + r*F^0.  Modes past the last whose
-    `terminal_bounds` sum to more than long-double eps times setup.eps
-    over N/2 + 1, or to NaN, are exact zeros of the spectrum and of its
-    derivative.
+    (Z*y + V*F^1)/2, y = (t/2)*F^1 + r*F^0.  It forms q, and takes the
+    powers, over the setup's `modes` only: past them the spectrum and its
+    derivative are exact zeros, whatever admitted rates it is given.
     """
-    _, euler_explicit, explicit = _admitted(setup, rates)
-    reach = np.add(*terminal_bounds(setup, euler_explicit, explicit))
-    # up to the last mode whose reach is not negligible (NaN is not), or
-    # all modes if every one is: a share of mode 0 of f0 that, weighted by
-    # up to 1/floor (the likelihood, the pairing), stays below long-double
-    # resolution and the irfft's rounding
-    negligible = _EPS_LONG * setup.eps / len(reach)
-    modes = len(reach) - np.argmin(reach[::-1] <= negligible)
+    _, euler_explicit, explicit = _admitted(setup, rates, setup.modes)
     # long double from the march's symbols on: each doubling doubles the
     # error it squares, N_T*eps in all, where the march loses sqrt(N_T)*eps
-    euler_explicit, explicit = (np.asarray(x[:modes], dtype=np.clongdouble)
+    euler_explicit, explicit = (np.asarray(x, dtype=_POWERS_DTYPE)
                                 for x in (euler_explicit, explicit))
-    euler_implicit, implicit, x0, r, _ = setup.long_symbols[:, :modes]
+    euler_implicit, implicit, x0, r, _ = setup.long_symbols
     growth = euler_explicit / euler_implicit
     grown = growth ** (setup.boot_substeps - 1)
     x1 = grown * growth * x0
@@ -579,7 +594,7 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     half = 0.5 * t
     bits = f"{setup.time_grid.n_steps - 1:b}"[1:]
     z, v, steps = 2.0, t, []    # (2U_n, V_n), n the bits read so far
-    for bit, two_q in zip(bits, setup.two_q_powers[:, :modes]):
+    for bit, two_q in zip(bits, setup.two_q_powers):
         z_n, v_n = z, v
         z, v = z * v, v * v - two_q
         steps.append((z_n, v_n, z if bit == "1" else None))
@@ -594,7 +609,7 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     rates = np.array(rates, dtype=float)
     for array in (terminal, rates):
         array.flags.writeable = False
-    return TerminalPowers(terminal, setup, rates, int(modes),
+    return TerminalPowers(terminal, setup, rates,
                           (half, x1, y, grown, tuple(steps), (z, v)))
 
 

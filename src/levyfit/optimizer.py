@@ -104,18 +104,20 @@ def reduced_gradient(alpha, setup: CalibrationSetup, samples: SampleSet,
     """Gradient of F = -J_eps in the rates: terminal data d paired with the
     q-derivative x' of `powers` (of this setup and alpha; solved if None)
     times the basis' jump symbols T, as 2*Re(sum_k conj(rfft(d)_k) x'_k
-    T_jk)/N with the Nyquist term halved (N even): each mode but 0 and
-    Nyquist pairs with its conjugate, and T_j0 is exactly 0."""
+    T_jk)/N over the setup's `modes` (x' is 0 past them), with the Nyquist
+    term halved: each mode but 0 and Nyquist pairs with its conjugate, and
+    T_j0 is exactly 0."""
     if powers is None:
         powers = solve_terminal(setup, alpha)
     elif powers.setup is not setup or not np.array_equal(powers.rates, alpha):
         raise ValueError("the powers were evaluated at another setup or rates")
-    slope = powers.derivative()
+    slope, modes = powers.derivative(), setup.modes
     data = np.fft.rfft(terminal_condition(powers.density, samples, setup.eps))
-    pairs = np.conj(data) * slope
-    if setup.grid.n % 2 == 0:
+    pairs = np.conj(data[:modes]) * slope
+    if 2 * (modes - 1) == setup.grid.n:     # the last mode is Nyquist
         pairs[-1] *= 0.5
-    return 2.0 * (setup.basis.jump_symbols @ pairs).real / setup.grid.n
+    return (2.0 * (setup.basis.jump_symbols[:, :modes] @ pairs).real
+            / setup.grid.n)
 
 
 def dai_yuan_beta(g_next: np.ndarray, g_prev: np.ndarray,

@@ -130,15 +130,10 @@ def with_f0_spectrum(setup: CalibrationSetup, f0_hat) -> CalibrationSetup:
     """A copy of `setup` whose march starts from the spectrum `f0_hat`,
     which no density of mass 1 has (a non-finite mode, a size near the
     float range), so the constructor cannot build it: its `f0_hat`, the
-    bound's `start` and the long-double row of f0_hat are replaced, each
-    derived from `f0_hat` as the constructor derives it from rfft(f0)."""
+    modes the powers keep and their long-double rows are replaced, by the
+    step with which the constructor derives them from rfft(f0)."""
     doctored = copy.copy(setup)
-    long = setup.long_symbols.copy()
-    long[2] = f0_hat
-    for name, value in (("f0_hat", f0_hat),
-                        ("start", abs(f0_hat) / abs(f0_hat[0])),
-                        ("long_symbols", long)):
-        object.__setattr__(doctored, name, value)
+    doctored._take_spectrum(f0_hat)
     return doctored
 
 

@@ -182,8 +182,8 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
     shift - scale*a from the operator's one symbol a, and mode 0 of each
     is its shift exactly.  A setup keeps the two factors of the routes
     read-only, with the bits of `euler_symbols` and `bdf2_symbols`, and
-    their long-double rows are the conversions of the double arrays, with
-    the rows 2Q^n of the powers' doublings."""
+    their long-double rows over the kept modes are the conversions of the
+    double arrays' prefix, with the rows 2Q^n of the powers' doublings."""
     cc, basis, rates, tg, boot, _ = problem
     kernel = JumpKernel.from_rates(rates, basis)
     dt, tau = tg.dt, tg.dt / boot
@@ -199,8 +199,10 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
             assert np.array_equal(implicit[1], expected)
             assert kept.tobytes() == implicit[1].tobytes()
 
-    c = np.asarray(setup.implicit, dtype=np.clongdouble)
-    rows = [np.asarray(x, dtype=np.clongdouble)
+    modes = setup.modes
+    assert 0 < modes <= len(setup.f0_hat)
+    c = np.asarray(setup.implicit[:modes], dtype=np.clongdouble)
+    rows = [np.asarray(x[:modes], dtype=np.clongdouble)
             for x in (setup.euler_implicit, setup.implicit, setup.f0_hat)]
     rows += [-1.0 / c, 2.0 * dt / c]
     assert len(setup.long_symbols) == len(rows)
@@ -208,13 +210,10 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
         assert row.dtype == np.clongdouble
         assert np.array_equal(row, expected)
     assert np.array_equal(setup.f0_hat, np.fft.rfft(setup.f0))
-    assert np.array_equal(setup.start,
-                          abs(setup.f0_hat) / abs(setup.f0_hat[0]))
-    assert np.array_equal(setup.four_over_c, 4.0 / setup.implicit)
     # the row of each doubling is 2Q^n, Q = 1/c, n the bits of N_T - 1
     # before it, to the roundoff of the squarings that build it
     bits, eps_long = f"{tg.n_steps - 1:b}", np.finfo(np.longdouble).eps
-    assert setup.two_q_powers.shape == (len(bits) - 1, len(setup.f0_hat))
+    assert setup.two_q_powers.shape == (len(bits) - 1, modes)
     assert setup.two_q_powers.dtype == np.clongdouble
     for count, row in enumerate(setup.two_q_powers, 1):
         n = int(bits[:count], 2)
@@ -222,8 +221,7 @@ def test_implicit_symbols_are_shift_minus_scale_times_the_symbol(problem):
         assert np.all(np.abs(row - expected)
                       <= 4 * n * eps_long * np.abs(expected))
     for array in (setup.f0, setup.f0_hat, setup.euler_implicit,
-                  setup.implicit, setup.start, setup.four_over_c,
-                  setup.long_symbols, setup.two_q_powers):
+                  setup.implicit, setup.long_symbols, setup.two_q_powers):
         assert not array.flags.writeable
 
 

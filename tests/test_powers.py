@@ -27,7 +27,7 @@ from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
                              march_diagnostics, solve_forward, solve_terminal,
                              stability_bounds, terminal_bounds)
 from levyfit.likelihood import evaluate_objective
-from levyfit.optimizer import (gradient_from_histories, objective,
+from levyfit.optimizer import (ALPHA0, gradient_from_histories, objective,
                                reduced_gradient, run_forward)
 from levyfit.samples import SampleSet
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
@@ -37,13 +37,21 @@ EPS = np.finfo(float).eps
 EPS_LONG = np.finfo(np.longdouble).eps
 
 
-def problem_setup(problem, n_steps, force=True):
+def problem_setup(problem, n_steps, force=None):
     """The problem's march as a fit's setup, with N_T = n_steps and a
-    random f0; force, the default, admits the steps that a small grid with
-    a large dt takes."""
-    time_grid = TimeGrid(problem.time_grid.t_final, n_steps)
-    return march_setup(problem._replace(time_grid=time_grid),
-                       random_density(problem.rng, problem.cc.grid), force)
+    random f0.  By default it is forced only if it refuses the problem's
+    rates, as a small grid with a large dt does: a forced setup keeps
+    every mode, and an unforced one only those that admitted rates need."""
+    problem = problem._replace(
+        time_grid=TimeGrid(problem.time_grid.t_final, n_steps))
+    f0 = random_density(problem.rng, problem.cc.grid)
+    if force is None:
+        setup = march_setup(problem, f0)
+        force = refusal(admissible_bounds, setup, JumpKernel.from_rates(
+            problem.rates, setup.basis)) is not None
+        if not force:
+            return setup
+    return march_setup(problem, f0, force)
 
 
 def drift_free_problem(n, sigma2, rates, t_final, boot_substeps=1, seed=0):
@@ -164,7 +172,8 @@ def assert_long_double_roundoff(setup, rates):
     long double, within a few long-double eps per term added."""
     n = setup.grid.n
     powers = solve_terminal(setup, rates)
-    terminal, slope = powers.density, powers.derivative()
+    terminal, slope = powers.density, np.zeros(len(setup.f0_hat), complex)
+    slope[:setup.modes] = powers.derivative()
     level, level_slope = march_by_modes(setup, rates)
     size, size_slope = march_by_modes(setup, rates, magnitude=True)
     # a few long-double eps per term, over the substeps and the steps
@@ -223,38 +232,86 @@ def test_powers_at_a_double_root(n_steps):
     c = setup.long_symbols[1, 2]
     assert abs((4.0 / c) ** 2 - 4.0 / c) <= 4 * EPS
     powers = assert_long_double_roundoff(setup, problem.rates)
-    assert powers.modes > 2 and powers.derivative()[2] != 0.0
+    assert setup.modes > 2 and powers.derivative()[2] != 0.0
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+# at this dt, mode 5 of 16 cells with sigma^2 = 1 has 2dt*a = -1, a double
+# root at q = 0 where the two-step bound still admits rates: the jumps of
+# one of 16 hats, on a single cell shift, put q_5 on the disk's boundary,
+# where a complex q splits the root and the larger one exceeds it
+SPLIT_ROOT_DT = (2 * np.pi / 16) ** 2 / (2 * (1 - np.cos(5 * np.pi / 8)))
+
+
+def ceilings(setup):
+    """The largest total jump rate that each step bound admits at the
+    setup: the two-step bound's and the Euler substeps'."""
+    dt, xi = setup.time_grid.dt, setup.xi
+    return (((xi - 1.0) * (3.0 - xi) / dt - 2.0 * setup.cc.damping)
+            / (2.0 * xi), setup.boot_substeps / dt)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(problem=small_problems(), n_steps=st.sampled_from(STEP_COUNTS),
-       force=st.booleans())
-@example(problem=drift_free_problem(16, 1.0, [0.0] * 3, 65 * DOUBLE_ROOT_DT),
-         n_steps=65, force=True)
-@example(problem=drift_free_problem(16, 0.1, [30.0] * 3, 1.0), n_steps=9,
-         force=True)
-def test_terminal_bounds_hold(problem, n_steps, force):
-    """At every mode, `terminal_bounds` is at least |F^{N_T}| and
-    |dF^{N_T}/dq|/t_final of the march run in long double, over mode 0 of
-    F^0, for steps inside the step bounds and, with force, outside them.
-    The examples put a mode at a double root of its companion matrix, and
-    make jumps so strong that t < 0, where the root that the principal
-    square root gives first is the smaller one."""
+       share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+@example(problem=drift_free_problem(16, 1.0, np.eye(16)[7],
+                                   128 * SPLIT_ROOT_DT),
+         n_steps=128, share=1.0)
+@example(problem=cut_problem(), n_steps=CUT_STEPS, share=1.0)
+@example(problem=cut_problem(), n_steps=CUT_STEPS, share=0.0)
+def test_terminal_bounds_hold(problem, n_steps, share):
+    """At every mode, kept or dropped, `terminal_bounds` is at least
+    |F^{N_T}| and |dF^{N_T}/dq|/t_final of the march run in long double,
+    over mode 0 of F^0, at the problem's rates scaled to `share` of the
+    largest total rate the step bounds admit: the two-step bound's, which
+    is admitted, not the Euler substeps', which lies above it and is
+    refused.  The first example splits a double root, where the bound
+    taken at q = 0 falls 2e4-fold short; the others take the cut's shape at
+    the ceiling and at zero rates."""
     setup = problem_setup(problem, n_steps, force=False)
-    kernel = JumpKernel.from_rates(problem.rates, setup.basis)
-    dt, boot = setup.time_grid.dt, setup.boot_substeps
-    if not force:
-        try:
-            admissible_bounds(setup, kernel)
-        except StabilityError:
-            reject()
+    rates = problem.rates
+    total = JumpKernel.from_rates(rates, setup.basis).total_rate
+    if not total > 1e-6:    # no direction to scale, or one that overflows
+        rates = np.ones_like(rates)
+        total = JumpKernel.from_rates(rates, setup.basis).total_rate
+    bdf2, euler = ceilings(setup)
+    over = JumpKernel.from_rates(rates * (euler / total), setup.basis)
+    assert refusal(admissible_bounds, setup, over) is not None
+    if bdf2 < 0.0:
+        reject()
+    rates = rates * (share * bdf2 / total)
+    if refusal(admissible_bounds, setup,
+               JumpKernel.from_rates(rates, setup.basis)) is not None:
+        rates = rates * (1.0 - 8 * EPS)     # the ceiling, to its rounding
+    admissible_bounds(setup, JumpKernel.from_rates(rates, setup.basis))
     mass = abs(setup.f0_hat[0])
-    size, change = terminal_bounds(
-        setup, euler_symbols(setup.cc, kernel, dt / boot)[0],
-        bdf2_symbols(setup.cc, kernel, dt)[0])
-    level, slope = march_by_modes(setup, problem.rates)
+    size, change = terminal_bounds(setup)
+    level, slope = march_by_modes(setup, rates)
     assert np.all(size >= np.abs(level) / mass)
     assert np.all(change >= np.abs(slope) / (mass * setup.time_grid.t_final))
+
+
+def test_no_admissible_rate_keeps_every_mode():
+    """At N = 840, N_T = 250 the two-step bound admits no total rate: the
+    setup keeps every mode, and every route refuses the fit's start point
+    with one text, as for any rates."""
+    setup = calibration_setup(RunConfig(n_space=840, n_time=250),
+                              len(HAT_RATES))
+    assert ceilings(setup)[0] < 0.0
+    assert setup.modes == len(setup.f0_hat) == 421
+    assert np.isinf(terminal_bounds(setup)).all()
+    assert_same_refusal(setup, np.full(len(HAT_RATES), ALPHA0), "bdf2 <= ")
+
+
+def test_force_keeps_every_mode():
+    """The bound holds for admitted rates only, so a forced setup keeps
+    every mode, where the unforced one at fine_grid's shape keeps 92."""
+    forced, setup = (calibration_setup(
+        RunConfig(n_space=840, n_time=800, force_dt=force), len(HAT_RATES))
+        for force in (True, False))
+    assert (forced.modes, setup.modes, len(forced.f0_hat)) == (421, 92, 421)
+    assert forced.two_q_powers.shape == (9, 421)
+    assert np.isinf(terminal_bounds(forced)).all()
+    assert len(solve_terminal(forced, HAT_RATES).derivative()) == 421
 
 
 @pytest.mark.parametrize("problem, n_steps", [
@@ -262,35 +319,34 @@ def test_terminal_bounds_hold(problem, n_steps, force):
     (drift_free_problem(840, 0.02, HAT_RATES, 1.0, 10, 840), 800)])
 def test_the_cut_drops_most_modes(problem, n_steps):
     """On `cut_problem`, the shape of the `@example`s above, and on the
-    fine benchmark's shape, the powers take fewer than half the modes:
-    the rest of the derivative spectrum is exact zeros."""
+    fine benchmark's shape, the powers take fewer than half the modes, and
+    their derivative is over those alone: the rest are exact zeros."""
     setup = problem_setup(problem, n_steps, force=False)
     slope = solve_terminal(setup, HAT_RATES).derivative()
-    kept = np.count_nonzero(slope)
-    assert 0 < kept < len(slope) / 2
-    assert not slope[kept:].any()
+    assert 0 < len(slope) == setup.modes < len(setup.f0_hat) / 2
+    assert slope[-1] != 0.0
 
 
 @pytest.mark.parametrize("n_space, n_time, kept, modes, floor", [
-    pytest.param(420, 250, 92, 211, 1e-12, id="420-250-92-211"),
-    pytest.param(840, 800, 91, 421, 1e-12, id="840-800-91-421"),
-    pytest.param(420, 250, 84, 211, 1e-6, id="420-250-84-211-floor1e-6"),
-    pytest.param(840, 800, 83, 421, 1e-6, id="840-800-83-421-floor1e-6"),
-    pytest.param(420, 250, 107, 211, 1e-24, id="420-250-107-211-floor1e-24"),
-    pytest.param(840, 800, 104, 421, 1e-24, id="840-800-104-421-floor1e-24")])
+    pytest.param(420, 250, 94, 211, 1e-12, id="420-250"),
+    pytest.param(840, 800, 92, 421, 1e-12, id="840-800"),
+    pytest.param(420, 250, 86, 211, 1e-6, id="420-250-floor1e-6"),
+    pytest.param(840, 800, 84, 421, 1e-6, id="840-800-floor1e-6"),
+    pytest.param(420, 250, 133, 211, 1e-24, id="420-250-floor1e-24"),
+    pytest.param(840, 800, 105, 421, 1e-24, id="840-800-floor1e-24")])
 def test_the_cut_keeps_the_benchmark_modes(n_space, n_time, kept, modes,
                                            floor):
-    """At the default config's full-sweep and fine-grid shapes, 5 hats and
-    `HAT_RATES`, the powers keep exactly the modes that the benchmark fits
-    keep there: a looser bound would keep more, a wrong one fewer.  The
-    cut reads the setup's objective floor, which weights what it drops:
-    a higher floor drops more modes, a lower one keeps more."""
+    """At the default config's full-sweep and fine-grid shapes and 5 hats,
+    the setup keeps exactly the modes over which the benchmark fits take
+    their powers, whatever their rates: a looser bound would keep more, a
+    wrong one fewer.  The cut reads the setup's objective floor, which
+    weights what it drops: a higher floor drops more modes, a lower one
+    keeps more."""
     config = RunConfig(n_space=n_space, n_time=n_time, objective_floor=floor)
     setup = calibration_setup(config, len(HAT_RATES))
-    powers = solve_terminal(setup, HAT_RATES)
-    assert (powers.modes, len(setup.f0_hat)) == (kept, modes)
-    slope = powers.derivative()
-    assert slope[kept - 1] != 0.0 and not slope[kept:].any()
+    assert (setup.modes, len(setup.f0_hat)) == (kept, modes)
+    slope = solve_terminal(setup, HAT_RATES).derivative()
+    assert len(slope) == kept and slope[-1] != 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -303,7 +359,9 @@ def test_a_non_finite_mode_past_the_cut_is_refused(bad, mode):
     setup = problem_setup(cut_problem(), CUT_STEPS, force=False)
     f0_hat = setup.f0_hat.copy()
     f0_hat[mode] = bad
+    assert setup.modes <= len(f0_hat) + mode
     setup = with_f0_spectrum(setup, f0_hat)
+    assert setup.modes == len(f0_hat) + mode + 1
     # the value raises, so there are no powers to take a derivative from
     with pytest.raises(SolverError), np.errstate(over="ignore",
                                                  invalid="ignore"):
@@ -343,19 +401,24 @@ def test_the_kernel_symbol_is_the_basis_symbols_at_the_rates(problem):
 
 @pytest.mark.parametrize("n", [33, 64])
 def test_gradient_is_the_weighted_pairing(n):
-    """reduced_gradient, bit for bit, against the pairing weighted 1 at
-    mode 0 and Nyquist and 2 elsewhere, at an odd and an even N."""
+    """reduced_gradient, bit for bit, against the pairing over the kept
+    modes weighted 1 at mode 0 and Nyquist and 2 elsewhere, at an odd and
+    an even N, with the modes the rates need and, forced, with all."""
     problem = drift_free_problem(n, 0.1, HAT_RATES, 1.0, 3, n)
-    setup, rates = problem_setup(problem, 40), problem.rates
-    samples = samples_above(run_forward(rates, setup).terminal, setup.grid,
-                            problem.rng)
-    powers = solve_terminal(setup, rates)
-    terminal, slope = powers.density, powers.derivative()
-    data = np.fft.rfft(terminal_condition(terminal, samples, eps=setup.eps))
-    weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
-    pairs = weights * np.conj(data) * slope
-    assert np.array_equal(reduced_gradient(rates, setup, samples),
-                          (setup.basis.jump_symbols @ pairs).real / n)
+    rates = problem.rates
+    for setup in (problem_setup(problem, 40),
+                  problem_setup(problem, 40, force=True)):
+        samples = samples_above(run_forward(rates, setup).terminal,
+                                setup.grid, problem.rng)
+        powers = solve_terminal(setup, rates)
+        terminal, slope = powers.density, powers.derivative()
+        data = np.fft.rfft(terminal_condition(terminal, samples,
+                                              eps=setup.eps))[:len(slope)]
+        weights = np.where(2 * np.arange(len(data)) % n == 0, 1.0, 2.0)
+        pairs = weights * np.conj(data) * slope
+        symbols = setup.basis.jump_symbols[:, :len(slope)]
+        assert np.array_equal(reduced_gradient(rates, setup, samples),
+                              (symbols @ pairs).real / n)
 
 
 def refusal(solve, *args, **kwargs):
