@@ -13,8 +13,7 @@ from .errors import (ConfigError, IngestError, LevyfitError, LineSearchError,
                      SolverError, StabilityError)
 from .forward import (CCOperator, DensityHistory, JumpKernel, StabilityBounds,
                       adjoint_jump_operator, apply_jump_operator, bdf2_step,
-                      euler_step, history_diagnostics, solve_forward,
-                      stability_bounds)
+                      euler_step, solve_forward, stability_bounds)
 from .likelihood import ObjectiveValue, aic_score, evaluate_objective
 from .optimizer import (CalibrationSetup, FitReport, OptimizerParams,
                         SweepResult, aic_sweep, armijo_linesearch, calibrate,

@@ -20,16 +20,18 @@ built once and shared by a sweep's other basis sizes (`with_basis`), and
 both routes take it and the rates.  The march steps every mode in place
 and irffts its levels a block of `_BLOCK_BYTES` at a time: `solve_forward`
 into the real-space history (the adjoint sweep's multipliers pair with
-its rows' rfft), and a fit's `march_diagnostics` folds each block into
-`history_diagnostics` as it comes, holding no history.
+its rows' rfft), and `march_diagnostics`, the one measure of the
+scheme's guarantees, folds each block into them as it comes, holding no
+history: a fit marches only to measure.
 `solve_terminal`, with which the fit evaluates its trials and gradients,
-reaches the terminal level alone by binary powers of each mode's companion
-matrix in long double, whose roundoff stays below the march's, over the
-modes that the setup finds some admitted rates carry to t_final
-(`terminal_bounds`).  It takes them as the matrix's Lucas pair (U_n, V_n),
-whose doublings read the rate-free rows 2Q^n that the setup builds once,
-and the q-derivative reads that chain (`TerminalPowers.derivative`), in
-which only U carries a derivative.
+and so the likelihood and density it reports, reaches the terminal level
+alone by binary powers of each mode's companion matrix in long double,
+whose roundoff stays below the march's, over the modes that the setup
+finds some admitted rates carry to t_final (`terminal_bounds`).  It
+takes them as the matrix's Lucas pair (U_n, V_n), whose doublings read
+the rate-free rows 2Q^n that the setup builds once, and the q-derivative
+reads that chain (`TerminalPowers.derivative`), in which only U carries
+a derivative.
 Both routes refuse the same steps (`admissible_bounds`) and check only
 the terminal level.
 """
@@ -175,7 +177,6 @@ class StabilityBounds:
 
     dt_euler_positive: float
     dt_bdf2: float
-    xi: float
 
 
 def check_scheme(xi: float, boot_substeps: int = 1) -> None:
@@ -193,7 +194,7 @@ def stability_bounds(cc: CCOperator, kernel: JumpKernel,
     dt_pos = math.inf if a == 0.0 else 1.0 / a
     # the jump term enters the two-step update with weight 2*dt, hence 2*a*xi
     dt_bdf2 = (xi - 1.0) * (3.0 - xi) / (2.0 * a * xi + 2.0 * cc.damping)
-    return StabilityBounds(dt_pos, dt_bdf2, xi)
+    return StabilityBounds(dt_pos, dt_bdf2)
 
 
 def euler_symbols(cc: CCOperator, kernel: JumpKernel,
@@ -210,20 +211,21 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
 
 def admissible_bounds(setup: CalibrationSetup,
                       kernel: JumpKernel) -> StabilityBounds:
-    """`stability_bounds` at the setup's checked xi; a step above them, or
-    a kernel with a negative weight, is refused unless `setup.force`.
+    """`stability_bounds` at the setup's checked xi; a step above the
+    two-step bound, or a kernel with a negative weight, is refused unless
+    `setup.force`.
 
     The positivity proof behind both bounds needs nonnegative weights, and
     a negative entry among the rates can give them with a nonnegative
-    total.  The Euler clause refuses a negative total rate a, as
-    dt_euler_positive = 1/a < 0, which the two-step bound admits for a
-    small |a|.
+    total.  The two clauses imply the Euler substeps' bound: admitted
+    weights are >= 0, so the total rate a is >= 0, and dt <= dt_bdf2 gives
+    dt*a <= (xi - 1)(3 - xi)/(2xi) < 1/2 < K, so dt/K < 1/a.  A negative
+    total needs a negative weight, which the weight clause refuses.
     """
     bounds = stability_bounds(setup.cc, kernel, setup.xi)
     dt = setup.time_grid.dt
-    if not setup.force and (dt > bounds.dt_bdf2 or kernel.weights.min() < 0
-                            or dt / setup.boot_substeps
-                            > bounds.dt_euler_positive):
+    if not setup.force and (dt > bounds.dt_bdf2
+                            or kernel.weights.min() < 0):
         raise StabilityError(
             f"dt = {dt:.4e} violates the admissible steps "
             f"(bdf2 <= {bounds.dt_bdf2:.4e}, "
@@ -415,7 +417,6 @@ class DensityHistory:
     the Euler substep state g^s, s = 0 .. K-1, that precedes values[1]
     (needed to assemble exact rate sensitivities); both rows 0 are f0
     itself.  terminal is the density at t_final, an array of its own.
-    bounds are the step bounds the march was checked against.
     """
 
     values: np.ndarray          # (n_steps + 1, n)
@@ -423,7 +424,6 @@ class DensityHistory:
     terminal: np.ndarray        # (n,): F^{n_steps}
     grid: TorusGrid
     time_grid: TimeGrid
-    bounds: StabilityBounds
 
 
 def _admitted(setup: CalibrationSetup, rates, modes=None) -> tuple:
@@ -476,23 +476,44 @@ def solve_forward(setup: CalibrationSetup, rates) -> DensityHistory:
     Euler substeps of dt/boot_substeps to the first level, then the
     two-step scheme, at a step and rates that `admissible_bounds` admits.
     The march holds the history and one block, and only checks its values
-    for finiteness; `history_diagnostics` measures mass and positivity.
+    for finiteness; `march_diagnostics` measures mass and positivity.
     """
     values = np.empty((setup.time_grid.n_steps + 1, setup.grid.n))
-    bounds, bootstrap, blocks = _march(setup, rates, values)
+    _, bootstrap, blocks = _march(setup, rates, values)
     list(blocks)    # each block is irfft'd into its rows of values
     bootstrap[0] = setup.f0
-    # a copy, so that a report keeping the terminal keeps no history
+    # a copy, so that keeping the terminal keeps no history
     return DensityHistory(values, bootstrap, values[-1].copy(), setup.grid,
-                          setup.time_grid, bounds)
+                          setup.time_grid)
 
 
-def march_diagnostics(setup: CalibrationSetup, rates) -> tuple:
-    """The bytes of `solve_forward(setup, rates).terminal` (a copy) and of
-    `history_diagnostics` of that history, from a march that folds each
-    block into the diagnostics as it comes and so holds no history."""
+def march_diagnostics(setup: CalibrationSetup, rates) -> dict:
+    """The scheme's guarantees as measured on `solve_forward`'s levels at
+    the same setup and rates, from a march that folds each block into them
+    as it comes and so holds no history.
+
+    mass_drift is the largest relative change of the mass over the levels,
+    min_density the smallest value of any level, and xi_condition_min the
+    smallest entry of xi*f^1 - f^0: when it is >= 0, the starting pair
+    meets the positivity condition of the two-step scheme.  bounds holds
+    the step used next to the Euler and two-step bounds.
+    """
     bounds, _, blocks = _march(setup, rates)
-    return _fold(blocks, setup.grid.h, bounds, setup.time_grid.dt)
+    drift, low, mass0 = 0.0, math.inf, None
+    for block in blocks:    # the first holds levels 0 and 1
+        masses = setup.grid.h * block.sum(axis=1)
+        if mass0 is None:
+            mass0, xi_min = masses[0], np.min(setup.xi * block[1] - block[0])
+        drift = np.maximum(drift, np.max(np.abs(masses - mass0)))
+        low = np.minimum(low, block.min())
+    return {
+        "mass_drift": float(drift / abs(mass0)),
+        "min_density": float(low),
+        "xi_condition_min": float(xi_min),
+        "bounds": {"dt_used": setup.time_grid.dt,
+                   "dt_euler_pos": bounds.dt_euler_positive,
+                   "dt_bdf2": bounds.dt_bdf2},
+    }
 
 
 def terminal_bounds(setup: CalibrationSetup) -> tuple:
@@ -612,35 +633,3 @@ def solve_terminal(setup: CalibrationSetup, rates) -> TerminalPowers:
     return TerminalPowers(terminal, setup, rates,
                           (half, x1, y, grown, tuple(steps), (z, v)))
 
-
-def history_diagnostics(history: DensityHistory) -> dict:
-    """The scheme's guarantees as measured on one history.
-
-    mass_drift is the largest relative change of the mass over the levels,
-    min_density the smallest value of any level, and xi_condition_min the
-    smallest entry of xi*f^1 - f^0: when it is >= 0, the starting pair
-    meets the positivity condition of the two-step scheme.  bounds holds
-    the step used next to the Euler and two-step bounds.
-    """
-    return _fold([history.values], history.grid.h, history.bounds,
-                 history.time_grid.dt)[1]
-
-
-def _fold(blocks, h: float, bounds: StabilityBounds, dt: float) -> tuple:
-    """A copy of the last level and `history_diagnostics` of the levels, in
-    consecutive blocks (the first holds levels 0 and 1), folded a block at
-    a time: the masses' largest drift from the first, the running min."""
-    drift, low, mass0 = 0.0, math.inf, None
-    for block in blocks:
-        masses = h * block.sum(axis=1)
-        if mass0 is None:
-            mass0, xi_min = masses[0], np.min(bounds.xi * block[1] - block[0])
-        drift = np.maximum(drift, np.max(np.abs(masses - mass0)))
-        low = np.minimum(low, block.min())
-    return block[-1].copy(), {
-        "mass_drift": float(drift / abs(mass0)),
-        "min_density": float(low),
-        "xi_condition_min": float(xi_min),
-        "bounds": {"dt_used": dt, "dt_euler_pos": bounds.dt_euler_positive,
-                   "dt_bdf2": bounds.dt_bdf2},
-    }

@@ -180,10 +180,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     along the conjugate direction fails, it is retried once along steepest
     descent; when that fails too, the fit stops with stop="linesearch".
 
-    `march_diagnostics` marches once, at alpha_star, keeping no history:
-    the report's terminal density, j_star, its score, floored_count and the
-    history diagnostics all read it; the trace holds the search's own values.
-    Samples snapped to another grid than the setup's are refused (ValueError).
+    The report's j_star, its score, floored_count and terminal density are
+    those of the `objective` evaluation that the search accepted at
+    alpha_star (the start, or the last Armijo trial), so j_star is the
+    last trace entry's j.  `march_diagnostics` marches once, at alpha_star,
+    keeping no history, to measure the scheme's guarantees.  Samples
+    snapped to another grid than the setup's are refused (ValueError).
     """
     if samples.grid != setup.grid:
         raise ValueError(f"the samples are snapped to {samples.grid}, "
@@ -191,17 +193,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     n_theta = setup.basis.n_theta
     restart_every = 10 * n_theta
 
-    def safe_objective(a):
-        try:
-            value, powers = objective(a, setup, samples)
-        except StabilityError:
-            return math.inf, None
-        return -value.value, powers
-
+    # the value, density and gradient of the accepted point; its powers
+    # are dropped before the next search
     alpha = np.full(n_theta, ALPHA0)
     value, powers = objective(alpha, setup, samples)
-    f_val = -value.value
     grad = reduced_gradient(alpha, setup, samples, powers)
+    terminal = powers.density
     direction = np.zeros(n_theta)   # none yet: the first search is steepest
 
     trace = []
@@ -210,7 +207,7 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         steepest = projected_direction(-grad, alpha)
         pg_norm = float(np.linalg.norm(steepest))
         if k:
-            trace.append({"iter": k - 1, "j": -f_val, "pg_norm": pg_norm,
+            trace.append({"iter": k - 1, "j": value.value, "pg_norm": pg_norm,
                           "step": ls.step, "beta": beta, "evals": ls.n_evals})
         if pg_norm <= params.tol:
             stop_note = "tol"
@@ -225,17 +222,21 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
         if (float(grad @ direction) < 0.0
                 and not np.array_equal(direction, steepest)):
             candidates.insert(0, direction)
-        trial = None    # (point, value, powers) of the last trial
+        trial = powers = None   # (point, value, powers) of the last trial
         for direction in candidates:
 
             def evaluate(step):
                 nonlocal trial
                 point = np.maximum(alpha + step * direction, 0.0)
-                trial = (point, *safe_objective(point))
-                return trial[1]
+                try:
+                    trial = (point, *objective(point, setup, samples))
+                except StabilityError:
+                    return math.inf     # a refused trial is never accepted
+                return -trial[1].value
 
             try:
-                ls = armijo_linesearch(evaluate, f_val, float(grad @ direction))
+                ls = armijo_linesearch(evaluate, -value.value,
+                                       float(grad @ direction))
                 break
             except LineSearchError:
                 continue
@@ -244,31 +245,30 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
             break
 
         # Armijo accepts the last step it evaluated
-        alpha_next, f_next, powers = trial
+        alpha_next, value, powers = trial
         grad_next = reduced_gradient(alpha_next, setup, samples, powers)
+        terminal = powers.density
 
         beta = dai_yuan_beta(grad_next, grad, direction)
         if (k + 1) % restart_every == 0:
             beta = 0.0
         direction = projected_direction(-grad_next + beta * direction,
                                         alpha_next)
-        alpha, f_val, grad = alpha_next, f_next, grad_next
+        alpha, grad = alpha_next, grad_next
 
     trial = powers = None   # no chain held through the march
-    terminal, marched = march_diagnostics(setup, alpha)
-    final = evaluate_objective(terminal, samples, setup.eps)
     diagnostics = {
         "stop": stop_note,
-        "floored_count": final.floored_count,
+        "floored_count": value.floored_count,
         "grad_norm": pg_norm,
         "raw_grad_norm": float(np.linalg.norm(grad)),
-        **marched,
+        **march_diagnostics(setup, alpha),
     }
     return FitReport(
         n_theta=n_theta,
         alpha_star=alpha,
-        j_star=final.value,
-        aic=aic_score(final.value, len(samples), n_theta, penalty),
+        j_star=value.value,
+        aic=aic_score(value.value, len(samples), n_theta, penalty),
         iterations=k,
         converged=stop_note == "tol",
         diagnostics=diagnostics,

@@ -15,7 +15,7 @@ from conftest import SmallProblem, march_setup, random_density
 from levyfit.config import RunConfig
 from levyfit.errors import StabilityError
 from levyfit.experiment import empirical_histogram, run_experiment
-from levyfit.forward import (CCOperator, JumpKernel, history_diagnostics,
+from levyfit.forward import (CCOperator, JumpKernel, march_diagnostics,
                              solve_forward, stability_bounds)
 from levyfit.optimizer import (CalibrationSetup, OptimizerParams, aic_sweep,
                                calibrate, objective, reduced_gradient,
@@ -70,9 +70,9 @@ def test_criterion_1_solver_structure_suite():
         n_steps = int(rng.integers(5, 20))
         problem = SmallProblem(cc, basis, rates,
                                TimeGrid(dt * n_steps, n_steps))
-        hist = solve_forward(march_setup(problem, random_density(rng, grid)),
-                             rates)
-        d = history_diagnostics(hist)
+        setup = march_setup(problem, random_density(rng, grid))
+        hist = solve_forward(setup, rates)
+        d = march_diagnostics(setup, rates)
         norms = np.abs(hist.values).sum(axis=1)
         norm_growth = float(np.max(np.diff(norms), initial=-np.inf))
         worst["drift"] = max(worst["drift"], d["mass_drift"])
@@ -102,17 +102,17 @@ def test_criterion_2_bound_sharpness():
         kern = JumpKernel.from_rates(rates, basis)
         bound = stability_bounds(cc, kern, 2.0).dt_bdf2
 
-        safe = solve_forward(march_setup(
+        safe = march_diagnostics(march_setup(
             SmallProblem(cc, basis, rates, TimeGrid(0.9 * bound * 12, 12)),
             random_density(rng, grid)), rates)
-        assert history_diagnostics(safe)["min_density"] >= -1e-13
+        assert safe["min_density"] >= -1e-13
 
         spike = np.zeros(n)
         spike[int(rng.integers(0, n))] = 1.0 / grid.h
-        wild = solve_forward(march_setup(
+        wild = march_diagnostics(march_setup(
             SmallProblem(cc, basis, rates, TimeGrid(50 * bound * 6, 6)),
             spike, force=True), rates)
-        negatives += history_diagnostics(wild)["min_density"] < 0
+        negatives += wild["min_density"] < 0
     assert negatives >= 1
     print(f"\ncriterion 2 PASS: 20/20 positive at 0.9x bound, "
           f"{negatives}/20 configs negative at 50x bound")

@@ -19,8 +19,9 @@ from levyfit.config import (RunConfig, calibration_setup, config_from_dict,
                             config_to_dict, load_config)
 from levyfit.errors import ConfigError
 from levyfit.experiment import acquire_samples, build_grid, run_experiment
+from levyfit.forward import solve_terminal
 from levyfit.likelihood import aic_score
-from levyfit.optimizer import CalibrationSetup, aic_sweep, run_forward
+from levyfit.optimizer import CalibrationSetup, aic_sweep
 from levyfit.samples import ingest_samples
 from levyfit.simulate import SimulationSpec
 from levyfit.torus import TorusGrid, tiling_centers
@@ -366,7 +367,7 @@ class TestRunExperiment:
         fit = next(f for f in result.report["fits"]
                    if f["n_theta"] == result.report["selected_n_theta"])
         setup = calibration_setup(cfg, fit["n_theta"])
-        terminal = run_forward(np.array(fit["alpha_star"]), setup).terminal
+        terminal = solve_terminal(setup, np.array(fit["alpha_star"])).density
         rows = (tmp_path / "o" / "density.csv").read_text().splitlines()[1:]
         written = np.array([float(r.split(",")[1]) for r in rows])
         assert np.array_equal(written, terminal)

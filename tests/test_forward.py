@@ -10,7 +10,7 @@ from conftest import (SmallProblem, brute_jump_apply, dense_cc_matrix,
                       dense_forward_march, march_setup, random_density)
 from levyfit.errors import StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, apply_jump_operator,
-                             bdf2_step, euler_step, history_diagnostics,
+                             bdf2_step, euler_step, march_diagnostics,
                              solve_forward, stability_bounds)
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, band_centers,
                            make_basis, tiling_centers, von_mises_density)
@@ -399,8 +399,8 @@ class TestSolveForward:
         problem = SmallProblem(cc, basis, rates, tg)
         with pytest.raises(StabilityError):
             solve_forward(march_setup(problem, spike), rates)
-        hist = solve_forward(march_setup(problem, spike, force=True), rates)
-        assert history_diagnostics(hist)["min_density"] < 0
+        forced = march_setup(problem, spike, force=True)
+        assert march_diagnostics(forced, rates)["min_density"] < 0
 
     def test_positivity_and_norm_stability_randomized(self, rng):
         # structural guarantees across 100 random admissible configurations
@@ -418,8 +418,9 @@ class TestSolveForward:
             f0 = random_density(rng, grid)
             problem = SmallProblem(cc, basis, rates,
                                    TimeGrid(dt * n_steps, n_steps))
-            hist = solve_forward(march_setup(problem, f0), rates)
-            diagnostics = history_diagnostics(hist)
+            setup = march_setup(problem, f0)
+            hist = solve_forward(setup, rates)
+            diagnostics = march_diagnostics(setup, rates)
             assert diagnostics["min_density"] >= -1e-13
             assert diagnostics["mass_drift"] < 1e-10
             norms = np.abs(hist.values).sum(axis=1)
@@ -471,8 +472,9 @@ class TestSolveForward:
         basis = make_basis(band_centers(3), grid)
         f0 = von_mises_density(grid, 0.0, 400.0)
         problem = SmallProblem(cc, basis, [0.5, 0.2, 0.1], TimeGrid(1.0, 100))
-        hist = solve_forward(march_setup(problem, f0), problem.rates)
-        assert history_diagnostics(hist)["xi_condition_min"] >= 0.0
+        setup = march_setup(problem, f0)
+        diagnostics = march_diagnostics(setup, problem.rates)
+        assert diagnostics["xi_condition_min"] >= 0.0
 
     def test_reference_experiment_resolution(self):
         grid = TorusGrid(-np.pi, np.pi, 420)
@@ -481,8 +483,8 @@ class TestSolveForward:
         f0 = von_mises_density(grid, 0.0, 400.0)
         problem = SmallProblem(cc, basis, [3.0, 2.0, 1.0, 0.5, 0.25],
                                TimeGrid(1.0, 250))
-        hist = solve_forward(march_setup(problem, f0), problem.rates)
-        diagnostics = history_diagnostics(hist)
+        setup = march_setup(problem, f0)
+        diagnostics = march_diagnostics(setup, problem.rates)
         assert diagnostics["mass_drift"] < 1e-10
         assert diagnostics["min_density"] >= -1e-13
 
@@ -529,7 +531,7 @@ class TestMarchProperties:
         f0 = random_density(np.random.default_rng(seed), grid)
         setup = march_setup(SmallProblem(cc, basis, rates, tg, boot), f0,
                             xi=xi)
-        d = history_diagnostics(solve_forward(setup, rates))
+        d = march_diagnostics(setup, rates)
         assert d["mass_drift"] < 1e-10
         # the two-step scheme's positivity needs xi*f^1 - f^0 >= 0
         if d["xi_condition_min"] >= 0.0:

@@ -16,8 +16,8 @@ from levyfit import forward
 from levyfit.adjoint import solve_adjoint
 from levyfit.errors import SolverError
 from levyfit.forward import (CCOperator, JumpKernel, bdf2_symbols,
-                             euler_symbols, history_diagnostics,
-                             march_diagnostics, solve_forward, solve_terminal)
+                             euler_symbols, march_diagnostics, solve_forward,
+                             solve_terminal, stability_bounds)
 from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
                            tiling_centers)
 
@@ -71,6 +71,25 @@ def allocating_adjoint(data, rates, basis, cc, time_grid, boot_substeps):
     return hat[2:-1], boot_hat
 
 
+def measured(setup, rates, values):
+    """The diagnostics of `march_diagnostics` from a whole history's levels
+    `values`: the masses' largest drift from the first over the first's
+    size, the smallest value, the smallest entry of xi*f^1 - f^0, and the
+    step next to the bounds of `stability_bounds`."""
+    masses = setup.grid.h * values.sum(axis=1)
+    bounds = stability_bounds(
+        setup.cc, JumpKernel.from_rates(rates, setup.basis), setup.xi)
+    return {
+        "mass_drift": float(np.max(np.abs(masses - masses[0]))
+                            / abs(masses[0])),
+        "min_density": float(values.min()),
+        "xi_condition_min": float(np.min(setup.xi * values[1] - values[0])),
+        "bounds": {"dt_used": setup.time_grid.dt,
+                   "dt_euler_pos": bounds.dt_euler_positive,
+                   "dt_bdf2": bounds.dt_bdf2},
+    }
+
+
 def march_and_sweep(problem, cc, time_grid, boot_substeps, f0, data):
     """solve_forward (forced past the step bounds, so every random problem
     runs) and solve_adjoint, as five arrays."""
@@ -104,11 +123,12 @@ def test_forward_march_equals_allocating_march(problem):
 @given(problem=small_problems(), size=st.sampled_from([2, 3, 5, 38]))
 def test_blocked_march_has_the_bytes_of_the_whole_march(problem, size):
     """Marched in blocks, `solve_forward` has the levels and substeps of the
-    whole-array march, and `march_diagnostics` the bytes of its terminal
-    and of `history_diagnostics` of its history, for N_T + 1 below the
-    block, equal to it, one more than it and than twice it, and twice it:
-    at blocks of 2, 3, 5 and 38 levels (fine_grid's), each set through
-    `_BLOCK_BYTES`, whose own value makes one block of every problem here."""
+    whole-array march, and `march_diagnostics`, which folds the blocks, the
+    bytes of the diagnostics measured on those levels at once, for N_T + 1
+    below the block, equal to it, one more than it and than twice it, and
+    twice it: at blocks of 2, 3, 5 and 38 levels (fine_grid's), each set
+    through `_BLOCK_BYTES`, whose own value makes one block of every
+    problem here."""
     f0, _ = inputs(problem)
     edges = [m for m in (size - 1, size, size + 1, 2 * size, 2 * size + 1)
              if m >= 3]
@@ -120,7 +140,7 @@ def test_blocked_march_has_the_bytes_of_the_whole_march(problem, size):
             setup = march_setup(problem._replace(time_grid=tg), f0,
                                 force=True)
             hist = solve_forward(setup, problem.rates)
-            terminal, diagnostics = march_diagnostics(setup, problem.rates)
+            diagnostics = march_diagnostics(setup, problem.rates)
             values, bootstrap = allocating_forward(
                 f0, problem.rates, problem.basis, problem.cc, tg,
                 problem.boot_substeps)
@@ -128,9 +148,8 @@ def test_blocked_march_has_the_bytes_of_the_whole_march(problem, size):
             assert hist.bootstrap.tobytes() == bootstrap.tobytes()
             for row in (hist.values[0], hist.bootstrap[0]):
                 assert row.tobytes() == setup.f0.tobytes()
-            assert terminal.tobytes() == hist.terminal.tobytes()
-            assert terminal.flags.owndata
-            assert repr(diagnostics) == repr(history_diagnostics(hist))
+            assert repr(diagnostics) == repr(
+                measured(setup, problem.rates, values))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

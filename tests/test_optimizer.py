@@ -9,8 +9,10 @@ from conftest import (STEP_COUNTS, dense_adjoint_march, dense_forward_march,
 from levyfit.adjoint import AdjointHistory
 from levyfit.errors import LineSearchError
 from levyfit.forward import (CCOperator, DensityHistory, JumpKernel,
-                             history_diagnostics, stability_bounds)
-from levyfit.optimizer import (CalibrationSetup, OptimizerParams,
+                             march_diagnostics, solve_terminal,
+                             stability_bounds)
+from levyfit.likelihood import aic_score
+from levyfit.optimizer import (ALPHA0, CalibrationSetup, OptimizerParams,
                                aic_sweep, armijo_linesearch, calibrate,
                                dai_yuan_beta, gradient_from_histories,
                                objective, projected_direction,
@@ -150,8 +152,7 @@ class TestReducedGradient:
         expected *= grid.h
 
         fwd = DensityHistory(values=values, bootstrap=substates,
-                             terminal=values[-1], grid=grid, time_grid=tg,
-                             bounds=None)
+                             terminal=values[-1], grid=grid, time_grid=tg)
         adj = AdjointHistory(levels=np.fft.rfft(levels, axis=1),
                              bootstrap=np.fft.rfft(multipliers, axis=1))
         np.testing.assert_allclose(gradient_from_histories(fwd, adj, basis),
@@ -304,6 +305,34 @@ class TestCalibrate:
         assert again.alpha_star.tobytes() == report.alpha_star.tobytes()
         assert again.trace == report.trace
 
+    @pytest.mark.parametrize("max_iters", [0, 500])
+    def test_each_fit_reports_its_accepted_evaluation(self, max_iters):
+        """Every fit of a sweep reports the value, floored count, score and
+        density of the `objective` call that evaluated alpha_star: j_star
+        is the last trace entry's j, or the start's J after no iteration,
+        and the density has the bytes of the powers at alpha_star."""
+        setup = make_setup(n=32, n_steps=12, n_theta=2)
+        samples = synthetic_samples(setup, [0.8, 0.3], 500, seed=5)
+        setups = [setup.with_basis(make_basis(band_centers(n_theta),
+                                              setup.grid))
+                  for n_theta in (2, 3, 4)]
+        result = aic_sweep(setups, samples,
+                           OptimizerParams(max_iters=max_iters))
+        assert not result.errors
+        for report, fit_setup in zip(result.reports, setups):
+            assert report.iterations == len(report.trace)
+            if report.iterations:
+                assert report.j_star == report.trace[-1]["j"]
+            else:
+                assert np.array_equal(report.alpha_star,
+                                      np.full(report.n_theta, ALPHA0))
+            value, powers = objective(report.alpha_star, fit_setup, samples)
+            assert report.j_star == value.value
+            assert report.diagnostics["floored_count"] == value.floored_count
+            assert report.aic == aic_score(value.value, len(samples),
+                                           report.n_theta, "log")
+            assert report.terminal.tobytes() == powers.density.tobytes()
+
     def test_refuses_samples_snapped_to_another_grid(self):
         # counts snapped to another grid have the right length and would
         # score every sample in another cell
@@ -423,11 +452,10 @@ class TestLineSearchRetry:
             "dt_used": setup.time_grid.dt,
             "dt_euler_pos": bounds.dt_euler_positive,
             "dt_bdf2": bounds.dt_bdf2}
-        fwd = run_forward(report.alpha_star, setup)
-        assert np.array_equal(report.terminal, fwd.terminal)
-        diagnostics = history_diagnostics(fwd)
-        assert report.diagnostics["mass_drift"] == diagnostics["mass_drift"]
-        assert report.diagnostics["min_density"] == diagnostics["min_density"]
+        powers = solve_terminal(setup, report.alpha_star)
+        assert report.terminal.tobytes() == powers.density.tobytes()
+        marched = march_diagnostics(setup, report.alpha_star)
+        assert {key: report.diagnostics[key] for key in marched} == marched
 
 
 class TestSweep:

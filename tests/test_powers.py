@@ -23,9 +23,9 @@ from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.config import RunConfig, calibration_setup
 from levyfit.errors import SolverError, StabilityError
 from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
-                             bdf2_symbols, euler_symbols, history_diagnostics,
-                             march_diagnostics, solve_forward, solve_terminal,
-                             stability_bounds, terminal_bounds)
+                             bdf2_symbols, euler_symbols, march_diagnostics,
+                             solve_forward, solve_terminal, stability_bounds,
+                             terminal_bounds)
 from levyfit.likelihood import evaluate_objective
 from levyfit.optimizer import (ALPHA0, gradient_from_histories, objective,
                                reduced_gradient, run_forward)
@@ -35,6 +35,9 @@ from levyfit.torus import (ModelCoefficients, TimeGrid, TorusGrid, make_basis,
 
 EPS = np.finfo(float).eps
 EPS_LONG = np.finfo(np.longdouble).eps
+# the cut's exact counts read long double's eps: those pinned here are
+# x87's (x86-64 Linux); tests/test_double_powers.py pins double's
+X87 = EPS_LONG == 2.0**-63
 
 
 def problem_setup(problem, n_steps, force=None):
@@ -304,11 +307,12 @@ def test_no_admissible_rate_keeps_every_mode():
 
 def test_force_keeps_every_mode():
     """The bound holds for admitted rates only, so a forced setup keeps
-    every mode, where the unforced one at fine_grid's shape keeps 92."""
+    every mode, where the unforced one at fine_grid's shape keeps fewer
+    (92 with x87's eps, `test_the_cut_keeps_the_benchmark_modes`)."""
     forced, setup = (calibration_setup(
         RunConfig(n_space=840, n_time=800, force_dt=force), len(HAT_RATES))
         for force in (True, False))
-    assert (forced.modes, setup.modes, len(forced.f0_hat)) == (421, 92, 421)
+    assert forced.modes == len(forced.f0_hat) == 421 > setup.modes
     assert forced.two_q_powers.shape == (9, 421)
     assert np.isinf(terminal_bounds(forced)).all()
     assert len(solve_terminal(forced, HAT_RATES).derivative()) == 421
@@ -327,6 +331,7 @@ def test_the_cut_drops_most_modes(problem, n_steps):
     assert slope[-1] != 0.0
 
 
+@pytest.mark.skipif(not X87, reason="the counts of x87 long double")
 @pytest.mark.parametrize("n_space, n_time, kept, modes, floor", [
     pytest.param(420, 250, 94, 211, 1e-12, id="420-250"),
     pytest.param(840, 800, 92, 421, 1e-12, id="840-800"),
@@ -341,7 +346,7 @@ def test_the_cut_keeps_the_benchmark_modes(n_space, n_time, kept, modes,
     their powers, whatever their rates: a looser bound would keep more, a
     wrong one fewer.  The cut reads the setup's objective floor, which
     weights what it drops: a higher floor drops more modes, a lower one
-    keeps more."""
+    keeps more.  The counts are those of x87 long double's eps."""
     config = RunConfig(n_space=n_space, n_time=n_time, objective_floor=floor)
     setup = calibration_setup(config, len(HAT_RATES))
     assert (setup.modes, len(setup.f0_hat)) == (kept, modes)
@@ -484,8 +489,9 @@ def assert_same_refusal(setup, rates, clause):
 
 def test_both_paths_refuse_a_negative_total_rate():
     """A small negative total rate a passes the two-step bound, but not
-    the Euler one, dt_euler_positive = 1/a < 0: the march, the streamed
-    march and the powers refuse it for that clause alone."""
+    the Euler one, dt_euler_positive = 1/a < 0.  It needs a negative
+    weight, so the march, the streamed march and the powers refuse it
+    with one text, which prints that bound."""
     grid = TorusGrid(0.0, 2 * np.pi, 16)
     cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
     basis = make_basis(tiling_centers(3, grid), grid)
@@ -516,7 +522,6 @@ def test_both_paths_refuse_a_negative_weight(rates):
     assert_same_refusal(march_setup(problem, f0), rates,
                         "weights >= 0, smallest -")
     forced = march_setup(problem, f0, force=True)
-    history = solve_forward(forced, rates)
-    assert history_diagnostics(history)["min_density"] < 0.0
-    assert march_diagnostics(forced, rates)[1] == history_diagnostics(history)
+    low = march_diagnostics(forced, rates)["min_density"]
+    assert low == solve_forward(forced, rates).values.min() < 0.0
     assert np.isfinite(solve_terminal(forced, rates).density).all()
