@@ -14,7 +14,7 @@ class IngestError(LevyfitError):
 
 
 class StabilityError(LevyfitError):
-    """Requested time step violates a positivity/stability bound."""
+    """Rates that the time step's positivity/stability bounds refuse."""
 
 
 class LineSearchError(LevyfitError):

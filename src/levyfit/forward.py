@@ -32,8 +32,8 @@ takes them as the matrix's Lucas pair (U_n, V_n), whose doublings read
 the rate-free rows 2Q^n that the setup builds once, and the q-derivative
 reads that chain (`TerminalPowers.derivative`), in which only U carries
 a derivative.
-Both routes refuse the same steps (`admissible_bounds`) and check only
-the terminal level.
+Both routes refuse the same rates (`_admitted`, by the setup's
+`rate_ceiling`) and check only the terminal level.
 """
 
 from __future__ import annotations
@@ -209,32 +209,6 @@ def bdf2_symbols(cc: CCOperator, kernel: JumpKernel,
     return 4.0 + 2.0 * dt * kernel.symbol, 3.0 - 2.0 * dt * cc.symbol
 
 
-def admissible_bounds(setup: CalibrationSetup,
-                      kernel: JumpKernel) -> StabilityBounds:
-    """`stability_bounds` at the setup's checked xi; a step above the
-    two-step bound, or a kernel with a negative weight, is refused unless
-    `setup.force`.
-
-    The positivity proof behind both bounds needs nonnegative weights, and
-    a negative entry among the rates can give them with a nonnegative
-    total.  The two clauses imply the Euler substeps' bound: admitted
-    weights are >= 0, so the total rate a is >= 0, and dt <= dt_bdf2 gives
-    dt*a <= (xi - 1)(3 - xi)/(2xi) < 1/2 < K, so dt/K < 1/a.  A negative
-    total needs a negative weight, which the weight clause refuses.
-    """
-    bounds = stability_bounds(setup.cc, kernel, setup.xi)
-    dt = setup.time_grid.dt
-    if not setup.force and (dt > bounds.dt_bdf2
-                            or kernel.weights.min() < 0):
-        raise StabilityError(
-            f"dt = {dt:.4e} violates the admissible steps "
-            f"(bdf2 <= {bounds.dt_bdf2:.4e}, "
-            f"euler <= {bounds.dt_euler_positive:.4e}, both for "
-            f"{_weight_clause(kernel)}); "
-            "pass force=True (config key force_dt) to integrate anyway")
-    return bounds
-
-
 def _weight_clause(kernel: JumpKernel) -> str:
     """The refusal's clause naming the smallest kernel weight, which the
     positivity proof behind every step bound needs nonnegative."""
@@ -259,14 +233,15 @@ def check_initial_density(f0, grid: TorusGrid) -> np.ndarray:
 class CalibrationSetup:
     """Everything fixed during one fit and, built from it once and
     read-only, every array of both routes that the rates leave unchanged:
-    `cc`, f0 checked and its rfft `f0_hat`, `euler_implicit` = 1 - tau*a,
-    `implicit` = c = 3 - 2dt*a, the number `modes` of the leading modes
-    that some admitted rates carry to t_final (`terminal_bounds`; all of
-    them under `force`), and over those modes, in long double,
-    `long_symbols`, the rows 1 - tau*a, c, f0_hat, r = -1/c and 2dt/c, and
-    `two_q_powers`, the row 2Q^n of each doubling of `solve_terminal`
-    (Q = 1/c, n the bits of N_T - 1 read before it).  `with_basis` gives
-    a setup of another basis that shares them."""
+    `cc`, `rate_ceiling`, the `dt_bdf2` of `stability_bounds` solved for
+    the total rate, f0 checked and its rfft `f0_hat`, `euler_implicit` =
+    1 - tau*a, `implicit` = c = 3 - 2dt*a, the number `modes` of the
+    leading modes that some admitted rates carry to t_final
+    (`terminal_bounds`; all of them under `force`), and over those modes,
+    in long double, `long_symbols`, the rows 1 - tau*a, c, f0_hat, r =
+    -1/c and 2dt/c, and `two_q_powers`, the row 2Q^n of each doubling of
+    `solve_terminal` (Q = 1/c, n the bits of N_T - 1 read before it).
+    `with_basis` gives a setup of another basis that shares them."""
 
     grid: TorusGrid
     time_grid: TimeGrid
@@ -278,6 +253,7 @@ class CalibrationSetup:
     xi: float = 2.0
     force: bool = False
     cc: CCOperator = field(init=False)
+    rate_ceiling: float = field(init=False)
     f0_hat: np.ndarray = field(init=False, repr=False)
     euler_implicit: np.ndarray = field(init=False, repr=False)
     implicit: np.ndarray = field(init=False, repr=False)
@@ -292,7 +268,9 @@ class CalibrationSetup:
         self._check_basis(self.basis)
         f0 = check_initial_density(self.f0, self.grid)
         object.__setattr__(self, "cc", CCOperator(self.grid, self.coeffs))
-        dt, a = self.time_grid.dt, self.cc.symbol
+        dt, a, xi = self.time_grid.dt, self.cc.symbol, self.xi
+        object.__setattr__(self, "rate_ceiling", (
+            (xi - 1.0) * (3.0 - xi) / dt - 2.0 * self.cc.damping) / (2 * xi))
         self._set_arrays(f0=f0,
                          euler_implicit=1.0 - dt / self.boot_substeps * a,
                          implicit=3.0 - 2.0 * dt * a)
@@ -335,8 +313,9 @@ class CalibrationSetup:
                              f"the setup's grid is {self.grid}")
 
     def with_basis(self, basis: SplineBasis) -> CalibrationSetup:
-        """This setup with another basis, on its grid, sharing every array
-        the rates leave unchanged: none of them reads the basis."""
+        """This setup with another basis, on its grid, sharing its
+        `rate_ceiling` and every array the rates leave unchanged: none of
+        them reads the basis."""
         self._check_basis(basis)
         setup = copy.copy(self)
         object.__setattr__(setup, "basis", basis)
@@ -427,20 +406,33 @@ class DensityHistory:
 
 
 def _admitted(setup: CalibrationSetup, rates, modes=None) -> tuple:
-    """The admitted bounds at `rates`, and 1 + tau*q and 4 + 2dt*q over
-    the first `modes` modes (all if None)."""
+    """The kernel at `rates`, and 1 + tau*q and 4 + 2dt*q over the first
+    `modes` modes (all if None).  Unless `setup.force`, refuses, naming
+    the clause, a negative weight, which the positivity proof behind the
+    step bounds excludes (a negative rate can give one with a nonnegative
+    total), and a total rate a above `setup.rate_ceiling`.  Together they
+    give 0 <= dt*a <= (xi - 1)(3 - xi)/(2xi) < 1/2 < K, the Euler
+    substeps' bound dt/K < 1/a."""
     kernel = JumpKernel.from_rates(rates, setup.basis, modes)
-    q, dt = kernel.symbol, setup.time_grid.dt
-    return (admissible_bounds(setup, kernel),
-            1.0 + dt / setup.boot_substeps * q, 4.0 + 2.0 * dt * q)
+    q, dt, checked = kernel.symbol, setup.time_grid.dt, not setup.force
+    if checked and kernel.weights.min() < 0.0:
+        clause = f"the rates need {_weight_clause(kernel)}"
+    elif checked and kernel.total_rate > setup.rate_ceiling:
+        clause = (f"at dt = {dt:.4e} the total jump rate "
+                  f"{kernel.total_rate:.4e} exceeds the two-step bound's "
+                  f"rate_ceiling = {setup.rate_ceiling:.4e}")
+    else:
+        return kernel, 1.0 + dt / setup.boot_substeps * q, 4.0 + 2.0 * dt * q
+    raise StabilityError(f"{clause}; pass force=True (config key force_dt) "
+                         "to integrate anyway")
 
 
 def _march(setup: CalibrationSetup, rates, out=None) -> tuple:
-    """The admitted bounds, the substeps g^0 .. g^{K-1} (if `out`) and a
+    """The admitted kernel, the substeps g^0 .. g^{K-1} (if `out`) and a
     generator of the levels F^0 .. F^{N_T} (row 0 f0 itself), in real
     space, in blocks of the levels `_BLOCK_BYTES` holds (at least 2), each
     irfft'd in one call into its rows of `out`, else into one reused block."""
-    bounds, euler_explicit, explicit = _admitted(setup, rates)
+    kernel, euler_explicit, explicit = _admitted(setup, rates)
     n, k = setup.grid.n, setup.boot_substeps
     levels = setup.time_grid.n_steps + 1
     block = max(2, _BLOCK_BYTES // (16 * (n // 2 + 1) + 8 * n))
@@ -468,13 +460,13 @@ def _march(setup: CalibrationSetup, rates, out=None) -> tuple:
         # 0*inf included, and the irfft, so the last row shows it
         if not np.all(np.isfinite(rows[-1])):
             raise SolverError("non-finite values in the forward march")
-    return bounds, substeps, blocks()
+    return kernel, substeps, blocks()
 
 
 def solve_forward(setup: CalibrationSetup, rates) -> DensityHistory:
     """March the density from setup.f0 to t_final: `boot_substeps` implicit
     Euler substeps of dt/boot_substeps to the first level, then the
-    two-step scheme, at a step and rates that `admissible_bounds` admits.
+    two-step scheme, at rates that the setup admits (`_admitted`).
     The march holds the history and one block, and only checks its values
     for finiteness; `march_diagnostics` measures mass and positivity.
     """
@@ -498,7 +490,7 @@ def march_diagnostics(setup: CalibrationSetup, rates) -> dict:
     meets the positivity condition of the two-step scheme.  bounds holds
     the step used next to the Euler and two-step bounds.
     """
-    bounds, _, blocks = _march(setup, rates)
+    kernel, _, blocks = _march(setup, rates)
     drift, low, mass0 = 0.0, math.inf, None
     for block in blocks:    # the first holds levels 0 and 1
         masses = setup.grid.h * block.sum(axis=1)
@@ -506,6 +498,7 @@ def march_diagnostics(setup: CalibrationSetup, rates) -> dict:
             mass0, xi_min = masses[0], np.min(setup.xi * block[1] - block[0])
         drift = np.maximum(drift, np.max(np.abs(masses - mass0)))
         low = np.minimum(low, block.min())
+    bounds = stability_bounds(setup.cc, kernel, setup.xi)
     return {
         "mass_drift": float(drift / abs(mass0)),
         "min_density": float(low),
@@ -518,12 +511,12 @@ def march_diagnostics(setup: CalibrationSetup, rates) -> dict:
 
 def terminal_bounds(setup: CalibrationSetup) -> tuple:
     """Per mode, bounds on |F^{N_T}| and |dF^{N_T}/dq|/t_final over |F^0|
-    at mode 0, from start = |F^0|/|F^0_0|, at every rate vector that
-    `admissible_bounds` admits at the setup: inf under `force`, which
-    admits any, and where it admits none.
+    at mode 0, from start = |F^0|/|F^0_0|, at every rate vector that the
+    setup admits (`_admitted`): inf under `force`, which admits any, and
+    where it admits none.
 
-    Admitted weights are >= 0 and sum to at most lam, `dt_bdf2` solved for
-    the total rate, so |q + lam| <= lam, and |e| <= |1 + tau*q| <= 1 as
+    Admitted weights are >= 0 and sum to at most lam, the setup's
+    `rate_ceiling`, so |q + lam| <= lam, and |e| <= |1 + tau*q| <= 1 as
     tau*lam < 1/(2xi) (the Euler bound K/dt never binds).  So t = (4 +
     2dt*q)/c lies within R = 2dt*lam/|c| of t0 = (4 - 2dt*lam)/c: |t| <=
     |t0| + R, |t^2 - 4Q| <= |t0^2 - 4Q| + R*(2|t0| + R), Q = 1/c = -r.
@@ -533,8 +526,8 @@ def terminal_bounds(setup: CalibrationSetup) -> tuple:
     |r| <= rho^2, the bounds are n and (n + (n^3 + 2n)/3*rho)/N_T times
     rho^n*start*(3 + rho), n = N_T - 1.
     """
-    n, dt, xi = setup.time_grid.n_steps - 1, setup.time_grid.dt, setup.xi
-    lam = ((xi - 1.0) * (3.0 - xi) / dt - 2.0 * setup.cc.damping) / (2 * xi)
+    n, dt, lam = (setup.time_grid.n_steps - 1, setup.time_grid.dt,
+                  setup.rate_ceiling)
     if setup.force or lam < 0.0:
         return (np.full(len(setup.f0_hat), np.inf),) * 2
     c = setup.implicit

@@ -174,11 +174,12 @@ def calibrate(setup: CalibrationSetup, samples: SampleSet,
     """Projected Dai-Yuan NLCG fit of the jump rates, scored by `aic_score`.
 
     Never raises on non-convergence: the report carries converged=False
-    and the trace instead.  Trial points that violate the step-size bounds
-    evaluate to +inf and are simply backtracked past; a refused starting
-    point raises the StabilityError of `admissible_bounds`.  When the search
-    along the conjugate direction fails, it is retried once along steepest
-    descent; when that fails too, the fit stops with stop="linesearch".
+    and the trace instead.  Trial points whose total jump rate exceeds the
+    setup's `rate_ceiling` evaluate to +inf and are simply backtracked
+    past; a refused starting point raises the StabilityError that names
+    the clause it fails.  When the search along the conjugate direction
+    fails, it is retried once along steepest descent; when that fails too,
+    the fit stops with stop="linesearch".
 
     The report's j_star, its score, floored_count and terminal density are
     those of the `objective` evaluation that the search accepted at

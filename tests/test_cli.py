@@ -502,12 +502,13 @@ class TestCliEntry:
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tiny_cfg, tmp_path, capsys):
-        # sigma2 large enough that every sweep entry violates the step bound;
-        # the refusal names the step and both bounds
+        # sigma2 large enough that every sweep entry's start exceeds the
+        # rate ceiling; the refusal names the step, the rate and the ceiling
         code = main(["run", str(tiny_cfg), "--set", "sigma2=50.0",
                      "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "dt =" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dt =" in err and "rate_ceiling =" in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("existing, out", [

@@ -10,6 +10,7 @@ values of those terms, not by a fixed tolerance.
 """
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from conftest import (STEP_COUNTS, SmallProblem, assembly_bound,
 from levyfit.adjoint import solve_adjoint, terminal_condition
 from levyfit.config import RunConfig, calibration_setup
 from levyfit.errors import SolverError, StabilityError
-from levyfit.forward import (CCOperator, JumpKernel, admissible_bounds,
-                             bdf2_symbols, euler_symbols, march_diagnostics,
-                             solve_forward, solve_terminal, stability_bounds,
+from levyfit.forward import (CCOperator, JumpKernel, bdf2_symbols,
+                             euler_symbols, march_diagnostics, solve_forward,
+                             solve_terminal, stability_bounds,
                              terminal_bounds)
 from levyfit.likelihood import evaluate_objective
 from levyfit.optimizer import (ALPHA0, gradient_from_histories, objective,
@@ -50,8 +51,7 @@ def problem_setup(problem, n_steps, force=None):
     f0 = random_density(problem.rng, problem.cc.grid)
     if force is None:
         setup = march_setup(problem, f0)
-        force = refusal(admissible_bounds, setup, JumpKernel.from_rates(
-            problem.rates, setup.basis)) is not None
+        force = refusal(solve_terminal, setup, problem.rates) is not None
         if not force:
             return setup
     return march_setup(problem, f0, force)
@@ -277,15 +277,13 @@ def test_terminal_bounds_hold(problem, n_steps, share):
         rates = np.ones_like(rates)
         total = JumpKernel.from_rates(rates, setup.basis).total_rate
     bdf2, euler = ceilings(setup)
-    over = JumpKernel.from_rates(rates * (euler / total), setup.basis)
-    assert refusal(admissible_bounds, setup, over) is not None
+    assert refusal(solve_terminal, setup, rates * (euler / total)) is not None
     if bdf2 < 0.0:
         reject()
     rates = rates * (share * bdf2 / total)
-    if refusal(admissible_bounds, setup,
-               JumpKernel.from_rates(rates, setup.basis)) is not None:
+    if refusal(solve_terminal, setup, rates) is not None:
         rates = rates * (1.0 - 8 * EPS)     # the ceiling, to its rounding
-    admissible_bounds(setup, JumpKernel.from_rates(rates, setup.basis))
+    solve_terminal(setup, rates)    # admitted
     mass = abs(setup.f0_hat[0])
     size, change = terminal_bounds(setup)
     level, slope = march_by_modes(setup, rates)
@@ -302,7 +300,8 @@ def test_no_admissible_rate_keeps_every_mode():
     assert ceilings(setup)[0] < 0.0
     assert setup.modes == len(setup.f0_hat) == 421
     assert np.isinf(terminal_bounds(setup)).all()
-    assert_same_refusal(setup, np.full(len(HAT_RATES), ALPHA0), "bdf2 <= ")
+    assert_same_refusal(setup, np.full(len(HAT_RATES), ALPHA0),
+                        f"rate_ceiling = {ceilings(setup)[0]:.4e}")
 
 
 def test_force_keeps_every_mode():
@@ -439,41 +438,55 @@ def refusal(solve, *args, **kwargs):
     return None
 
 
+def same_refusal(setup, rates):
+    """The one StabilityError text with which the march, the streamed march
+    and the powers refuse `rates`, or None if all admit them."""
+    march = refusal(solve_forward, setup, rates)
+    assert (refusal(march_diagnostics, setup, rates)
+            == refusal(solve_terminal, setup, rates) == march)
+    return march
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(problem=small_problems())
 def test_both_paths_refuse_the_same_steps(problem):
     """Rates scaled from far below to far above the scale s at which the
-    tighter step bound meets dt, and across s by one part in 1e12: the
+    two-step bound meets dt, and across s by one part in 1e12: the
     march, the streamed march and the powers refuse the same trials with
-    the same text, and none refuses with force."""
-    cc, basis, rates, tg, boot, rng = problem
-    if not rates.any():
+    the same text, which names the setup's `rate_ceiling`, and none
+    refuses with force.  The ceiling is the two-step bound's (`ceilings`),
+    and it is the edge to the rounding of the total rate: at 4 eps below
+    it the routes admit, at 4 eps above they refuse, and so does a setup
+    of another basis that `with_basis` gives, as one built on that basis."""
+    cc, basis, rates, _, _, rng = problem
+    # no direction to scale, or one that overflows
+    if not JumpKernel.from_rates(rates, basis).total_rate > 1e-6:
         rates = np.ones_like(rates)
     f0 = random_density(rng, cc.grid)
     setups = [march_setup(problem, f0, force) for force in (False, True)]
-    dt, xi = tg.dt, 2.0
-    total = JumpKernel.from_rates(rates, basis).total_rate
-    bdf2 = ((xi - 1.0) * (3.0 - xi) / dt - 2.0 * cc.damping) / (2 * xi * total)
-    euler = boot / (dt * total)
-    edge = min(bdf2, euler)
+    bdf2 = ceilings(setups[0])[0]
+    assert setups[0].rate_ceiling == pytest.approx(bdf2, rel=1e-15, abs=0.0)
+    edge = bdf2 / JumpKernel.from_rates(rates, basis).total_rate
     scales = [1e-3, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 1e3]
     outcomes = []
     for scale in scales:
         point = rates * (scale * edge if edge > 0 else scale)
-        for force in (False, True):
-            march = refusal(solve_forward, setups[force], point)
-            powers = refusal(solve_terminal, setups[force], point)
-            streamed = refusal(march_diagnostics, setups[force], point)
-            assert march == powers == streamed
-            if force:
-                assert march is None
-            else:
-                outcomes.append(march)
+        outcomes.append(same_refusal(setups[0], point))
+        assert same_refusal(setups[1], point) is None
     assert outcomes[-1] is not None
+    assert f"rate_ceiling = {bdf2:.4e}" in outcomes[-2]
     if edge > 0:
         assert outcomes[0] is None
-        kernel = JumpKernel.from_rates(rates * (2.0 * edge), basis)
-        assert f"{stability_bounds(cc, kernel).dt_bdf2:.4e}" in outcomes[-2]
+        other = make_basis(tiling_centers(len(rates) + 1, cc.grid), cc.grid)
+        ones = np.ones(other.n_theta)
+        for setup, point in (
+                (setups[0], rates), (setups[0].with_basis(other), ones),
+                (march_setup(problem._replace(basis=other), f0), ones)):
+            total = JumpKernel.from_rates(point, setup.basis).total_rate
+            below, above = (point * (bdf2 * (1.0 + side * 4 * EPS) / total)
+                            for side in (-1, 1))
+            assert same_refusal(setup, below) is None
+            assert same_refusal(setup, above) is not None
 
 
 def assert_same_refusal(setup, rates, clause):
@@ -481,26 +494,31 @@ def assert_same_refusal(setup, rates, clause):
     StabilityError text, which names `clause`."""
     texts = set()
     for solve in (solve_forward, march_diagnostics, solve_terminal):
-        with pytest.raises(StabilityError, match=clause) as refused:
+        with pytest.raises(StabilityError, match=re.escape(clause)) as refused:
             solve(setup, rates)
         texts.add(str(refused.value))
     assert len(texts) == 1
+    return texts.pop()
 
 
 def test_both_paths_refuse_a_negative_total_rate():
-    """A small negative total rate a passes the two-step bound, but not
-    the Euler one, dt_euler_positive = 1/a < 0.  It needs a negative
-    weight, so the march, the streamed march and the powers refuse it
-    with one text, which prints that bound."""
+    """A small negative total rate a passes the two-step bound, and lies
+    below the setup's `rate_ceiling`, but not the Euler one,
+    dt_euler_positive = 1/a < 0.  It needs a negative weight, so the
+    march, the streamed march and the powers refuse it with one text,
+    which names the weight clause and no step bound."""
     grid = TorusGrid(0.0, 2 * np.pi, 16)
     cc = CCOperator(grid, ModelCoefficients(0.3, 0.2))
     basis = make_basis(tiling_centers(3, grid), grid)
     rates, tg = np.array([-1e-3, 0.0, 0.0]), TimeGrid(1.0, 40)
-    bounds = stability_bounds(cc, JumpKernel.from_rates(rates, basis))
+    kernel = JumpKernel.from_rates(rates, basis)
+    bounds = stability_bounds(cc, kernel)
     assert tg.dt <= bounds.dt_bdf2 and bounds.dt_euler_positive < 0.0
     f0 = random_density(np.random.default_rng(16), grid)
     setup = march_setup(SmallProblem(cc, basis, rates, tg), f0)
-    assert_same_refusal(setup, rates, "euler <= -")
+    assert kernel.total_rate < 0.0 < setup.rate_ceiling
+    text = assert_same_refusal(setup, rates, "jump weights >= 0, smallest -")
+    assert "dt =" not in text and "rate_ceiling" not in text
 
 
 @pytest.mark.parametrize("rates", [[-0.5, 1.0, 1.0], [-2.0, 1.0, 1.5]])
