@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import load_config
+from .config import config_to_dict, load_config
 from .errors import ConfigError, IngestError, LevyfitError
 from .experiment import run_experiment, simulate_samples
 from .preprocess import PreprocessSpec, preprocess_financial
@@ -78,18 +78,8 @@ def _cmd_simulate(args) -> int:
     if not config.sim_kind:
         raise ConfigError("simulate needs sim_kind in the config")
     sample_set = simulate_samples(config)
-    if config.sim_kind == "compound_poisson":
-        meta = {"kind": config.sim_kind,
-                "rates": ",".join(map(str, config.sim_rates))}
-    else:
-        meta = {"kind": config.sim_kind,
-                "gamma_shape": config.sim_gamma_shape,
-                "gamma_rate": config.sim_gamma_rate}
-    meta.update({"seed": config.seed, "t_final": config.t_final,
-                 "drift": config.drift, "sigma2": config.sigma2,
-                 "init_center": config.init_center,
-                 "init_concentration": config.init_concentration})
-    write_samples_csv(args.out, sample_set.values, metadata=meta)
+    write_samples_csv(args.out, sample_set.values, metadata={
+        "config": json.dumps(config_to_dict(config), sort_keys=True)})
     print(f"wrote {len(sample_set)} samples to {args.out}")
     return 0
 
@@ -102,8 +92,8 @@ def _cmd_preprocess(args) -> int:
     result = preprocess_financial(raw, spec)
     write_samples_csv(args.out, result.values, metadata={
         "source": args.input,
-        "torus_drift": result.drift,
-        "torus_sigma2": result.diffusion,
+        "config": json.dumps({"drift": result.drift,
+                              "sigma2": result.diffusion}, sort_keys=True),
         "raw_mean": result.raw_mean,
         "raw_variance": result.raw_variance,
         "n_wrapped": result.n_wrapped,

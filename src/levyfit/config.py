@@ -14,7 +14,6 @@ from .errors import ConfigError
 from .likelihood import DEFAULT_FLOOR, aic_score
 from .optimizer import CalibrationSetup, OptimizerParams
 from .samples import open_text
-from .simulate import SimulationSpec
 from .torus import (HALF_WIDTH, ModelCoefficients, SplineBasis, TimeGrid,
                     TorusGrid, band_centers, make_basis, tiling_centers,
                     von_mises_density)
@@ -121,18 +120,6 @@ def calibration_setup(config: RunConfig, n_theta: int) -> CalibrationSetup:
         xi=config.bdf2_xi, force=config.force_dt)
 
 
-def simulation_spec(config: RunConfig) -> SimulationSpec:
-    """The simulator settings of a config; paths start from the config's
-    von Mises initial density, the one the solver assumes."""
-    return SimulationSpec(kind=config.sim_kind, rates=config.sim_rates,
-                          gamma_shape=config.sim_gamma_shape,
-                          gamma_rate=config.sim_gamma_rate,
-                          drift=config.drift, sigma2=config.sigma2,
-                          t_final=config.t_final, n_samples=config.sample_count,
-                          seed=config.seed, init_center=config.init_center,
-                          init_concentration=config.init_concentration)
-
-
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -192,7 +179,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Rebuild a config from a report echo (lists arrive as JSON arrays)."""
+    """Rebuild a config from a report echo or a sample file's `# config =`
+    record (lists arrive as JSON arrays)."""
     values = {}
     for key, val in data.items():
         if key not in _FIELD_TYPES:

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (RunConfig, build_basis, build_grid, config_to_dict,
-                     simulation_spec)
+from .config import RunConfig, build_basis, build_grid, config_to_dict
 from .errors import ConfigError
 from .optimizer import SweepResult, aic_sweep
 from .samples import SampleSet, ingest_samples
-from .simulate import sample_bigamma, sample_compound_poisson
+from .simulate import (SimulationSpec, sample_bigamma,
+                       sample_compound_poisson)
 from .torus import TorusGrid, project_to_torus
 
 
@@ -27,12 +27,20 @@ class ExperimentResult:
 
 def simulate_samples(config: RunConfig) -> SampleSet:
     """The config's simulation: its SimulationSpec, its grid and, for
-    compound Poisson, the hat basis the jumps follow, then the draw.  A
-    setting any of them refuses, or whose draws cannot be made or overflow,
-    is a ConfigError; the samplers refuse an overflow themselves, so
-    numpy's warning of it is not shown."""
+    compound Poisson, the hat basis the jumps follow, then the draw.  Paths
+    start from the config's von Mises initial density, the one the solver
+    assumes.  A setting any of them refuses, or whose draws cannot be made
+    or overflow, is a ConfigError; the samplers refuse an overflow
+    themselves, so numpy's warning of it is not shown."""
     try:
-        spec = simulation_spec(config)
+        spec = SimulationSpec(
+            kind=config.sim_kind, rates=config.sim_rates,
+            gamma_shape=config.sim_gamma_shape,
+            gamma_rate=config.sim_gamma_rate, drift=config.drift,
+            sigma2=config.sigma2, t_final=config.t_final,
+            n_samples=config.sample_count, seed=config.seed,
+            init_center=config.init_center,
+            init_concentration=config.init_concentration)
         grid = build_grid(config)
         basis = (build_basis(len(spec.rates), config, grid)
                  if spec.kind == "compound_poisson" else None)

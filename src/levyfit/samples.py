@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import ConfigError, IngestError
 from .torus import TorusGrid
 
 
@@ -145,10 +145,18 @@ def _read_lines(fh, path) -> np.ndarray:
 
 
 def write_samples_csv(path, values, metadata: dict | None = None) -> None:
-    """Write one value per line with '#'-prefixed metadata header lines."""
+    """Write one value per line after one '# key = value' header line per
+    metadata entry.  A key or value with a line break would put a line
+    outside the header, so it is a ConfigError, raised before the file is
+    opened."""
+    metadata = {str(k): str(v) for k, v in (metadata or {}).items()}
+    for key, val in metadata.items():
+        if any(c in key + val for c in "\n\r"):
+            raise ConfigError("a sample file header cannot hold a line "
+                              f"break: {key!r} = {val!r}")
     text = "\n".join(map(repr, np.asarray(values, dtype=float).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for key, val in (metadata or {}).items():
+        for key, val in metadata.items():
             fh.write(f"# {key} = {val}\n")
         if text:
             fh.write(text + "\n")

@@ -69,6 +69,16 @@ def count_builds(monkeypatch, cls, label):
     return built
 
 
+def config_record(path):
+    """A sample file's '#' header lines, and its `# config = ` record
+    parsed, of which it must hold exactly one."""
+    heads = [line for line in Path(path).read_text().splitlines()
+             if line.startswith("#")]
+    records = [h for h in heads if h.startswith("# config = ")]
+    assert len(records) == 1
+    return heads, json.loads(records[0][len("# config = "):])
+
+
 def count_setup_builds(monkeypatch):
     """Record the n_theta of every CalibrationSetup built, wherever: by
     its constructor, or from another setup by `with_basis`."""
@@ -662,6 +672,45 @@ class TestCliEntry:
         drawn = acquire_samples(cfg, build_grid(cfg)).values
         assert np.array_equal(ingest_samples(out), drawn)
 
+    # settings that each draw other samples than the defaults, and an
+    # out_dir with a line break, which the JSON record escapes
+    @pytest.mark.parametrize("settings", [
+        [], ["centers_lo=-0.5"], ["domain_lower=-4", "domain_upper=4"],
+        ["out_dir=a\n0.5"]], ids=" ".join)
+    @pytest.mark.parametrize("kind", ["compound_poisson", "bigamma"])
+    def test_simulate_records_the_config_run_echoes(self, tiny_cfg, tmp_path,
+                                                    monkeypatch, kind,
+                                                    settings):
+        sets = [arg for s in [f"sim_kind={kind}", *settings]
+                for arg in ("--set", s)]
+        out = tmp_path / "samples.csv"
+        assert main(["simulate", str(tiny_cfg), *sets, "--out", str(out)]) == 0
+        heads, record = config_record(out)
+        assert len(heads) == 1
+        assert main(["run", str(tiny_cfg), *sets,
+                     "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert record == report["config"]
+        # the record alone poses the same draw
+        monkeypatch.setattr("levyfit.cli.load_config",
+                            lambda *args: config_from_dict(record))
+        again = tmp_path / "again.csv"
+        assert main(["simulate", "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("name", ["a\n0.5", "a\r0.5"])
+    def test_line_break_in_a_header_value_is_refused(self, tmp_path, capsys,
+                                                     monkeypatch, name):
+        # the input's name is the `source` header value: written as it is,
+        # the text after its line break would be read back as a sample
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text("0.001\n-0.002\n0.0005\n0.04\n")
+        assert main(["preprocess", name, "--out", "t.csv"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == "" and not Path("t.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_samples_are_data_errors(self, tmp_path, bad):
         path = tmp_path / "bad.csv"
@@ -737,6 +786,13 @@ class TestCliEntry:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["n_wrapped"] == 1
         assert summary["n_values"] == 501
+        # the file records the model it printed, exactly
+        _, record = config_record(out)
+        assert record == {"drift": summary["torus_drift"],
+                          "sigma2": summary["torus_sigma2"]}
+        cfg = config_from_dict(record)
+        assert (cfg.drift, cfg.sigma2) == (summary["torus_drift"],
+                                           summary["torus_sigma2"])
 
     def test_fit_from_csv_source(self, tmp_path):
         rng = np.random.default_rng(1)

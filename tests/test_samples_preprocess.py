@@ -81,6 +81,13 @@ class TestIngest:
         write_samples_csv(path, values, metadata={"seed": 3})
         assert np.array_equal(ingest_samples(path), values)
 
+    @pytest.mark.parametrize("metadata", [{"a\nb": 1}, {"seed": "3\r4"}])
+    def test_header_line_break_refused(self, tmp_path, metadata):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ConfigError, match="line break"):
+            write_samples_csv(path, [0.5], metadata=metadata)
+        assert not path.exists()
+
 
 class TestPreprocess:
     def test_drift_scaling(self):
